@@ -18,13 +18,12 @@ from .errors import BundleError, ChronologyError, InvariantViolation
 from .forcing import (
     Force,
     RelaxedChronology,
+    Replay,
     Rule,
-    forcing_cover,
     possible_forces,
-    restriction_initials,
     validate_chronology,
 )
-from .graphs import Graph, induced_subgraph, is_path_sequence
+from .graphs import Graph, component_masks, induced_subgraph, is_path_sequence, mask_of
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,6 @@ class Restriction:
         return sub, chron
 
 
-def _filtered_steps(chron: RelaxedChronology, keep: frozenset[int]):
-    return tuple(
-        tuple(f for f in step if f.src in keep and f.dst in keep)
-        for step in chron.steps
-    )
-
-
 def restrict(
     g: Graph, chron: RelaxedChronology, sub_vertices: Iterable[int]
 ) -> Restriction:
@@ -76,16 +68,27 @@ def restrict(
     if chron.rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("restriction is defined for standard and PSD schedules")
     keep = g.check_set(sub_vertices)
-    initials = restriction_initials(g, chron, keep)
-    r = Restriction(chron.rule, keep, _filtered_steps(chron, keep), initials)
-    sub, sub_chron = r.subgraph_chronology(g)
+    host = Replay(g, chron)
     try:
-        validate_chronology(sub.graph, sub_chron)
+        r, _, _ = _restriction(host, keep, chron.rule)
     except ChronologyError as exc:
         raise InvariantViolation(
             f"restriction failed to replay on its subgraph: {exc}"
         ) from exc
     return r
+
+
+def _restriction(host: Replay, keep: frozenset[int], rule: Rule):
+    """The restriction of a replayed schedule to ``keep``, replaying under
+    ``rule``, with its induced subgraph and that subgraph schedule's own,
+    independent replay."""
+    steps = tuple(
+        tuple(f for f in step if f.src in keep and f.dst in keep)
+        for step in host.chron.steps
+    )
+    r = Restriction(rule, keep, steps, host.initials(keep))
+    sub, sub_chron = r.subgraph_chronology(host.graph)
+    return r, sub, Replay(sub.graph, sub_chron)
 
 
 @dataclass(frozen=True)
@@ -113,23 +116,16 @@ class PathBundle:
 
 
 def _bundle_from_paths(
-    g: Graph,
-    chron: RelaxedChronology,
-    paths: list[tuple[int, ...]],
-    error,
+    host: Replay, paths: list[tuple[int, ...]], error
 ) -> PathBundle:
     """Shared construction: restrict to the path vertices, demand standard
     validity, and demand the restricted chain set equal the paths."""
     keep = frozenset(v for p in paths for v in p)
-    initials = restriction_initials(g, chron, keep)
-    r = Restriction(Rule.STANDARD, keep, _filtered_steps(chron, keep), initials)
-    sub, sub_chron = r.subgraph_chronology(g)
     try:
-        validate_chronology(sub.graph, sub_chron)
+        r, sub, sub_replay = _restriction(host, keep, Rule.STANDARD)
     except ChronologyError as exc:
         raise error(f"restricted schedule is not standard-valid: {exc}") from exc
-    sub_cover = forcing_cover(sub.graph, sub_chron)
-    chains = {tuple(sub.vertices[v] for v in c) for c in sub_cover.chains}
+    chains = {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}
     wanted = set()
     oriented: list[tuple[int, ...]] = []
     for p in paths:
@@ -159,7 +155,8 @@ def validate_path_bundle(
     """
     if chron.rule is not Rule.PSD:
         raise ValueError("path bundles are defined over PSD schedules")
-    cover = forcing_cover(g, chron)
+    host = Replay(g, chron)
+    cover = host.cover
     paths = [tuple(p) for p in candidate_paths]
     if len(paths) != len(cover.trees):
         raise BundleError(
@@ -180,7 +177,7 @@ def validate_path_bundle(
             )
         by_tree[homes[0]] = p
     ordered = [by_tree[i] for i in range(len(cover.trees))]
-    return _bundle_from_paths(g, chron, ordered, BundleError)
+    return _bundle_from_paths(host, ordered, BundleError)
 
 
 def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundle:
@@ -191,11 +188,20 @@ def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundl
     stop once x is blue. The result always contains the base set and x.
     For a base vertex the bundle is the trivial one.
     """
+    return _induced_bundle(_psd_replay(g, chron, x), x)
+
+
+def _psd_replay(g: Graph, chron: RelaxedChronology, x: int) -> Replay:
     g.check_vertex(x)
     if chron.rule is not Rule.PSD:
         raise ValueError("vertex-induced bundles are defined over PSD schedules")
-    expansion = validate_chronology(g, chron)
-    cover = forcing_cover(g, chron)
+    return Replay(g, chron)
+
+
+def _induced_bundle(host: Replay, x: int) -> PathBundle:
+    g, chron, expansion, cover = host.graph, host.chron, host.expansion, host.cover
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
     tree_of = {}
     for i, t in enumerate(cover.trees):
         for v in t.vertices:
@@ -204,16 +210,12 @@ def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundl
     paths = [[t.root] for t in cover.trees]
     ends = [t.root for t in cover.trees]
     for k in range(rd):
-        blue = expansion[k]
-        comp = _component_of(g, x, blue)
+        white = full & ~mask_of(expansion[k])
+        comp = next(c for c in component_masks(adj, white) if c >> x & 1)
         # At most one vertex per tree may see white vertices in x's
         # component; anything else means the schedule is corrupt.
-        for i, t in enumerate(cover.trees):
-            lookers = {
-                u
-                for u in t.vertices & blue
-                if any(w in comp for w in g.adj[u])
-            }
+        for t in cover.trees:
+            lookers = [u for u in t.vertices & expansion[k] if adj[u] & comp]
             if len(lookers) > 1:
                 raise InvariantViolation(
                     f"tree {t.root}: several vertices {sorted(lookers)} see "
@@ -221,7 +223,7 @@ def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundl
                 )
         grown: set[int] = set()
         for f in chron.steps[k]:
-            if f.dst not in comp:
+            if not comp >> f.dst & 1:
                 continue
             i = tree_of[f.src]
             if i in grown:
@@ -238,26 +240,12 @@ def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundl
             ends[i] = f.dst
             grown.add(i)
     try:
-        bundle = _bundle_from_paths(
-            g, chron, [tuple(p) for p in paths], BundleError
-        )
+        bundle = _bundle_from_paths(host, [tuple(p) for p in paths], BundleError)
     except BundleError as exc:
         raise InvariantViolation(f"induced bundle failed validation: {exc}") from exc
     if x not in bundle.sub_vertices or not chron.base <= bundle.sub_vertices:
         raise InvariantViolation("induced bundle must contain the base set and x")
     return bundle
-
-
-def _component_of(g: Graph, x: int, blue: frozenset[int]) -> frozenset[int]:
-    comp = {x}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in blue and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
 
 
 def psd_reversal(
@@ -271,7 +259,13 @@ def psd_reversal(
     base is the bundle terminus: same size as the original and containing
     x. The rebuilt schedule is validated before being returned.
     """
-    bundle = induced_path_bundle(g, chron, x)
+    new_base, rebuilt = _psd_reversal(_psd_replay(g, chron, x), x)
+    return new_base, rebuilt.chron
+
+
+def _psd_reversal(host: Replay, x: int) -> tuple[frozenset[int], Replay]:
+    g, chron = host.graph, host.chron
+    bundle = _induced_bundle(host, x)
     new_base = bundle.terminus()
     in_bundle = [f for step in bundle.restriction.steps for f in step]
     new_steps: list[tuple[Force, ...]] = [
@@ -299,12 +293,12 @@ def psd_reversal(
         pending = still
     new_chron = RelaxedChronology(Rule.PSD, new_base, new_steps)
     try:
-        validate_chronology(g, new_chron)
+        rebuilt = Replay(g, new_chron)
     except ChronologyError as exc:
         raise InvariantViolation(f"rebuilt schedule failed to validate: {exc}") from exc
     if len(new_base) != len(chron.base) or x not in new_base:
         raise InvariantViolation("relocated base must keep its size and contain x")
-    return new_base, new_chron
+    return new_base, rebuilt
 
 
 def relocate_psd_set(
@@ -312,16 +306,16 @@ def relocate_psd_set(
 ) -> tuple[frozenset[int], RelaxedChronology]:
     """PSD reversal plus a check that the forcing trees are unchanged
     (same vertex sets, same edges; roots move)."""
-    new_base, new_chron = psd_reversal(g, chron, v)
-    if _unrooted_trees(g, chron) != _unrooted_trees(g, new_chron):
+    host = _psd_replay(g, chron, v)
+    new_base, rebuilt = _psd_reversal(host, v)
+    if _unrooted_trees(host) != _unrooted_trees(rebuilt):
         raise InvariantViolation("relocation changed the forcing trees")
-    return new_base, new_chron
+    return new_base, rebuilt.chron
 
 
-def _unrooted_trees(g: Graph, chron: RelaxedChronology):
-    cover = forcing_cover(g, chron)
+def _unrooted_trees(r: Replay):
     shapes = set()
-    for t in cover.trees:
+    for t in r.cover.trees:
         edges = frozenset(frozenset(e) for e in t.parent_edges)
         shapes.add((t.vertices, edges))
     return shapes
@@ -355,7 +349,7 @@ def certify_rigid_linkage(g: Graph, chron: RelaxedChronology, x: int) -> RlCerti
     Any illegal step is an InvariantViolation: the certificate is
     guaranteed for valid inputs.
     """
-    bundle = induced_path_bundle(g, chron, x)
+    bundle = _induced_bundle(_psd_replay(g, chron, x), x)
     in_bundle = [f for step in bundle.restriction.steps for f in step]
     rest = [f for f in chron.all_forces() if f not in set(in_bundle)]
     reordered = RelaxedChronology(

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bundles, pips, slices, solvers
-from .errors import ForcelabError
+from .errors import ForcelabError, GraphFormatError
 from .forcing import RelaxedChronology, Rule, propagate, validate_chronology
 from .graphs import load_graph, to_dot
 from .pips import BlockPartition, PipWitness
@@ -26,19 +26,29 @@ def _parse_ids(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _load_chronology(path: str) -> RelaxedChronology:
+def _load_object(path: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object holding every key in ``keys``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return RelaxedChronology.from_json_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise GraphFormatError(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise GraphFormatError(f"{path}: missing key {key!r}")
+    return data
+
+
+def _load_chronology(path: str) -> RelaxedChronology:
+    data = _load_object(path, ("rule", "base", "steps"))
+    return RelaxedChronology.from_json_dict(data)
 
 
 def _load_witness(path: str) -> PipWitness:
-    with open(path, "r", encoding="utf-8") as fh:
-        return PipWitness.from_json_dict(json.load(fh))
+    return PipWitness.from_json_dict(_load_object(path, ("K", "paths", "blocks")))
 
 
 def _load_partitions(path: str) -> list[BlockPartition]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_object(path, ("K", "partitions"))
     return [BlockPartition(data["K"], blocks) for blocks in data["partitions"]]
 
 
@@ -166,10 +176,11 @@ def cmd_verify(args) -> int:
     else:
         stream = solvers.stream_from_file(args.graphs)
     checks = tuple(args.checks.split(","))
+    rows = solvers.sweep_bounds(stream, checks=checks, jobs=args.jobs)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(solvers.BOUNDS_HEADER)
     failures = 0
-    for row in solvers.sweep_bounds(stream, checks=checks, jobs=args.jobs):
+    for row in rows:
         writer.writerow(row.as_csv_fields())
         if not row.ok:
             failures += 1

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ChronologyError, InfeasibleError, InvariantViolation
-from .graphs import Graph, boundary, components
+from .graphs import Graph, component_masks, mask_of, set_of
 
 
 class Rule(str, Enum):
@@ -99,6 +100,102 @@ class RelaxedChronology:
         return cls(Rule(data["rule"]), data["base"], data["steps"])
 
 
+# ---------------------------------------------------------------------------
+# The rule engine. Blue sets are bitmasks over ``Graph.adjacency_masks()``.
+# Each step function returns the mask of the vertices its rule colors from
+# ``blue``; given a ``forces`` list, it also appends the forces behind them.
+
+
+def _standard_step(adj: tuple[int, ...], blue: int, forces=None) -> int:
+    """Standard rule: a blue vertex with exactly one white neighbor forces
+    it. Appends every legal force, sources ascending."""
+    add = 0
+    rem = blue
+    while rem:
+        bit = rem & -rem
+        rem ^= bit
+        white = adj[bit.bit_length() - 1] & ~blue
+        if white and not white & (white - 1):
+            add |= white
+            if forces is not None:
+                forces.append(Force(bit.bit_length() - 1, white.bit_length() - 1))
+    return add
+
+
+def _psd_step(adj: tuple[int, ...], blue: int, forces=None, idle: int = 0) -> int:
+    """PSD rule: within each white component, a blue vertex with exactly
+    one white neighbor there forces it. Nonzero ``idle`` gives the
+    rigid-linkage rule: a component whose boundary holds an idle vertex
+    receives no force, so idle vertices never force. Appends every legal
+    force, component by component with sources ascending."""
+    add = 0
+    for comp in component_masks(adj, ((1 << len(adj)) - 1) & ~blue):
+        if idle and any(adj[v] & comp for v in set_of(idle)):
+            continue
+        rem = blue
+        while rem:
+            bit = rem & -rem
+            rem ^= bit
+            inside = adj[bit.bit_length() - 1] & comp
+            if inside and not inside & (inside - 1):
+                add |= inside
+                if forces is not None:
+                    forces.append(Force(bit.bit_length() - 1, inside.bit_length() - 1))
+    return add
+
+
+def _power_step(adj: tuple[int, ...], blue: int, forces=None) -> int:
+    """Power domination's first step: color the closed neighborhood of the
+    blue set. Appends one force per new vertex, from its least blue
+    neighbor."""
+    hood = 0
+    rem = blue
+    while rem:
+        bit = rem & -rem
+        rem ^= bit
+        hood |= adj[bit.bit_length() - 1]
+    if forces is not None:
+        seen = blue
+        for u in sorted(set_of(blue)):
+            new = adj[u] & ~seen
+            seen |= new
+            forces.extend(Force(u, w) for w in sorted(set_of(new)))
+    return hood & ~blue
+
+
+def _legal_forces(rule: Rule, adj, blue: int, idle: int = 0) -> list[Force]:
+    """Every force the per-step rule allows from ``blue``."""
+    forces: list[Force] = []
+    if rule is Rule.STANDARD:
+        _standard_step(adj, blue, forces)
+    else:
+        _psd_step(adj, blue, forces, idle)
+    return forces
+
+
+# The steps of each maximal process: the first round's, then every later one's.
+PROCESSES = {
+    Rule.STANDARD: (_standard_step, _standard_step),
+    Rule.PSD: (_psd_step, _psd_step),
+    Rule.POWER_DOMINATION: (_power_step, _standard_step),
+}
+
+
+def mask_rounds(process, adj: tuple[int, ...], full: int, blue: int) -> int:
+    """Rounds a process of :data:`PROCESSES` takes to color every vertex
+    from a bitmask, coloring all it can each round; -1 if it stalls."""
+    current, step = process
+    rounds = 0
+    while blue != full:
+        add = current(adj, blue)
+        if not add:
+            return -1
+        blue |= add
+        rounds += 1
+        current = step
+    return rounds
+
+
 def possible_forces(
     rule: Rule,
     g: Graph,
@@ -116,35 +213,13 @@ def possible_forces(
         raise ValueError(
             "power domination is a process tag; it has no per-step force set"
         )
-    out: set[Force] = set()
-    if rule is Rule.STANDARD:
-        for u in b:
-            whites = [w for w in g.adj[u] if w not in b]
-            if len(whites) == 1:
-                out.add(Force(u, whites[0]))
-        return frozenset(out)
-    white_comps = components(g, removed=b)
-    if rule is Rule.PSD:
-        for comp in white_comps:
-            for u in b:
-                inside = [w for w in g.adj[u] if w in comp]
-                if len(inside) == 1:
-                    out.add(Force(u, inside[0]))
-        return frozenset(out)
-    # Rigid linkage: only components whose boundary is free of inactive
-    # blue vertices may receive a force, and only active vertices force.
-    idle = g.check_set(inactive)
-    if not idle <= b:
-        raise ValueError("inactive vertices must be blue")
-    active = b - idle
-    for comp in white_comps:
-        if boundary(g, comp) & idle:
-            continue
-        for u in active:
-            inside = [w for w in g.adj[u] if w in comp]
-            if len(inside) == 1:
-                out.add(Force(u, inside[0]))
-    return frozenset(out)
+    idle = 0
+    if rule is Rule.RIGID_LINKAGE:
+        idle_set = g.check_set(inactive)
+        if not idle_set <= b:
+            raise ValueError("inactive vertices must be blue")
+        idle = mask_of(idle_set)
+    return frozenset(_legal_forces(rule, g.adjacency_masks(), mask_of(b), idle))
 
 
 def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[int]]:
@@ -154,18 +229,21 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
     no two forces in a step share a target, and every vertex ends up blue.
     Raises :class:`ChronologyError` naming the first offending step/force.
     """
-    if chron.rule not in (Rule.STANDARD, Rule.PSD, Rule.RIGID_LINKAGE):
-        raise ValueError(f"cannot validate schedules for rule {chron.rule.value}")
-    blue = set(g.check_set(chron.base))
-    expansion = [frozenset(blue)]
-    inactive: set[int] = set()
-    has_forced: set[int] = set()
+    rule = chron.rule
+    if rule not in (Rule.STANDARD, Rule.PSD, Rule.RIGID_LINKAGE):
+        raise ValueError(f"cannot validate schedules for rule {rule.value}")
+    adj = g.adjacency_masks()
+    blue_set = set(g.check_set(chron.base))
+    blue = mask_of(blue_set)
+    idle = 0
+    linkage = rule is Rule.RIGID_LINKAGE
+    expansion = [frozenset(blue_set)]
     for k, step in enumerate(chron.steps, start=1):
-        if chron.rule is Rule.RIGID_LINKAGE and len(step) > 1:
+        if linkage and len(step) > 1:
             raise ChronologyError(
                 f"step {k}: rigid-linkage steps carry at most one force", step=k
             )
-        legal = possible_forces(chron.rule, g, blue, inactive)
+        legal = set(_legal_forces(rule, adj, blue, idle)) if step else set()
         dsts = set()
         for f in step:
             if f.dst in dsts:
@@ -178,19 +256,15 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
                     step=k,
                     force=f,
                 )
-            if chron.rule is Rule.STANDARD and f.src in has_forced:
-                raise ChronologyError(
-                    f"step {k}: vertex {f.src} forces a second time", step=k, force=f
-                )
             dsts.add(f.dst)
         for f in step:
-            blue.add(f.dst)
-            has_forced.add(f.src)
-            if chron.rule is Rule.RIGID_LINKAGE:
-                inactive.add(f.src)
-        expansion.append(frozenset(blue))
-    if len(blue) != g.n:
-        white = sorted(set(range(g.n)) - blue)
+            blue_set.add(f.dst)
+            blue |= 1 << f.dst
+            if linkage:
+                idle |= 1 << f.src
+        expansion.append(frozenset(blue_set))
+    if len(blue_set) != g.n:
+        white = sorted(set(range(g.n)) - blue_set)
         raise ChronologyError(
             f"white vertices remain after the last step: {white}", step=chron.ct
         )
@@ -203,15 +277,6 @@ class PropagationResult:
     chronology: RelaxedChronology | None
     pt: int | None
     blue: frozenset[int]
-
-
-def _maximal_step(rule: Rule, g: Graph, blue: set[int]) -> list[Force]:
-    """All forceable vertices this step, each forced by its least source."""
-    choice: dict[int, int] = {}
-    for f in possible_forces(rule, g, blue):
-        if f.dst not in choice or f.src < choice[f.dst]:
-            choice[f.dst] = f.src
-    return [Force(s, d) for d, s in choice.items()]
 
 
 def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
@@ -228,78 +293,69 @@ def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
     time). On failure ``blue`` holds the stalled blue set.
     """
     rule = Rule(rule)
-    blue = set(g.check_set(base))
+    b = g.check_set(base)
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
     steps: list[tuple[Force, ...]] = []
-    if rule is Rule.POWER_DOMINATION:
-        if len(blue) < g.n:
-            first: dict[int, int] = {}
-            for v in sorted(blue):
-                for w in g.adj[v]:
-                    if w not in blue and w not in first:
-                        first[w] = v
-            if not first:
-                return PropagationResult(False, None, None, frozenset(blue))
-            steps.append(tuple(sorted(Force(s, d) for d, s in first.items())))
-            blue.update(first)
-        inner = Rule.STANDARD
-    elif rule is Rule.RIGID_LINKAGE:
-        inactive: set[int] = set()
-        while len(blue) < g.n:
-            legal = possible_forces(rule, g, blue, inactive)
+    blue = mask_of(b)
+    if rule is Rule.RIGID_LINKAGE:
+        idle = 0
+        while blue != full:
+            legal = _legal_forces(rule, adj, blue, idle)
             if not legal:
-                return PropagationResult(False, None, None, frozenset(blue))
+                return PropagationResult(False, None, None, set_of(blue))
             f = min(legal)
             steps.append((f,))
-            blue.add(f.dst)
-            inactive.add(f.src)
-        chron = RelaxedChronology(rule, frozenset(g.check_set(base)), steps)
-        return PropagationResult(True, chron, len(steps), frozenset(blue))
+            blue |= 1 << f.dst
+            idle |= 1 << f.src
     else:
-        inner = rule
-    while len(blue) < g.n:
-        fired = _maximal_step(inner, g, blue)
-        if not fired:
-            return PropagationResult(False, None, None, frozenset(blue))
-        steps.append(tuple(sorted(fired)))
-        blue.update(f.dst for f in fired)
-    chron = RelaxedChronology(rule, frozenset(g.check_set(base)), steps)
-    return PropagationResult(True, chron, len(steps), frozenset(blue))
+        current, step = PROCESSES[rule]
+        while blue != full:
+            forces: list[Force] = []
+            add = current(adj, blue, forces)
+            if not add:
+                return PropagationResult(False, None, None, set_of(blue))
+            least: dict[int, Force] = {}
+            for f in forces:
+                least.setdefault(f.dst, f)
+            steps.append(tuple(sorted(least.values())))
+            blue |= add
+            current = step
+    chron = RelaxedChronology(rule, b, steps)
+    return PropagationResult(True, chron, len(steps), set_of(blue))
 
 
-# ---------------------------------------------------------------------------
-# Activity bookkeeping (standard rule)
+def propagation_time_of_forces(
+    g: Graph, base: Iterable[int], forces: Iterable[Force], rule: Rule
+) -> int:
+    """Least number of rounds in which the given force set colors the graph,
+    firing every currently-legal force from the set each round.
 
-
-def activity_spans(g: Graph, chron: RelaxedChronology) -> list[tuple[int, int]]:
-    """Per vertex, the inclusive interval [first, last] of its active times.
-
-    A vertex is active at step k when it is blue after step k and has not
-    yet performed a force. Every vertex of a valid standard schedule has a
-    nonempty interval; a terminal vertex stays active through step K.
+    Raises :class:`InfeasibleError` if the set stalls before finishing;
+    forces that never become applicable are an error, not ignored.
     """
-    if chron.rule is not Rule.STANDARD:
-        raise ValueError("active times are defined for the standard rule")
-    validate_chronology(g, chron)
-    k_total = chron.ct
-    first = [0 if v in chron.base else -1 for v in range(g.n)]
-    last = [k_total] * g.n
-    for k, step in enumerate(chron.steps, start=1):
-        for f in step:
-            if first[f.dst] == -1:
-                first[f.dst] = k
-            last[f.src] = k - 1
-    return list(zip(first, last))
-
-
-def active_times(g: Graph, chron: RelaxedChronology, v: int) -> frozenset[int]:
-    """The set of time-steps at which ``v`` is active."""
-    g.check_vertex(v)
-    lo, hi = activity_spans(g, chron)[v]
-    return frozenset(range(lo, hi + 1))
+    rule = Rule(rule)
+    if rule not in (Rule.STANDARD, Rule.PSD):
+        raise ValueError("force-set propagation time needs the standard or PSD rule")
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    blue = mask_of(g.check_set(base))
+    pool = {Force(int(s), int(d)) for s, d in forces}
+    rounds = 0
+    while blue != full:
+        fired = [f for f in _legal_forces(rule, adj, blue) if f in pool]
+        if not fired:
+            raise InfeasibleError(
+                "force set cannot color the remaining vertices", blue=set_of(blue)
+            )
+        for f in fired:
+            blue |= 1 << f.dst
+        rounds += 1
+    return rounds
 
 
 # ---------------------------------------------------------------------------
-# Chains, trees, terminus, reversal
+# One replay per schedule
 
 
 @dataclass(frozen=True)
@@ -324,30 +380,71 @@ class ForcingCover:
         return [t.vertices for t in self.trees]
 
 
-def forcing_cover(g: Graph, chron: RelaxedChronology) -> ForcingCover:
-    """Build the chain set or forcing-tree cover defined by a valid schedule."""
-    validate_chronology(g, chron)
-    forces = chron.all_forces()
-    if chron.rule in (Rule.STANDARD, Rule.RIGID_LINKAGE):
-        nxt: dict[int, int] = {}
-        for f in forces:
-            if f.src in nxt:
-                raise InvariantViolation(f"vertex {f.src} forces twice")
-            nxt[f.src] = f.dst
-        chains = []
-        for b in sorted(chron.base):
-            chain = [b]
-            while chain[-1] in nxt:
-                chain.append(nxt[chain[-1]])
-            chains.append(tuple(chain))
-        _check_chain_cover(g, chron, chains)
-        return ForcingCover(chron.rule, tuple(chains), None)
-    if chron.rule is Rule.PSD:
+class Replay:
+    """A schedule replayed once on its graph (package-internal).
+
+    Construction makes the one :func:`validate_chronology` call. The parent
+    map, activity spans, cover, terminus and reversal are read off the
+    validated steps on first use, so the functions that consume a schedule
+    share a single replay of it.
+    """
+
+    def __init__(self, g: Graph, chron: RelaxedChronology):
+        self.graph = g
+        self.chron = chron
+        self.expansion = validate_chronology(g, chron)
+
+    @classmethod
+    def standard(
+        cls, g: Graph, chron: RelaxedChronology, what: str = "active times are"
+    ) -> "Replay":
+        """Replay a schedule that must use the standard rule; any other rule
+        raises ValueError, naming ``what``, before the replay."""
+        if chron.rule is not Rule.STANDARD:
+            raise ValueError(f"{what} defined for the standard rule")
+        return cls(g, chron)
+
+    @cached_property
+    def parent(self) -> dict[int, int]:
+        """Forced vertex -> its forcer."""
+        return {f.dst: f.src for f in self.chron.all_forces()}
+
+    @cached_property
+    def spans(self) -> list[tuple[int, int]]:
+        chron = self.chron
+        if chron.rule is not Rule.STANDARD:
+            raise ValueError("active times are defined for the standard rule")
+        n = self.graph.n
+        first = [0 if v in chron.base else -1 for v in range(n)]
+        last = [chron.ct] * n
+        for k, step in enumerate(chron.steps, start=1):
+            for f in step:
+                if first[f.dst] == -1:
+                    first[f.dst] = k
+                last[f.src] = k - 1
+        return list(zip(first, last))
+
+    @cached_property
+    def cover(self) -> ForcingCover:
+        chron = self.chron
+        forces = chron.all_forces()
+        if chron.rule in (Rule.STANDARD, Rule.RIGID_LINKAGE):
+            nxt: dict[int, int] = {}
+            for f in forces:
+                if f.src in nxt:
+                    raise InvariantViolation(f"vertex {f.src} forces twice")
+                nxt[f.src] = f.dst
+            chains = []
+            for b in sorted(chron.base):
+                chain = [b]
+                while chain[-1] in nxt:
+                    chain.append(nxt[chain[-1]])
+                chains.append(tuple(chain))
+            self._check_chain_cover(chains)
+            return ForcingCover(chron.rule, tuple(chains), None)
         children: dict[int, list[int]] = {}
-        parent: dict[int, int] = {}
         for f in forces:
             children.setdefault(f.src, []).append(f.dst)
-            parent[f.dst] = f.src
         trees = []
         covered: set[int] = set()
         for b in sorted(chron.base):
@@ -364,83 +461,89 @@ def forcing_cover(g: Graph, chron: RelaxedChronology) -> ForcingCover:
                 raise InvariantViolation(f"forcing tree at {b} is not a tree")
             trees.append(ForcingTree(b, frozenset(verts), tuple(sorted(edges))))
             covered |= verts
-        if len(covered) != g.n or sum(len(t.vertices) for t in trees) != g.n:
+        n = self.graph.n
+        if len(covered) != n or sum(len(t.vertices) for t in trees) != n:
             raise InvariantViolation("forcing trees do not partition the vertices")
         return ForcingCover(chron.rule, None, tuple(trees))
-    raise ValueError(f"no forcing cover for rule {chron.rule.value}")
+
+    def _check_chain_cover(self, chains) -> None:
+        g = self.graph
+        covered: set[int] = set()
+        for chain in chains:
+            covered.update(chain)
+            for i in range(len(chain)):
+                for j in range(i + 2, len(chain)):
+                    if g.has_edge(chain[i], chain[j]):
+                        raise InvariantViolation(
+                            f"chain through {chain[0]} is not an induced path"
+                        )
+        if len(covered) != g.n:
+            raise InvariantViolation("chains do not partition the vertices")
+        if len(chains) != len(self.chron.base):
+            raise InvariantViolation("chain count differs from the base size")
+
+    @cached_property
+    def terminus(self) -> frozenset[int]:
+        if self.chron.rule is not Rule.STANDARD:
+            raise ValueError("terminus is defined for the standard rule")
+        srcs = {f.src for f in self.chron.all_forces()}
+        term = frozenset(v for v in range(self.graph.n) if v not in srcs)
+        if len(term) != len(self.chron.base):
+            raise InvariantViolation("terminus size differs from the base size")
+        return term
+
+    @cached_property
+    def reversal(self) -> "Replay":
+        """The reversed schedule, replayed on its own: its validity is a
+        guaranteed property, so a failure is an InvariantViolation."""
+        steps = reversed(self.chron.steps)
+        rev = RelaxedChronology(
+            Rule.STANDARD,
+            self.terminus,
+            [tuple(Force(f.dst, f.src) for f in step) for step in steps],
+        )
+        try:
+            return Replay(self.graph, rev)
+        except ChronologyError as exc:
+            raise InvariantViolation(f"reversal failed to validate: {exc}") from exc
+
+    def initials(self, h: frozenset[int]) -> frozenset[int]:
+        """See :func:`restriction_initials`."""
+        base, parent = self.chron.base, self.parent
+        return frozenset(u for u in h if u in base or parent[u] not in h)
 
 
-def _check_chain_cover(g, chron, chains) -> None:
-    covered: set[int] = set()
-    for chain in chains:
-        covered.update(chain)
-        for i in range(len(chain)):
-            for j in range(i + 2, len(chain)):
-                if g.has_edge(chain[i], chain[j]):
-                    raise InvariantViolation(
-                        f"chain through {chain[0]} is not an induced path"
-                    )
-    if len(covered) != g.n:
-        raise InvariantViolation("chains do not partition the vertices")
-    if len(chains) != len(chron.base):
-        raise InvariantViolation("chain count differs from the base size")
+def activity_spans(g: Graph, chron: RelaxedChronology) -> list[tuple[int, int]]:
+    """Per vertex, the inclusive interval [first, last] of its active times.
+
+    A vertex is active at step k when it is blue after step k and has not
+    yet performed a force. Every vertex of a valid standard schedule has a
+    nonempty interval; a terminal vertex stays active through step K.
+    """
+    return list(Replay.standard(g, chron).spans)
+
+
+def active_times(g: Graph, chron: RelaxedChronology, v: int) -> frozenset[int]:
+    """The set of time-steps at which ``v`` is active."""
+    g.check_vertex(v)
+    lo, hi = activity_spans(g, chron)[v]
+    return frozenset(range(lo, hi + 1))
+
+
+def forcing_cover(g: Graph, chron: RelaxedChronology) -> ForcingCover:
+    """Build the chain set or forcing-tree cover defined by a valid schedule."""
+    return Replay(g, chron).cover
 
 
 def terminus(g: Graph, chron: RelaxedChronology) -> frozenset[int]:
     """Vertices of a valid standard schedule that never perform a force."""
-    if chron.rule is not Rule.STANDARD:
-        raise ValueError("terminus is defined for the standard rule")
-    validate_chronology(g, chron)
-    srcs = {f.src for f in chron.all_forces()}
-    term = frozenset(v for v in range(g.n) if v not in srcs)
-    if len(term) != len(chron.base):
-        raise InvariantViolation("terminus size differs from the base size")
-    return term
+    return Replay.standard(g, chron, "terminus is").terminus
 
 
 def reversal(g: Graph, chron: RelaxedChronology) -> RelaxedChronology:
     """Reverse all forces and time-steps; the result is a valid schedule
     for the terminus, with the same completion time."""
-    term = terminus(g, chron)
-    k_total = chron.ct
-    rev_steps = [
-        tuple(Force(f.dst, f.src) for f in chron.steps[k_total - k])
-        for k in range(1, k_total + 1)
-    ]
-    rev = RelaxedChronology(Rule.STANDARD, term, rev_steps)
-    try:
-        validate_chronology(g, rev)
-    except ChronologyError as exc:
-        raise InvariantViolation(f"reversal failed to validate: {exc}") from exc
-    return rev
-
-
-def propagation_time_of_forces(
-    g: Graph, base: Iterable[int], forces: Iterable[Force], rule: Rule
-) -> int:
-    """Least number of rounds in which the given force set colors the graph,
-    firing every currently-legal force from the set each round.
-
-    Raises :class:`InfeasibleError` if the set stalls before finishing;
-    forces that never become applicable are an error, not ignored.
-    """
-    rule = Rule(rule)
-    if rule not in (Rule.STANDARD, Rule.PSD):
-        raise ValueError("force-set propagation time needs the standard or PSD rule")
-    blue = set(g.check_set(base))
-    pool = {Force(int(s), int(d)) for s, d in forces}
-    rounds = 0
-    while len(blue) < g.n:
-        legal = possible_forces(rule, g, blue)
-        fired = {f for f in pool if f in legal}
-        if not fired:
-            raise InfeasibleError(
-                "force set cannot color the remaining vertices",
-                blue=frozenset(blue),
-            )
-        blue.update(f.dst for f in fired)
-        rounds += 1
-    return rounds
+    return Replay.standard(g, chron, "terminus is").reversal.chron
 
 
 def restriction_initials(
@@ -453,12 +556,4 @@ def restriction_initials(
     "outside the piece" and "outside the subset" coincide.)
     """
     h = g.check_set(sub_vertices)
-    validate_chronology(g, chron)
-    parent: dict[int, int] = {}
-    for f in chron.all_forces():
-        parent[f.dst] = f.src
-    out = set()
-    for u in h:
-        if u in chron.base or parent[u] not in h:
-            out.add(u)
-    return frozenset(out)
+    return Replay(g, chron).initials(h)

@@ -63,13 +63,7 @@ class Graph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor sets as integer bitmasks; built once and cached."""
         if self._masks is None:
-            masks = []
-            for u in range(self.n):
-                mask = 0
-                for v in self.adj[u]:
-                    mask |= 1 << v
-                masks.append(mask)
-            self._masks = tuple(masks)
+            self._masks = tuple(mask_of(nbrs) for nbrs in self.adj)
         return self._masks
 
     def check_vertex(self, v: int) -> None:
@@ -117,27 +111,45 @@ def induced_subgraph(g: Graph, verts: Iterable[int]) -> Subgraph:
     return Subgraph(Graph(len(order), edges), order)
 
 
+def mask_of(verts: Iterable[int]) -> int:
+    """Bitmask of a set of vertex ids: bit v is set for every v in it."""
+    return sum(1 << v for v in verts)
+
+
+def set_of(mask: int) -> frozenset[int]:
+    """The vertex ids whose bits are set in ``mask``."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def component_masks(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Connected components of the subgraph induced on the bitmask ``mask``,
+    as bitmasks ordered by their minimum vertex id. ``adj`` holds the
+    neighbor masks of :meth:`Graph.adjacency_masks`."""
+    comps = []
+    rem = mask
+    while rem:
+        comp = rem & -rem
+        frontier = comp
+        while frontier:
+            grow = 0
+            f = frontier
+            while f:
+                bit = f & -f
+                f ^= bit
+                grow |= adj[bit.bit_length() - 1]
+            grow &= mask & ~comp
+            comp |= grow
+            frontier = grow
+        comps.append(comp)
+        rem &= ~comp
+    return comps
+
+
 def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     """Connected components of ``g`` minus ``removed``, ordered by their
     minimum vertex id."""
-    gone = g.check_set(removed)
-    seen = set(gone)
-    out: list[frozenset[int]] = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        out.append(frozenset(comp))
-    return out
+    keep = ((1 << g.n) - 1) & ~mask_of(g.check_set(removed))
+    return [set_of(c) for c in component_masks(g.adjacency_masks(), keep)]
 
 
 def is_vertex_cut(g: Graph, verts: Iterable[int]) -> bool:

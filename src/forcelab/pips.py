@@ -19,11 +19,9 @@ from .errors import CapExceeded, InvariantViolation, WitnessError
 from .forcing import (
     Force,
     RelaxedChronology,
+    Replay,
     Rule,
-    activity_spans,
-    forcing_cover,
     propagation_time_of_forces,
-    validate_chronology,
 )
 from .graphs import Graph, validate_path_cover
 
@@ -156,34 +154,32 @@ def witness_to_chronology(g: Graph, witness: PipWitness) -> RelaxedChronology:
             steps[lo - 1].append(Force(path[j - 1], path[j]))
     chron = RelaxedChronology(Rule.STANDARD, witness.base(), steps)
     try:
-        validate_chronology(g, chron)
+        r = Replay(g, chron)
     except Exception as exc:
         raise InvariantViolation(
             f"witness produced an invalid schedule: {exc}"
         ) from exc
-    if chronology_to_witness(g, chron, _verify=False) != _canonical(witness):
+    if _witness_of(r) != _canonical(witness):
         raise InvariantViolation("schedule does not reproduce the witness blocks")
     return chron
 
 
-def chronology_to_witness(
-    g: Graph, chron: RelaxedChronology, _verify: bool = True
-) -> PipWitness:
+def chronology_to_witness(g: Graph, chron: RelaxedChronology) -> PipWitness:
     """Read a witness off a valid standard schedule: paths are its chains,
     blocks are the active-time intervals along each chain."""
-    cover = forcing_cover(g, chron)
-    spans = activity_spans(g, chron)
-    partitions = []
-    for chain in cover.chains:
-        partitions.append(BlockPartition(chron.ct, [spans[v] for v in chain]))
-    witness = PipWitness(chron.ct, cover.chains, partitions)
-    if _verify:
-        check = verify_witness(g, witness)
-        if not check.ok:
-            raise InvariantViolation(
-                f"chain set of a valid schedule failed as a witness: {check.violation}"
-            )
+    witness = _witness_of(Replay(g, chron))
+    check = verify_witness(g, witness)
+    if not check.ok:
+        raise InvariantViolation(
+            f"chain set of a valid schedule failed as a witness: {check.violation}"
+        )
     return witness
+
+
+def _witness_of(r: Replay) -> PipWitness:
+    cover, spans, k = r.cover, r.spans, r.chron.ct
+    partitions = [BlockPartition(k, [spans[v] for v in c]) for c in cover.chains]
+    return PipWitness(k, cover.chains, partitions)
 
 
 def _canonical(witness: PipWitness) -> PipWitness:

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 from . import solvers
 from .errors import InvariantViolation
-from .forcing import (
-    RelaxedChronology,
-    Rule,
-    activity_spans,
-    propagate,
-    restriction_initials,
-    reversal,
-)
+from .forcing import RelaxedChronology, Replay, Rule, propagate
 from .graphs import Graph, closed_neighborhood, induced_subgraph
 
 
@@ -33,9 +26,13 @@ class SliceReport:
 
 def time_slice(g: Graph, chron: RelaxedChronology, n_step: int) -> SliceReport:
     """Partition the vertices by their activity relative to step ``n_step``."""
-    spans = activity_spans(g, chron)
-    if not 0 <= n_step <= chron.ct:
-        raise ValueError(f"step {n_step} outside 0..{chron.ct}")
+    return _time_slice(Replay.standard(g, chron), n_step)
+
+
+def _time_slice(r: Replay, n_step: int) -> SliceReport:
+    spans = r.spans
+    if not 0 <= n_step <= r.chron.ct:
+        raise ValueError(f"step {n_step} outside 0..{r.chron.ct}")
     minus, at, plus = set(), set(), set()
     for v, (lo, hi) in enumerate(spans):
         if hi < n_step:
@@ -67,7 +64,11 @@ def interval_slice(
 ) -> IntervalSlice:
     if not 0 <= m_step <= n_step <= chron.ct:
         raise ValueError(f"need 0 <= {m_step} <= {n_step} <= {chron.ct}")
-    spans = activity_spans(g, chron)
+    return _interval_slice(Replay.standard(g, chron), m_step, n_step)
+
+
+def _interval_slice(r: Replay, m_step: int, n_step: int) -> IntervalSlice:
+    spans = r.spans
     closed = frozenset(
         v for v, (lo, hi) in enumerate(spans) if lo <= n_step and hi >= m_step
     )
@@ -75,10 +76,8 @@ def interval_slice(
     at_n = frozenset(v for v, (lo, hi) in enumerate(spans) if lo <= n_step <= hi)
     after = frozenset(v for v, (lo, _) in enumerate(spans) if lo > m_step)
     before = frozenset(v for v, (_, hi) in enumerate(spans) if hi < n_step)
-    bd_m_plus = restriction_initials(g, chron, after) if after else frozenset()
-    bd_n_minus = (
-        restriction_initials(g, reversal(g, chron), before) if before else frozenset()
-    )
+    bd_m_plus = r.initials(after)
+    bd_n_minus = r.reversal.initials(before) if before else frozenset()
     return IntervalSlice(
         m_step,
         n_step,
@@ -133,10 +132,11 @@ def check_interval_forcing(
     if not 0 <= m_step < n_step <= chron.ct:
         raise ValueError(f"need 0 <= {m_step} < {n_step} <= {chron.ct}")
     k_total = chron.ct
-    isl = interval_slice(g, chron, m_step, n_step)
-    at_m = time_slice(g, chron, m_step).at
-    at_n = time_slice(g, chron, n_step).at
-    spans = activity_spans(g, chron)
+    r = Replay.standard(g, chron)
+    isl = _interval_slice(r, m_step, n_step)
+    at_m = _time_slice(r, m_step).at
+    at_n = _time_slice(r, n_step).at
+    spans = r.spans
     before = frozenset(v for v, (_, hi) in enumerate(spans) if hi < n_step)
     after = frozenset(v for v, (lo, _) in enumerate(spans) if lo > m_step)
     checks = (
@@ -212,9 +212,10 @@ def psd_set_from_slices(
             raise ValueError("at least one cut time is required")
         if cuts[0] < 0 or cuts[-1] > k_total:
             raise ValueError(f"cut times must lie in 0..{k_total}")
+    r = Replay.standard(g, chron)
     base: set[int] = set()
     for c in cuts:
-        at = time_slice(g, chron, c).at
+        at = _time_slice(r, c).at
         if len(at) != m:
             raise InvariantViolation(
                 f"slice at {c} has {len(at)} vertices, expected one per chain"
@@ -248,12 +249,13 @@ def power_set_from_slice(
     if k_total == 0:
         return PowerConstruction(frozenset(range(g.n)), 0, 0, 0, 0)
     n_cut = (k_total + 1) // 2
-    base = time_slice(g, chron, n_cut).at
+    r = Replay.standard(g, chron)
+    base = _time_slice(r, n_cut).at
     if len(base) != m:
         raise InvariantViolation(
             f"slice at {n_cut} has {len(base)} vertices, expected one per chain"
         )
-    isl = interval_slice(g, chron, n_cut, n_cut)
+    isl = _interval_slice(r, n_cut, n_cut)
     hood = closed_neighborhood(g, base)
     if not (isl.bd_n_minus <= hood and isl.bd_m_plus <= hood):
         raise InvariantViolation(

@@ -1,24 +1,23 @@
 """Exhaustive computation of forcing parameters on small graphs.
 
 Everything here enumerates candidate sets outright (sizes ascending,
-lexicographic within a size) over bitmask propagation engines, refuses
-instances above a configurable cap, and reports every optimal witness.
-No heuristics: a reported value is the true minimum over all candidates.
+lexicographic within a size), runs each through the bitmask rule engine
+of :mod:`forcelab.forcing`, refuses instances above a configurable cap,
+and reports every optimal witness. No heuristics: a reported value is
+the true minimum over all candidates.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import time
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InfeasibleError
-from .forcing import Rule
-from .graphs import Graph, components, graph6_decode, graph6_encode
+from .forcing import PROCESSES, Rule, mask_rounds
+from .graphs import Graph, components, graph6_decode, graph6_encode, set_of
 
 DEFAULT_CAP = 16
 SWEEP_CAP = 14
@@ -41,115 +40,6 @@ def _require_within_cap(g: Graph, cap: int | None, default: int = DEFAULT_CAP) -
             f"graph has {g.n} vertices, above the exhaustive cap {limit}; "
             f"pass a larger cap or set {_ENV_CAP} to override"
         )
-
-
-# ---------------------------------------------------------------------------
-# Bitmask propagation engines. Rounds are -1 when the set does not force.
-
-
-def _components_mask(adj: tuple[int, ...], mask: int) -> list[int]:
-    comps = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                grow |= adj[bit.bit_length() - 1] & mask
-            grow &= ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
-def _standard_rounds(adj: tuple[int, ...], full: int, blue: int) -> tuple[int, int]:
-    rounds = 0
-    while blue != full:
-        add = 0
-        rem = blue
-        while rem:
-            bit = rem & -rem
-            rem ^= bit
-            white = adj[bit.bit_length() - 1] & ~blue
-            if white and not white & (white - 1):
-                add |= white
-        if not add:
-            return blue, -1
-        blue |= add
-        rounds += 1
-    return blue, rounds
-
-
-def _psd_rounds(adj: tuple[int, ...], full: int, blue: int) -> tuple[int, int]:
-    rounds = 0
-    while blue != full:
-        add = 0
-        for comp in _components_mask(adj, full & ~blue):
-            rem = blue
-            while rem:
-                bit = rem & -rem
-                rem ^= bit
-                inside = adj[bit.bit_length() - 1] & comp
-                if inside and not inside & (inside - 1):
-                    add |= inside
-        if not add:
-            return blue, -1
-        blue |= add
-        rounds += 1
-    return blue, rounds
-
-
-def _power_rounds(adj: tuple[int, ...], full: int, blue: int) -> tuple[int, int]:
-    if blue == full:
-        return blue, 0
-    hood = blue
-    rem = blue
-    while rem:
-        bit = rem & -rem
-        rem ^= bit
-        hood |= adj[bit.bit_length() - 1]
-    if hood == blue:
-        return blue, -1
-    final, rounds = _standard_rounds(adj, full, hood)
-    if rounds < 0:
-        return final, -1
-    return final, rounds + 1
-
-
-_ENGINES = {
-    Rule.STANDARD: _standard_rounds,
-    Rule.PSD: _psd_rounds,
-    Rule.POWER_DOMINATION: _power_rounds,
-}
-
-
-def rounds_from_mask(rule: Rule, g: Graph, blue_mask: int) -> int:
-    """Propagation rounds from a bitmask base set, or -1 if it stalls."""
-    engine = _ENGINES[Rule(rule)]
-    _, rounds = engine(g.adjacency_masks(), (1 << g.n) - 1, blue_mask)
-    return rounds
-
-
-def _mask_of(combo: Iterable[int]) -> int:
-    mask = 0
-    for v in combo:
-        mask |= 1 << v
-    return mask
-
-
-def _set_of(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.add(bit.bit_length() - 1)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +75,46 @@ _PT_NAMES = {
 }
 
 
+def _best_sets(g: Graph, rule: Rule, sizes: Iterable[int], cost):
+    """Scan the subsets of each size in turn, lexicographically within a
+    size, for the least ``cost(size, rounds)`` over forcing sets. Returns
+    that cost (None if no set forces) and every set achieving it, in scan
+    order. Since cost(size, rounds) >= size, the scan stops at the first
+    size no smaller than the best cost found."""
+    process = PROCESSES[rule]
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    bits = [1 << v for v in range(g.n)]
+    best = None
+    witnesses: list[int] = []
+    for size in sizes:
+        if best is not None and size >= best:
+            break
+        for combo in combinations(bits, size):
+            blue = sum(combo)
+            rounds = mask_rounds(process, adj, full, blue)
+            if rounds < 0:
+                continue
+            value = cost(size, rounds)
+            if best is None or value < best:
+                best = value
+                witnesses = [blue]
+            elif value == best:
+                witnesses.append(blue)
+    # A list, not a generator, into tuple(): with a generator here the n <= 7
+    # sweep ran with about 1 MB more peak memory (CPython 3.11).
+    return best, tuple([set_of(w) for w in witnesses])
+
+
 def forcing_number(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
     """Minimum size of a forcing set for the rule, with every witness of
     that size, by scanning subsets in ascending size."""
     rule = Rule(rule)
-    if rule not in _ENGINES:
+    if rule not in _PARAM_NAMES:
         raise ValueError(f"no forcing number for rule {rule.value}")
     _require_within_cap(g, cap)
-    engine = _ENGINES[rule]
-    adj = g.adjacency_masks()
-    full = (1 << g.n) - 1
-    for size in range(g.n + 1):
-        witnesses = []
-        for combo in combinations(range(g.n), size):
-            _, rounds = engine(adj, full, _mask_of(combo))
-            if rounds >= 0:
-                witnesses.append(frozenset(combo))
-        if witnesses:
-            return ParameterReport(_PARAM_NAMES[rule], size, tuple(witnesses), True)
-    raise InfeasibleError("no forcing set exists")  # unreachable: V(G) always works
+    value, witnesses = _best_sets(g, rule, range(g.n + 1), lambda size, _: size)
+    return ParameterReport(_PARAM_NAMES[rule], value, witnesses, True)
 
 
 def propagation_time_m(
@@ -212,28 +123,15 @@ def propagation_time_m(
     """Minimum propagation rounds over all size-m forcing sets, with every
     m-efficient witness (lexicographically least first)."""
     rule = Rule(rule)
-    if rule not in _ENGINES:
+    if rule not in _PARAM_NAMES:
         raise ValueError(f"no propagation time for rule {rule.value}")
     _require_within_cap(g, cap)
     if not 0 <= m <= g.n:
         raise InfeasibleError(f"no size-{m} subsets of {g.n} vertices")
-    engine = _ENGINES[rule]
-    adj = g.adjacency_masks()
-    full = (1 << g.n) - 1
-    best = None
-    witnesses: list[frozenset[int]] = []
-    for combo in combinations(range(g.n), m):
-        _, rounds = engine(adj, full, _mask_of(combo))
-        if rounds < 0:
-            continue
-        if best is None or rounds < best:
-            best = rounds
-            witnesses = [frozenset(combo)]
-        elif rounds == best:
-            witnesses.append(frozenset(combo))
-    if best is None:
+    value, witnesses = _best_sets(g, rule, (m,), lambda _, rounds: rounds)
+    if value is None:
         raise InfeasibleError(f"no forcing set of size {m} exists")
-    return ParameterReport(_PT_NAMES[rule], best, tuple(witnesses), True)
+    return ParameterReport(_PT_NAMES[rule], value, witnesses, True)
 
 
 def throttling(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
@@ -242,26 +140,11 @@ def throttling(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
     if rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("throttling is computed for the standard and PSD rules")
     _require_within_cap(g, cap)
-    engine = _ENGINES[rule]
-    adj = g.adjacency_masks()
-    full = (1 << g.n) - 1
-    best = None
-    witnesses: list[frozenset[int]] = []
-    for size in range(g.n + 1):
-        if best is not None and size >= best:
-            break
-        for combo in combinations(range(g.n), size):
-            _, rounds = engine(adj, full, _mask_of(combo))
-            if rounds < 0:
-                continue
-            total = size + rounds
-            if best is None or total < best:
-                best = total
-                witnesses = [frozenset(combo)]
-            elif total == best:
-                witnesses.append(frozenset(combo))
+    value, witnesses = _best_sets(
+        g, rule, range(g.n + 1), lambda size, rounds: size + rounds
+    )
     name = "thr" if rule is Rule.STANDARD else "thrplus"
-    return ParameterReport(name, best, tuple(witnesses), True)
+    return ParameterReport(name, value, witnesses, True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +155,14 @@ def atlas_stream(
     max_n: int = 7, connected_only: bool = False
 ) -> Iterator[tuple[str, Graph]]:
     """Stream (graph_id, graph) for every simple graph on 1..max_n vertices
-    (max_n <= 7), from the packaged graph6 data; ids are the graph6 strings."""
+    (max_n <= 7), from the packaged graph6 data; ids are the graph6 strings.
+    A larger max_n raises CapExceeded at the call, before any graph."""
     if max_n > 7:
         raise CapExceeded("packaged graph stream covers n <= 7")
+    return _atlas_graphs(max_n, connected_only)
+
+
+def _atlas_graphs(max_n: int, connected_only: bool) -> Iterator[tuple[str, Graph]]:
     text = (
         resources.files("forcelab").joinpath("data/graphs_n_le_7.g6").read_text()
     )
@@ -356,10 +244,7 @@ def bounds_rows_for_graph(
     """
     from . import slices  # local import: slices builds on these solvers
 
-    wanted = set(checks)
-    unknown = wanted - {"bounds", "thrplus", "zeq"}
-    if unknown:
-        raise ValueError(f"unknown sweep checks: {sorted(unknown)}")
+    wanted = set(_known_checks(checks))
     cap = effective_cap(None, SWEEP_CAP)
     rows: list[BoundsRow] = []
     z = forcing_number(g, Rule.STANDARD, cap=cap).value
@@ -422,8 +307,20 @@ def sweep_bounds(
     jobs: int = 1,
 ) -> Iterator[BoundsRow]:
     """Run the bound checks over a graph stream; with jobs > 1 the graphs
-    are processed in a process pool and rows come back in input order."""
+    are processed in a process pool and rows come back in input order.
+    Unknown check names raise ValueError at the call, before any row."""
+    return _sweep(stream, _known_checks(checks), jobs)
+
+
+def _known_checks(checks: Iterable[str]) -> tuple[str, ...]:
     checks = tuple(checks)
+    unknown = set(checks) - {"bounds", "thrplus", "zeq"}
+    if unknown:
+        raise ValueError(f"unknown sweep checks: {sorted(unknown)}")
+    return checks
+
+
+def _sweep(stream, checks: tuple[str, ...], jobs: int) -> Iterator[BoundsRow]:
     if jobs <= 1:
         for graph_id, g in stream:
             yield from bounds_rows_for_graph(graph_id, g, checks)
@@ -439,90 +336,6 @@ def sweep_bounds(
 def _bounds_worker(item: tuple[str, str, tuple[str, ...]]) -> list[BoundsRow]:
     graph_id, g6, checks = item
     return bounds_rows_for_graph(graph_id, graph6_decode(g6), checks)
-
-
-GRID_TABLE_HEADER = ("s", "t", "Z", "Zplus", "pt", "ptplus", "status")
-
-
-def grid_table_rows(max_s: int = 7, ts=(1, 2, 3)) -> Iterator[tuple[str, ...]]:
-    """Exact grid-family values against their closed forms.
-
-    For grids (Cartesian products of two paths) with the short side at
-    most 3, both forcing numbers equal min(s, t), the propagation time is
-    max(s, t) - 1, and the PSD propagation time is ceil((max(s, t) - 1) / 2).
-    Each row reports the solved values and whether all four match.
-    """
-    from .graphs import grid_graph
-
-    for s in range(2, max_s + 1):
-        for t in ts:
-            g = grid_graph(s, t)
-            cap = max(g.n, DEFAULT_CAP)
-            lo, hi = min(s, t), max(s, t)
-            z = forcing_number(g, Rule.STANDARD, cap=cap).value
-            z_plus = forcing_number(g, Rule.PSD, cap=cap).value
-            pt = propagation_time_m(g, z, Rule.STANDARD, cap=cap).value
-            pt_plus = propagation_time_m(g, z_plus, Rule.PSD, cap=cap).value
-            ok = (
-                z == lo
-                and z_plus == lo
-                and pt == hi - 1
-                and pt_plus == (hi - 1 + 1) // 2
-            )
-            yield (
-                str(s),
-                str(t),
-                str(z),
-                str(z_plus),
-                str(pt),
-                str(pt_plus),
-                "pass" if ok else "fail",
-            )
-
-
-PARAMETER_HEADER = (
-    "graph_id",
-    "n",
-    "edges_hash",
-    "parameter",
-    "value",
-    "witness",
-    "runtime_ms",
-)
-
-
-def edges_hash(g: Graph) -> str:
-    text = ";".join(f"{u},{v}" for u, v in g.edges())
-    return hashlib.sha1(text.encode()).hexdigest()[:10]
-
-
-def parameter_rows(
-    stream: Iterable[tuple[str, Graph]],
-    params: Iterable[str],
-    cap: int | None = None,
-) -> Iterator[tuple[str, ...]]:
-    """Tabulate solver parameters over a graph stream as CSV field tuples.
-
-    Supported params: z, zplus, pd, pt, ptplus, ppt, thr, thrplus. The
-    witness column holds the canonical (first) optimal set as id-id-...;
-    pt variants run at m equal to the corresponding forcing number.
-    """
-    params = tuple(params)
-    for graph_id, g in stream:
-        for param in params:
-            start = time.perf_counter()
-            report = solve_parameter(g, param, m=None, cap=cap)
-            ms = int((time.perf_counter() - start) * 1000)
-            witness = "-".join(map(str, sorted(report.witnesses[0])))
-            yield (
-                graph_id,
-                str(g.n),
-                edges_hash(g),
-                report.parameter,
-                str(report.value),
-                witness,
-                str(ms),
-            )
 
 
 _RULE_OF_PARAM = {

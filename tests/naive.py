@@ -1,0 +1,89 @@
+"""The color change rules stated naively, straight from their definitions.
+
+Blue sets are Python sets and white components come from a plain
+depth-first search. Nothing here shares code with the bitmask engine in
+``forcelab.forcing``, which the tests check against these functions.
+"""
+
+from forcelab.forcing import Force
+
+
+def white_components(g, blue) -> list[set[int]]:
+    """Connected components of the graph minus the blue vertices."""
+    seen = set(blue)
+    comps = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
+def forces(rule: str, g, blue, inactive=frozenset()) -> set[Force]:
+    """Every force ``rule`` ("standard", "psd" or "rigid_linkage")
+    permits when exactly ``blue`` is colored.
+
+    Standard: a blue vertex with exactly one white neighbor forces it.
+    PSD: the same, counted inside each white component separately.
+    Rigid linkage: PSD forces from active (not inactive) vertices into
+    components whose boundary holds no inactive vertex.
+    """
+    blue = set(blue)
+    out = set()
+    if rule == "standard":
+        for u in blue:
+            whites = [w for w in g.adj[u] if w not in blue]
+            if len(whites) == 1:
+                out.add(Force(u, whites[0]))
+        return out
+    idle = set(inactive) if rule == "rigid_linkage" else set()
+    for comp in white_components(g, blue):
+        boundary = {u for w in comp for u in g.adj[w]} - comp
+        if boundary & idle:
+            continue
+        for u in blue - idle:
+            inside = [w for w in g.adj[u] if w in comp]
+            if len(inside) == 1:
+                out.add(Force(u, inside[0]))
+    return out
+
+
+def maximal_steps(rule: str, g, blue) -> list[list[Force]] | None:
+    """Each round's forces when every forceable vertex is colored, one
+    force per target from its least source; None when the process stalls.
+    Power domination first colors the closed neighborhood of the blue set,
+    then runs standard rounds."""
+    blue = set(blue)
+    steps = []
+    if rule == "power_domination" and len(blue) < g.n:
+        first = {}
+        for u in sorted(blue):
+            for w in g.adj[u]:
+                if w not in blue:
+                    first.setdefault(w, u)
+        if not first:
+            return None
+        steps.append(sorted(Force(u, w) for w, u in first.items()))
+        blue |= set(first)
+    if rule == "power_domination":
+        rule = "standard"
+    while len(blue) < g.n:
+        least = {}
+        for f in forces(rule, g, blue):
+            if f.dst not in least or f.src < least[f.dst].src:
+                least[f.dst] = f
+        if not least:
+            return None
+        steps.append(sorted(least.values()))
+        blue |= set(least)
+    return steps

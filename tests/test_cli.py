@@ -216,3 +216,57 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "solve", "--param", "z", "--graph", "no_such.edges")
     assert code == 1
     assert "error" in json.loads(err)
+
+
+def _graph_file(tmp_path):
+    path = tmp_path / "p4.edges"
+    path.write_text(format_edge_list(path_graph(4)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (
+            ["simulate", "--rule", "z", "--chronology"],
+            {"rule": "standard", "base": [0]},
+        ),
+        (["simulate", "--rule", "z", "--chronology"], [[0, 1]]),
+        (["witness", "apply", "--witness"], {"K": 2, "paths": [[0]]}),
+        (["witness", "apply", "--witness"], [2]),
+        (["witness", "verify", "--witness"], {"K": 2, "paths": [[0]]}),
+        (["witness", "verify", "--witness"], []),
+        (["family", "generate", "--partitions"], {"K": 2}),
+        (["family", "generate", "--partitions"], [{"K": 2}]),
+    ],
+)
+def test_malformed_json_files_exit_one(capsys, tmp_path, argv, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    argv = argv + [str(path)]
+    if argv[0] != "family":
+        argv += ["--graph", _graph_file(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "GraphFormatError"
+    if isinstance(payload, dict):
+        assert "missing key" in error["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--graphs", "all-n:9"],
+        ["--graphs", "all-n:3", "--checks", "nope"],
+        ["--graphs", "all-n:3", "--checks", "bounds,nope", "--jobs", "2"],
+    ],
+)
+def test_verify_bounds_bad_arguments_write_nothing(capsys, argv):
+    code, out, err = run(capsys, "verify", "bounds", *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 
 from forcelab.errors import ChronologyError, InfeasibleError
 from forcelab.forcing import (
+    PROCESSES,
     Force,
     RelaxedChronology,
     Rule,
     active_times,
     activity_spans,
     forcing_cover,
+    mask_rounds,
     possible_forces,
     propagate,
     propagation_time_of_forces,
@@ -24,6 +26,7 @@ from forcelab.graphs import (
     star_graph,
     validate_path_cover,
 )
+import naive
 from randgen import random_chronology, random_forcing_set, random_graph
 from strategies import graphs
 
@@ -54,6 +57,43 @@ class TestPossibleForces:
         assert got == frozenset()
         got = possible_forces(Rule.RIGID_LINKAGE, g, {0, 1}, inactive=())
         assert got == {Force(1, 2)}
+
+
+class TestEngineAgreesWithNaiveReference:
+    """The bitmask engine against the set-based rules in tests/naive.py."""
+
+    @staticmethod
+    def random_cases(seed, count):
+        rng = Random(seed)
+        for _ in range(count):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6))
+            blue = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+            yield rng, g, blue
+
+    def test_possible_forces_random(self):
+        for rng, g, blue in self.random_cases(107, 300):
+            for rule in (Rule.STANDARD, Rule.PSD):
+                assert possible_forces(rule, g, blue) == naive.forces(rule, g, blue)
+            idle = frozenset(v for v in blue if rng.random() < 0.4)
+            assert possible_forces(Rule.RIGID_LINKAGE, g, blue, idle) == (
+                naive.forces(Rule.RIGID_LINKAGE, g, blue, idle)
+            )
+
+    def test_rounds_random(self):
+        """Propagation rounds, and propagate's steps, for the maximal
+        processes; mask_rounds is the path the solvers scan with."""
+        rules = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
+        for _, g, blue in self.random_cases(109, 200):
+            adj, full = g.adjacency_masks(), (1 << g.n) - 1
+            for rule in rules:
+                steps = naive.maximal_steps(rule, g, blue)
+                rounds = -1 if steps is None else len(steps)
+                res = propagate(rule, g, blue)
+                assert (res.pt if res.ok else -1) == rounds
+                if res.ok:
+                    assert [list(s) for s in res.chronology.steps] == steps
+                mask = sum(1 << v for v in blue)
+                assert mask_rounds(PROCESSES[rule], adj, full, mask) == rounds
 
 
 class TestValidateChronology:

@@ -1,0 +1,66 @@
+"""How often each schedule consumer replays the schedules it handles.
+
+``validate_chronology`` performs every replay, so counting its calls under
+every name a forcelab module holds for it counts replays. A function that
+takes a schedule replays it once; each derived schedule whose validity is
+a guaranteed property (a reversal, a restriction, a rebuilt schedule, a
+witness round trip) gets one independent replay of its own.
+"""
+
+import sys
+
+import pytest
+
+from forcelab import bundles, forcing, pips, slices, solvers
+from forcelab.forcing import Rule, propagate
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    calls = []
+    original = forcing.validate_chronology
+
+    def counted(g, chron):
+        calls.append(chron)
+        return original(g, chron)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "forcelab":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    def count(func, *args):
+        calls.clear()
+        func(*args)
+        return len(calls)
+
+    return count
+
+
+@pytest.fixture(scope="module")
+def psd_chron(grid34):
+    base = solvers.forcing_number(grid34, Rule.PSD).witnesses[0]
+    return propagate(Rule.PSD, grid34, base).chronology
+
+
+def test_witness_conversions_replay_once(replays, grid34_chords, demo_chron):
+    assert replays(pips.chronology_to_witness, grid34_chords, demo_chron) == 1
+    witness = pips.chronology_to_witness(grid34_chords, demo_chron)
+    assert replays(pips.witness_to_chronology, grid34_chords, witness) == 1
+
+
+def test_reversal_replays_input_and_result(replays, grid34_chords, demo_chron):
+    assert replays(forcing.reversal, grid34_chords, demo_chron) == 2
+
+
+def test_power_set_from_slice(replays, grid34):
+    assert replays(slices.power_set_from_slice, grid34, 3) <= 2
+
+
+@pytest.mark.parametrize(
+    "func", [bundles.relocate_psd_set, bundles.certify_rigid_linkage]
+)
+def test_bundle_operations(replays, grid34, psd_chron, func):
+    for x in range(grid34.n):
+        assert replays(func, grid34, psd_chron, x) <= 3
