@@ -26,8 +26,40 @@ def _parse_ids(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _lists_of(value, each) -> bool:
+    return isinstance(value, list) and all(each(v) for v in value)
+
+
+def _pair(value) -> bool:
+    return _ints(value) and len(value) == 2
+
+
+def _pair_lists(value) -> bool:
+    return _lists_of(value, lambda v: _lists_of(v, _pair))
+
+
+# The shape each key of a JSON input must have, and how to name it.
+_SHAPES = {
+    "rule": (lambda v: isinstance(v, str), "a string"),
+    "base": (_ints, "a list of integers"),
+    "steps": (_pair_lists, "a list of lists of integer pairs"),
+    "K": (_is_int, "an integer"),
+    "paths": (lambda v: _lists_of(v, _ints), "a list of lists of integers"),
+    "blocks": (_pair_lists, "a list of lists of integer pairs"),
+    "partitions": (_pair_lists, "a list of lists of integer pairs"),
+}
+
+
 def _load_object(path: str, keys: tuple[str, ...]) -> dict:
-    """A JSON object holding every key in ``keys``."""
+    """A JSON object holding every key in ``keys``, each of its shape."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -35,6 +67,9 @@ def _load_object(path: str, keys: tuple[str, ...]) -> dict:
     for key in keys:
         if key not in data:
             raise GraphFormatError(f"{path}: missing key {key!r}")
+        fits, shape = _SHAPES[key]
+        if not fits(data[key]):
+            raise GraphFormatError(f"{path}: key {key!r} must be {shape}")
     return data
 
 

@@ -5,6 +5,12 @@ lexicographic within a size), runs each through the bitmask rule engine
 of :mod:`forcelab.forcing`, refuses instances above a configurable cap,
 and reports every optimal witness. No heuristics: a reported value is
 the true minimum over all candidates.
+
+Each scan keeps a rounds memo indexed by bitmask for the length of one
+call, so the engine steps each mask at most once however many candidates'
+processes pass through it. Up to n = 22 the memo is a bytearray of 2^n
+bytes (4 MB at most); above that it stores only the masks it touches. It
+is freed when the call returns: nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InfeasibleError
-from .forcing import PROCESSES, Rule, mask_rounds
+from .forcing import PROCESSES, Rule, memo_rounds, new_rounds_memo
 from .graphs import Graph, components, graph6_decode, graph6_encode, set_of
 
 DEFAULT_CAP = 16
@@ -80,11 +86,17 @@ def _best_sets(g: Graph, rule: Rule, sizes: Iterable[int], cost):
     size, for the least ``cost(size, rounds)`` over forcing sets. Returns
     that cost (None if no set forces) and every set achieving it, in scan
     order. Since cost(size, rounds) >= size, the scan stops at the first
-    size no smaller than the best cost found."""
+    size no smaller than the best cost found.
+
+    Rounds come from a memo private to the call (see
+    :func:`forcelab.forcing.memo_rounds`): each mask's engine step runs at
+    most once. It takes 2^n bytes up to n = 22 and one entry per touched
+    mask above that."""
     process = PROCESSES[rule]
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
     bits = [1 << v for v in range(g.n)]
+    memo = new_rounds_memo(g.n)
     best = None
     witnesses: list[int] = []
     for size in sizes:
@@ -92,7 +104,7 @@ def _best_sets(g: Graph, rule: Rule, sizes: Iterable[int], cost):
             break
         for combo in combinations(bits, size):
             blue = sum(combo)
-            rounds = mask_rounds(process, adj, full, blue)
+            rounds = memo_rounds(process, adj, full, blue, memo)
             if rounds < 0:
                 continue
             value = cost(size, rounds)
@@ -178,13 +190,12 @@ def _atlas_graphs(max_n: int, connected_only: bool) -> Iterator[tuple[str, Graph
         yield line, g
 
 
-def stream_from_file(path: str) -> Iterator[tuple[str, Graph]]:
-    """Stream graphs from a file of graph6 lines."""
+def stream_from_file(path: str) -> list[tuple[str, Graph]]:
+    """Every (graph_id, graph) of a file of graph6 lines. The whole file is
+    decoded at the call, so a bad line fails before any graph is used."""
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield line, graph6_decode(line)
+        lines = [line.strip() for line in fh]
+    return [(line, graph6_decode(line)) for line in lines if line]
 
 
 # ---------------------------------------------------------------------------

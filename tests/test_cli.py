@@ -4,6 +4,7 @@ import pytest
 
 from forcelab.cli import main
 from forcelab.graphs import format_edge_list, path_graph, star_graph
+from forcelab.solvers import atlas_stream
 
 
 def run(capsys, *argv):
@@ -267,6 +268,50 @@ def test_malformed_json_files_exit_one(capsys, tmp_path, argv, payload):
 )
 def test_verify_bounds_bad_arguments_write_nothing(capsys, argv):
     code, out, err = run(capsys, "verify", "bounds", *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+_SIMULATE = ["simulate", "--rule", "z", "--chronology"]
+_CHRONOLOGY = {"rule": "standard", "base": [0], "steps": [[[0, 1]], [[1, 2]], [[2, 3]]]}
+_WITNESS = {"K": 3, "paths": [[0, 1, 2, 3]], "blocks": [[[0, 0], [1, 1], [2, 2], [3, 3]]]}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, key",
+    [
+        (_SIMULATE, {**_CHRONOLOGY, "steps": 5}, "steps"),
+        (_SIMULATE, {**_CHRONOLOGY, "base": 5}, "base"),
+        (_SIMULATE, {**_CHRONOLOGY, "steps": [[[5]]]}, "steps"),
+        (_SIMULATE, {**_CHRONOLOGY, "base": [None]}, "base"),
+        (["witness", "verify", "--witness"], {**_WITNESS, "paths": 5}, "paths"),
+        (["family", "generate", "--partitions"], {"K": 2, "partitions": 5}, "partitions"),
+    ],
+    ids=["steps-int", "base-int", "force-short", "base-null", "paths-int", "partitions-int"],
+)
+def test_wrong_typed_json_values_exit_one(capsys, tmp_path, argv, payload, key):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    argv = argv + [str(path)]
+    if argv[0] != "family":
+        argv += ["--graph", _graph_file(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "GraphFormatError"
+    assert repr(key) in error["detail"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_bounds_bad_graph6_line_writes_nothing(capsys, tmp_path, jobs):
+    lines = [g6 for g6, _ in atlas_stream(max_n=4)][:9] + ["not graph6 ~~~"]
+    path = tmp_path / "graphs.g6"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", "bounds", "--graphs", str(path), "--jobs", jobs)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)

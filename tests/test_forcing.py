@@ -12,7 +12,8 @@ from forcelab.forcing import (
     active_times,
     activity_spans,
     forcing_cover,
-    mask_rounds,
+    memo_rounds,
+    new_rounds_memo,
     possible_forces,
     propagate,
     propagation_time_of_forces,
@@ -81,7 +82,9 @@ class TestEngineAgreesWithNaiveReference:
 
     def test_rounds_random(self):
         """Propagation rounds, and propagate's steps, for the maximal
-        processes; mask_rounds is the path the solvers scan with."""
+        processes; memo_rounds is the path the solvers scan with. For the
+        standard and PSD rules, every mask of the process is then read back
+        from the memo the walk wrote."""
         rules = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
         for _, g, blue in self.random_cases(109, 200):
             adj, full = g.adjacency_masks(), (1 << g.n) - 1
@@ -93,7 +96,15 @@ class TestEngineAgreesWithNaiveReference:
                 if res.ok:
                     assert [list(s) for s in res.chronology.steps] == steps
                 mask = sum(1 << v for v in blue)
-                assert mask_rounds(PROCESSES[rule], adj, full, mask) == rounds
+                memo = new_rounds_memo(g.n)
+                process = PROCESSES[rule]
+                assert memo_rounds(process, adj, full, mask, memo) == rounds
+                if rule is Rule.POWER_DOMINATION:
+                    continue
+                for k, step in enumerate(steps or ()):
+                    mask |= sum(1 << f.dst for f in step)
+                    left = rounds - k - 1
+                    assert memo_rounds(process, adj, full, mask, memo) == left
 
 
 class TestValidateChronology:

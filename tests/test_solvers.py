@@ -1,5 +1,7 @@
 import csv
 import io
+import tracemalloc
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -26,6 +28,7 @@ from forcelab.solvers import (
     sweep_bounds,
     throttling,
 )
+import naive
 from randgen import random_graph
 
 
@@ -258,6 +261,76 @@ class TestExhaustiveness:
             for size in range(z):
                 for combo in combinations(range(g.n), size):
                     assert not propagate(Rule.STANDARD, g, combo).ok, (gid, combo)
+
+
+def brute_force_table(g, rule):
+    """(set, rounds) for every subset in scan order, sizes ascending and
+    combinations order within a size; rounds is None where the maximal
+    process stalls. Rounds come from tests/naive.py."""
+    table = []
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            steps = naive.maximal_steps(rule, g, combo)
+            table.append((frozenset(combo), None if steps is None else len(steps)))
+    return table
+
+
+class TestScansAgreeWithBruteForce:
+    """Values and witness tuples, in order, against a brute force over
+    every subset that counts rounds with the naive rules. The memo runs
+    dense (a bytearray) and, with its size limit at 0, sparse (a dict)."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_random_graphs(self, monkeypatch, dense):
+        if not dense:
+            monkeypatch.setattr("forcelab.forcing._DENSE_MEMO_MAX_N", 0)
+        rng = Random(211)
+        for n in [n for n in range(1, 10) for _ in range(5)]:
+            g = random_graph(rng, n, rng.uniform(0.15, 0.6))
+            for rule in (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION):
+                self.check(g, rule, brute_force_table(g, rule))
+
+    @staticmethod
+    def check(g, rule, table):
+        forcing = [(s, r) for s, r in table if r is not None]
+        z = min(len(s) for s, _ in forcing)
+        report = forcing_number(g, rule)
+        assert report.value == z
+        assert report.witnesses == tuple(s for s, _ in forcing if len(s) == z)
+        for m in range(g.n + 1):
+            sized = [(s, r) for s, r in forcing if len(s) == m]
+            if not sized:
+                with pytest.raises(InfeasibleError):
+                    propagation_time_m(g, m, rule)
+                continue
+            pt = min(r for _, r in sized)
+            report = propagation_time_m(g, m, rule)
+            assert report.value == pt
+            assert report.witnesses == tuple(s for s, r in sized if r == pt)
+        if rule is Rule.POWER_DOMINATION:
+            return
+        thr = min(len(s) + r for s, r in forcing)
+        tied = [s for s, r in forcing if len(s) + r == thr]
+        # The scan stops at the first size no smaller than the best cost so
+        # far, so the whole vertex set (size thr, 0 rounds) is a witness only
+        # when no smaller set ties with it.
+        smaller = [s for s in tied if len(s) < thr]
+        report = throttling(g, rule)
+        assert report.value == thr
+        assert report.witnesses == tuple(smaller or tied)
+
+
+def test_sparse_memo_stays_small_above_the_dense_limit():
+    """On 26 vertices a dense memo would take 64 MB; the scan touches a few
+    dozen masks."""
+    tracemalloc.start()
+    try:
+        report = forcing_number(path_graph(26), Rule.STANDARD, cap=26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.value == 1 and report.witnesses == ({0}, {25})
+    assert peak < 1 << 20
 
 
 class TestSolveParameter:
