@@ -211,7 +211,7 @@ def _induced_bundle(host: Replay, x: int) -> PathBundle:
     ends = [t.root for t in cover.trees]
     for k in range(rd):
         white = full & ~mask_of(expansion[k])
-        comp = next(c for c in component_masks(adj, white) if c >> x & 1)
+        comp = next(c for c, _, _ in component_masks(adj, white) if c >> x & 1)
         # At most one vertex per tree may see white vertices in x's
         # component; anything else means the schedule is corrupt.
         for t in cover.trees:

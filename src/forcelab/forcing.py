@@ -124,23 +124,26 @@ def _standard_step(adj: tuple[int, ...], blue: int, forces=None) -> int:
 
 def _psd_step(adj: tuple[int, ...], blue: int, forces=None, idle: int = 0) -> int:
     """PSD rule: within each white component, a blue vertex with exactly
-    one white neighbor there forces it. Nonzero ``idle`` gives the
-    rigid-linkage rule: a component whose boundary holds an idle vertex
-    receives no force, so idle vertices never force. Appends every legal
-    force, component by component with sources ascending."""
+    one white neighbor there forces it. The flood fill that finds each
+    component (:func:`~forcelab.graphs.component_masks`) also counts which
+    vertices see one member and which see several, so the forcers are
+    ``once & ~twice & blue`` and each forces ``adj[v] & comp``. Nonzero
+    ``idle`` gives the rigid-linkage rule: a component with an idle vertex
+    on its boundary (``idle & once``) receives no force, so idle vertices
+    never force. Appends every legal force, component by component with
+    sources ascending."""
     add = 0
-    for comp in component_masks(adj, ((1 << len(adj)) - 1) & ~blue):
-        if idle and any(adj[v] & comp for v in set_of(idle)):
+    for comp, once, twice in component_masks(adj, ((1 << len(adj)) - 1) & ~blue):
+        if idle & once:
             continue
-        rem = blue
+        rem = once & ~twice & blue
         while rem:
             bit = rem & -rem
             rem ^= bit
             inside = adj[bit.bit_length() - 1] & comp
-            if inside and not inside & (inside - 1):
-                add |= inside
-                if forces is not None:
-                    forces.append(Force(bit.bit_length() - 1, inside.bit_length() - 1))
+            add |= inside
+            if forces is not None:
+                forces.append(Force(bit.bit_length() - 1, inside.bit_length() - 1))
     return add
 
 

@@ -118,38 +118,43 @@ def mask_of(verts: Iterable[int]) -> int:
 
 def set_of(mask: int) -> frozenset[int]:
     """The vertex ids whose bits are set in ``mask``."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
-def component_masks(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Connected components of the subgraph induced on the bitmask ``mask``,
-    as bitmasks ordered by their minimum vertex id. ``adj`` holds the
-    neighbor masks of :meth:`Graph.adjacency_masks`."""
-    comps = []
+def component_masks(adj: tuple[int, ...], mask: int):
+    """Flood-fill each connected component of the subgraph induced on the
+    bitmask ``mask`` (``adj`` as from :meth:`Graph.adjacency_masks`); yield
+    ``(comp, once, twice)`` in order of minimum vertex id. At each member's
+    neighbor mask a, ``twice |= once & a`` and then ``once |= a``: ``once``
+    holds the vertices next to a member, ``twice`` those next to two."""
     rem = mask
     while rem:
-        comp = rem & -rem
-        frontier = comp
+        comp = frontier = rem & -rem
+        once = twice = 0
         while frontier:
-            grow = 0
             f = frontier
             while f:
                 bit = f & -f
                 f ^= bit
-                grow |= adj[bit.bit_length() - 1]
-            grow &= mask & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
+                a = adj[bit.bit_length() - 1]
+                twice |= once & a
+                once |= a
+            frontier = once & mask & ~comp
+            comp |= frontier
+        yield comp, once, twice
         rem &= ~comp
-    return comps
 
 
 def components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset[int]]:
     """Connected components of ``g`` minus ``removed``, ordered by their
     minimum vertex id."""
     keep = ((1 << g.n) - 1) & ~mask_of(g.check_set(removed))
-    return [set_of(c) for c in component_masks(g.adjacency_masks(), keep)]
+    return [set_of(c) for c, _, _ in component_masks(g.adjacency_masks(), keep)]
 
 
 def is_vertex_cut(g: Graph, verts: Iterable[int]) -> bool:

@@ -175,10 +175,11 @@ class PowerConstruction:
     source_pt: int
 
 
-def _efficient_chronology(g: Graph, m: int, cap: int | None) -> RelaxedChronology:
+def _efficient_chronology(g: Graph, m: int, cap, scan=None) -> RelaxedChronology:
     """Canonical m-efficient schedule: propagate from the lexicographically
-    least size-m set of minimum propagation time."""
-    report = solvers.propagation_time_m(g, m, Rule.STANDARD, cap=cap)
+    least size-m set of minimum propagation time. A standard-rule
+    ``solvers._Scan`` of ``g`` as ``scan`` lends the search its memo."""
+    report = solvers.propagation_time_m(g, m, Rule.STANDARD, cap=cap, _scan=scan)
     best = sorted(report.witnesses[0])
     result = propagate(Rule.STANDARD, g, best)
     if not result.ok:

@@ -6,11 +6,13 @@ of :mod:`forcelab.forcing`, refuses instances above a configurable cap,
 and reports every optimal witness. No heuristics: a reported value is
 the true minimum over all candidates.
 
-Each scan keeps a rounds memo indexed by bitmask for the length of one
-call, so the engine steps each mask at most once however many candidates'
-processes pass through it. Up to n = 22 the memo is a bytearray of 2^n
-bytes (4 MB at most); above that it stores only the masks it touches. It
-is freed when the call returns: nothing is cached between calls.
+The scans of one public call share one rounds memo per rule, indexed by
+bitmask (Z then pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), thr+,
+Z+ and pt+ in ``bounds_rows_for_graph``), so the engine steps each mask at
+most once per rule however many scans and candidates' processes pass
+through it. Up to n = 22 a memo is a bytearray of 2^n bytes (4 MB at
+most); above that it stores only the masks it touches. It dies when the
+public call returns: nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -81,82 +83,97 @@ _PT_NAMES = {
 }
 
 
-def _best_sets(g: Graph, rule: Rule, sizes: Iterable[int], cost):
-    """Scan the subsets of each size in turn, lexicographically within a
-    size, for the least ``cost(size, rounds)`` over forcing sets. Returns
-    that cost (None if no set forces) and every set achieving it, in scan
-    order. Since cost(size, rounds) >= size, the scan stops at the first
-    size no smaller than the best cost found.
+class _Scan:
+    """The subset scans of one public call on one graph under one rule.
+    They share one rounds memo (:func:`forcelab.forcing.memo_rounds`), so
+    the engine steps each mask at most once however many scans pass
+    through it; the memo dies with the object when the call returns.
+    Construction refuses a graph above the cap before allocating."""
 
-    Rounds come from a memo private to the call (see
-    :func:`forcelab.forcing.memo_rounds`): each mask's engine step runs at
-    most once. It takes 2^n bytes up to n = 22 and one entry per touched
-    mask above that."""
-    process = PROCESSES[rule]
-    adj = g.adjacency_masks()
-    full = (1 << g.n) - 1
-    bits = [1 << v for v in range(g.n)]
-    memo = new_rounds_memo(g.n)
-    best = None
-    witnesses: list[int] = []
-    for size in sizes:
-        if best is not None and size >= best:
-            break
-        for combo in combinations(bits, size):
-            blue = sum(combo)
-            rounds = memo_rounds(process, adj, full, blue, memo)
-            if rounds < 0:
-                continue
-            value = cost(size, rounds)
-            if best is None or value < best:
-                best = value
-                witnesses = [blue]
-            elif value == best:
-                witnesses.append(blue)
+    def __init__(self, g: Graph, rule: Rule, cap: int | None):
+        _require_within_cap(g, cap)
+        self.process = PROCESSES[rule]
+        self.adj = g.adjacency_masks()
+        self.full = (1 << g.n) - 1
+        self.bits = [1 << v for v in range(g.n)]
+        self.memo = new_rounds_memo(g.n)
+
+    def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list[int]]:
+        """Scan the subsets of each size in turn, lexicographically within
+        a size, for the least ``cost(size, rounds)`` over forcing sets.
+        Returns that cost (None if no set forces) and the mask of every set
+        achieving it, in scan order. Rounds are at least 1 below the full
+        set, so the scan stops at the first size whose least possible cost
+        exceeds the best found."""
+        process, adj, full, memo = self.process, self.adj, self.full, self.memo
+        n = len(self.bits)
+        best = None
+        witnesses: list[int] = []
+        for size in sizes:
+            if best is not None and cost(size, 0 if size == n else 1) > best:
+                break
+            for combo in combinations(self.bits, size):
+                blue = sum(combo)
+                rounds = memo_rounds(process, adj, full, blue, memo)
+                if rounds < 0:
+                    continue
+                value = cost(size, rounds)
+                if best is None or value < best:
+                    best = value
+                    witnesses = [blue]
+                elif value == best:
+                    witnesses.append(blue)
+        return best, witnesses
+
+
+def _report(name: str, value: int, witnesses: list[int]) -> ParameterReport:
     # A list, not a generator, into tuple(): with a generator here the n <= 7
     # sweep ran with about 1 MB more peak memory (CPython 3.11).
-    return best, tuple([set_of(w) for w in witnesses])
+    return ParameterReport(name, value, tuple([set_of(w) for w in witnesses]), True)
 
 
-def forcing_number(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
+def forcing_number(
+    g: Graph, rule: Rule, cap: int | None = None, *, _scan: _Scan | None = None
+) -> ParameterReport:
     """Minimum size of a forcing set for the rule, with every witness of
     that size, by scanning subsets in ascending size."""
     rule = Rule(rule)
     if rule not in _PARAM_NAMES:
         raise ValueError(f"no forcing number for rule {rule.value}")
-    _require_within_cap(g, cap)
-    value, witnesses = _best_sets(g, rule, range(g.n + 1), lambda size, _: size)
-    return ParameterReport(_PARAM_NAMES[rule], value, witnesses, True)
+    scan = _scan or _Scan(g, rule, cap)
+    value, witnesses = scan.best(range(g.n + 1), lambda size, _: size)
+    return _report(_PARAM_NAMES[rule], value, witnesses)
 
 
 def propagation_time_m(
-    g: Graph, m: int, rule: Rule, cap: int | None = None
+    g: Graph, m: int, rule: Rule, cap: int | None = None, *, _scan: _Scan | None = None
 ) -> ParameterReport:
     """Minimum propagation rounds over all size-m forcing sets, with every
     m-efficient witness (lexicographically least first)."""
     rule = Rule(rule)
     if rule not in _PARAM_NAMES:
         raise ValueError(f"no propagation time for rule {rule.value}")
-    _require_within_cap(g, cap)
+    scan = _scan or _Scan(g, rule, cap)
     if not 0 <= m <= g.n:
         raise InfeasibleError(f"no size-{m} subsets of {g.n} vertices")
-    value, witnesses = _best_sets(g, rule, (m,), lambda _, rounds: rounds)
+    value, witnesses = scan.best((m,), lambda _, rounds: rounds)
     if value is None:
         raise InfeasibleError(f"no forcing set of size {m} exists")
-    return ParameterReport(_PT_NAMES[rule], value, witnesses, True)
+    return _report(_PT_NAMES[rule], value, witnesses)
 
 
-def throttling(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
-    """Minimum of |B| + rounds(B) over all forcing sets B."""
+def throttling(
+    g: Graph, rule: Rule, cap: int | None = None, *, _scan: _Scan | None = None
+) -> ParameterReport:
+    """Minimum of |B| + rounds(B) over all forcing sets B, with every set
+    achieving it."""
     rule = Rule(rule)
     if rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("throttling is computed for the standard and PSD rules")
-    _require_within_cap(g, cap)
-    value, witnesses = _best_sets(
-        g, rule, range(g.n + 1), lambda size, rounds: size + rounds
-    )
+    scan = _scan or _Scan(g, rule, cap)
+    value, witnesses = scan.best(range(g.n + 1), lambda size, rounds: size + rounds)
     name = "thr" if rule is Rule.STANDARD else "thrplus"
-    return ParameterReport(name, value, witnesses, True)
+    return _report(name, value, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +274,12 @@ def bounds_rows_for_graph(
 
     wanted = set(_known_checks(checks))
     cap = effective_cap(None, SWEEP_CAP)
+    std = _Scan(g, Rule.STANDARD, cap)
     rows: list[BoundsRow] = []
-    z = forcing_number(g, Rule.STANDARD, cap=cap).value
+    z = forcing_number(g, Rule.STANDARD, _scan=std).value
     pt_by_m: dict[int, int] = {}
     for m in range(z, g.n + 1):
-        chron = slices._efficient_chronology(g, m, cap)
+        chron = slices._efficient_chronology(g, m, cap, std)
         pt_m = chron.ct
         pt_by_m[m] = pt_m
         if "bounds" not in wanted:
@@ -284,17 +302,18 @@ def bounds_rows_for_graph(
             )
         )
     rhs = min(m + (pt_by_m[m] + 1) // 2 for m in pt_by_m)
+    psd_scan = _Scan(g, Rule.PSD, cap) if wanted & {"thrplus", "zeq"} else None
     if "thrplus" in wanted:
-        thr_plus = throttling(g, Rule.PSD, cap=cap).value
+        thr_plus = throttling(g, Rule.PSD, _scan=psd_scan).value
         rows.append(
             BoundsRow(
                 graph_id, g.n, "thr+", z, str(thr_plus), rhs, "", "", thr_plus <= rhs
             )
         )
     if "zeq" in wanted:
-        z_plus = forcing_number(g, Rule.PSD, cap=cap).value
+        z_plus = forcing_number(g, Rule.PSD, _scan=psd_scan).value
         if z_plus == z:
-            pt_plus_exact = propagation_time_m(g, z_plus, Rule.PSD, cap=cap).value
+            pt_plus_exact = propagation_time_m(g, z_plus, Rule.PSD, _scan=psd_scan).value
             bound = (pt_by_m[z] + 1) // 2
             rows.append(
                 BoundsRow(
@@ -371,7 +390,9 @@ def solve_parameter(
     if param in ("z", "zplus", "pd"):
         return forcing_number(g, rule, cap=cap)
     if param in ("pt", "ptplus", "ppt"):
-        if m is None:
-            m = forcing_number(g, rule, cap=cap).value
-        return propagation_time_m(g, m, rule, cap=cap)
+        if m is not None:
+            return propagation_time_m(g, m, rule, cap=cap)
+        scan = _Scan(g, rule, cap)
+        m = forcing_number(g, rule, _scan=scan).value
+        return propagation_time_m(g, m, rule, _scan=scan)
     return throttling(g, rule, cap=cap)

@@ -9,6 +9,7 @@ from forcelab.forcing import (
     Force,
     RelaxedChronology,
     Rule,
+    _psd_step,
     active_times,
     activity_spans,
     forcing_cover,
@@ -23,6 +24,7 @@ from forcelab.forcing import (
 )
 from forcelab.graphs import (
     Graph,
+    cycle_graph,
     path_graph,
     star_graph,
     validate_path_cover,
@@ -105,6 +107,58 @@ class TestEngineAgreesWithNaiveReference:
                     mask |= sum(1 << f.dst for f in step)
                     left = rounds - k - 1
                     assert memo_rounds(process, adj, full, mask, memo) == left
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n
+    return Graph(offset, edges)
+
+
+class TestPsdStepEdgeCases:
+    """The PSD step's once/twice counting on stars, paths and cycles."""
+
+    def test_star_centre_forces_every_leaf(self):
+        star = star_graph(3)
+        assert possible_forces(Rule.PSD, star, {0}) == naive.forces(Rule.PSD, star, {0})
+        assert possible_forces(Rule.PSD, star, {0}) == {Force(0, 1), Force(0, 2), Force(0, 3)}
+        assert possible_forces(Rule.STANDARD, star, {0}) == frozenset()
+
+    def test_cycle_with_one_blue_vertex_has_no_psd_force(self):
+        # the white path 1-2-3 holds both of 0's neighbors
+        assert possible_forces(Rule.PSD, cycle_graph(4), {0}) == frozenset()
+
+    def test_idle_star_centre_forces_nothing(self):
+        got = possible_forces(Rule.RIGID_LINKAGE, star_graph(3), {0}, inactive={0})
+        assert got == frozenset()
+
+    def test_forces_listed_by_component_then_source(self):
+        # White components {1}, {2}, {3, 4}, in order of their least vertex:
+        # 6 forces into the first, 0 into the second, 5 and 7 into the last.
+        g = Graph(8, [(1, 6), (0, 2), (5, 4), (4, 3), (3, 7), (0, 5)])
+        forces = []
+        add = _psd_step(g.adjacency_masks(), 0b11100001, forces)
+        assert forces == [Force(6, 1), Force(0, 2), Force(5, 4), Force(7, 3)]
+        assert add == 0b11110
+
+    def test_unions_of_stars_paths_and_cycles_random(self):
+        rng = Random(113)
+        shapes = (star_graph, path_graph, cycle_graph)
+        for _ in range(300):
+            parts = [rng.choice(shapes)(rng.randint(3, 6)) for _ in range(rng.randint(1, 4))]
+            g = disjoint_union(*parts)
+            blue = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+            idle = frozenset(v for v in blue if rng.random() < 0.3)
+            for rule in (Rule.STANDARD, Rule.PSD):
+                assert possible_forces(rule, g, blue) == naive.forces(rule, g, blue)
+            assert possible_forces(Rule.RIGID_LINKAGE, g, blue, idle) == (
+                naive.forces(Rule.RIGID_LINKAGE, g, blue, idle)
+            )
+            forces = []
+            _psd_step(g.adjacency_masks(), sum(1 << v for v in blue), forces)
+            assert len(forces) == len(set(forces))
 
 
 class TestValidateChronology:

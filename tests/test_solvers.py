@@ -1,11 +1,13 @@
 import csv
 import io
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from random import Random
 
 import pytest
 
+from forcelab import forcing
 from forcelab.errors import CapExceeded, InfeasibleError
 from forcelab.forcing import Rule, propagate
 from forcelab.graphs import (
@@ -180,6 +182,13 @@ class TestThrottling:
     def test_triangle(self):
         assert throttling(complete_graph(3), Rule.STANDARD).value == 3
 
+    @pytest.mark.parametrize("rule", [Rule.STANDARD, Rule.PSD])
+    def test_whole_vertex_set_listed_last_when_it_ties(self, rule):
+        # thr(K3) = 3: every pair takes one round, and V itself takes none.
+        rep = throttling(complete_graph(3), rule)
+        assert rep.value == 3
+        assert rep.witnesses == ({0, 1}, {0, 2}, {1, 2}, {0, 1, 2})
+
     def test_witnesses_achieve_value(self):
         g = cycle_graph(6)
         rep = throttling(g, Rule.PSD)
@@ -311,13 +320,48 @@ class TestScansAgreeWithBruteForce:
             return
         thr = min(len(s) + r for s, r in forcing)
         tied = [s for s, r in forcing if len(s) + r == thr]
-        # The scan stops at the first size no smaller than the best cost so
-        # far, so the whole vertex set (size thr, 0 rounds) is a witness only
-        # when no smaller set ties with it.
-        smaller = [s for s in tied if len(s) < thr]
         report = throttling(g, rule)
         assert report.value == thr
-        assert report.witnesses == tuple(smaller or tied)
+        assert report.witnesses == tuple(tied)
+
+
+class TestOneRoundsMemoPerRulePerCall:
+    """The scans of one public call share one rounds memo per rule, so the
+    engine steps each mask at most once per rule in the call. Steps are
+    recorded through PROCESSES; calls that pass a ``forces`` list come
+    from propagate and replay, not from the scans, and are not counted."""
+
+    @staticmethod
+    def record_scan_steps(monkeypatch) -> Counter:
+        seen = Counter()
+
+        def recorder(step):
+            def recorded(adj, blue, forces=None, *rest):
+                if forces is None:
+                    seen[step, blue] += 1
+                return step(adj, blue, forces, *rest)
+
+            return recorded
+
+        wrapped = {}  # one wrapper per function, so `first is step` still holds
+        for rule, process in list(forcing.PROCESSES.items()):
+            steps = tuple(wrapped.setdefault(f, recorder(f)) for f in process)
+            monkeypatch.setitem(forcing.PROCESSES, rule, steps)
+        return seen
+
+    def test_bounds_rows_for_graph(self, monkeypatch):
+        seen = self.record_scan_steps(monkeypatch)
+        for graph_id, g in atlas_stream(max_n=6):
+            seen.clear()
+            bounds_rows_for_graph(graph_id, g)
+            assert seen, graph_id
+            repeated = [key for key, count in seen.items() if count > 1]
+            assert not repeated, graph_id
+
+    def test_solve_parameter_pt(self, monkeypatch):
+        seen = self.record_scan_steps(monkeypatch)
+        assert solve_parameter(grid_graph(3, 4), "pt").value == 3
+        assert seen and max(seen.values()) == 1
 
 
 def test_sparse_memo_stays_small_above_the_dense_limit():
