@@ -164,16 +164,17 @@ def cmd_witness(args) -> int:
 def cmd_family(args) -> int:
     parts = _load_partitions(args.partitions)
     layout = pips.family_layout(parts)
+    members = pips.generate_family(
+        parts, mode=args.mode, count=args.count, seed=args.seed
+    )
     header = {
         "witness": layout.witness.to_json_dict(),
         "base": sorted(layout.witness.base()),
         "path_edges": [list(e) for e in layout.path_edges],
         "optional_edges": [list(e) for e in layout.cross_edges],
     }
-    print(json.dumps(header, sort_keys=True))
-    for member in pips.generate_family(
-        parts, mode=args.mode, count=args.count, seed=args.seed
-    ):
+    _emit(header)
+    for member in members:
         record = {
             "graph_id": member.index,
             "n": member.graph.n,
@@ -182,7 +183,7 @@ def cmd_family(args) -> int:
             "certified_Z_upper": member.certified_forcing_upper,
             "certified_pt_upper": member.certified_pt_upper,
         }
-        print(json.dumps(record, sort_keys=True))
+        _emit(record)
     return 0
 
 
@@ -318,13 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ForcelabError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ForcelabError, ValueError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
             file=sys.stderr,

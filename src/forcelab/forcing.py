@@ -375,8 +375,8 @@ def propagation_time_of_forces(
     """Least number of rounds in which the given force set colors the graph,
     firing every currently-legal force from the set each round.
 
-    Raises :class:`InfeasibleError` if the set stalls before finishing;
-    forces that never become applicable are an error, not ignored.
+    Raises :class:`InfeasibleError` if the set stalls before the graph is
+    blue. Forces still unused once the graph is blue are ignored.
     """
     rule = Rule(rule)
     if rule not in (Rule.STANDARD, Rule.PSD):
@@ -417,11 +417,6 @@ class ForcingCover:
     rule: Rule
     chains: tuple[tuple[int, ...], ...] | None
     trees: tuple[ForcingTree, ...] | None
-
-    def vertex_sets(self) -> list[frozenset[int]]:
-        if self.chains is not None:
-            return [frozenset(c) for c in self.chains]
-        return [t.vertices for t in self.trees]
 
 
 class Replay:

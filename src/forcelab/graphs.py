@@ -96,9 +96,6 @@ class Subgraph(NamedTuple):
     graph: Graph
     vertices: tuple[int, ...]
 
-    def to_local(self, old_id: int) -> int:
-        return self.vertices.index(old_id)
-
 
 def induced_subgraph(g: Graph, verts: Iterable[int]) -> Subgraph:
     """Induced subgraph on ``verts`` plus the new-id -> old-id bijection."""
@@ -382,13 +379,6 @@ def graph6_encode(g: Graph) -> str:
             val = (val << 1) | b
         chars.append(chr(val + 63))
     return head + "".join(chars)
-
-
-def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield graph6_decode(line)
 
 
 def load_graph(path: str) -> Graph:

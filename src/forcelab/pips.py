@@ -264,50 +264,49 @@ def generate_family(
     Modes: ``extremes`` yields the edge-minimal and edge-maximal members;
     ``enumerate`` yields all 2**|cross| members (|cross| capped at
     ENUMERATE_LIMIT); ``sample`` yields ``count`` members whose cross-edge
-    subsets are drawn uniformly with the given seed.
+    subsets are drawn uniformly with the given seed. An unknown mode, a
+    missing or negative sample count and a pool over the limit raise at
+    the call, before any member.
 
     Every member keeps the full set of path edges, so the witness verifies
     on each and its starting vertices form a forcing set of that member.
     """
     layout = family_layout(partitions)
     cross = layout.cross_edges
-
-    def member(index: int, chosen: tuple[tuple[int, int], ...]) -> FamilyMember:
-        g = Graph(layout.n, layout.path_edges + chosen)
-        forces = [
-            Force(path[j], path[j + 1])
-            for path in layout.paths
-            for j in range(len(path) - 1)
-        ]
-        pt_upper = propagation_time_of_forces(
-            g, layout.witness.base(), forces, Rule.STANDARD
-        )
-        return FamilyMember(
-            index, g, chosen, layout.witness, len(layout.paths), pt_upper
-        )
-
     if mode == "extremes":
-        yield member(0, ())
-        yield member(1, cross)
+        picks = [(0, 0), (1, (1 << len(cross)) - 1)]
     elif mode == "enumerate":
         if len(cross) > ENUMERATE_LIMIT:
             raise CapExceeded(
                 f"{len(cross)} optional cross edges exceed the enumerate limit "
                 f"of {ENUMERATE_LIMIT}"
             )
-        for bits in range(1 << len(cross)):
-            chosen = tuple(e for i, e in enumerate(cross) if bits >> i & 1)
-            yield member(bits, chosen)
+        picks = ((bits, bits) for bits in range(1 << len(cross)))
     elif mode == "sample":
         if count is None or count < 0:
             raise ValueError("sample mode needs a nonnegative count")
         rng = Random(seed)
-        for idx in range(count):
-            bits = rng.getrandbits(len(cross)) if cross else 0
-            chosen = tuple(e for i, e in enumerate(cross) if bits >> i & 1)
-            yield member(idx, chosen)
+        picks = (
+            (idx, rng.getrandbits(len(cross)) if cross else 0) for idx in range(count)
+        )
     else:
         raise ValueError(f"unknown family mode {mode!r}")
+    return (_family_member(layout, index, bits) for index, bits in picks)
+
+
+def _family_member(layout: FamilyLayout, index: int, bits: int) -> FamilyMember:
+    """The member with the cross edges whose positions are set in ``bits``."""
+    chosen = tuple(e for i, e in enumerate(layout.cross_edges) if bits >> i & 1)
+    g = Graph(layout.n, layout.path_edges + chosen)
+    forces = [
+        Force(path[j], path[j + 1])
+        for path in layout.paths
+        for j in range(len(path) - 1)
+    ]
+    pt_upper = propagation_time_of_forces(
+        g, layout.witness.base(), forces, Rule.STANDARD
+    )
+    return FamilyMember(index, g, chosen, layout.witness, len(layout.paths), pt_upper)
 
 
 # ---------------------------------------------------------------------------

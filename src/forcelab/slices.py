@@ -134,8 +134,8 @@ def check_interval_forcing(
     k_total = chron.ct
     r = Replay.standard(g, chron)
     isl = _interval_slice(r, m_step, n_step)
-    at_m = _time_slice(r, m_step).at
-    at_n = _time_slice(r, n_step).at
+    at_m = isl.closed - isl.left_open
+    at_n = isl.closed - isl.right_open
     spans = r.spans
     before = frozenset(v for v, (_, hi) in enumerate(spans) if hi < n_step)
     after = frozenset(v for v, (lo, _) in enumerate(spans) if lo > m_step)
@@ -175,16 +175,16 @@ class PowerConstruction:
     source_pt: int
 
 
-def _efficient_chronology(g: Graph, m: int, cap, scan=None) -> RelaxedChronology:
-    """Canonical m-efficient schedule: propagate from the lexicographically
-    least size-m set of minimum propagation time. A standard-rule
-    ``solvers._Scan`` of ``g`` as ``scan`` lends the search its memo."""
+def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
+    """Replay of the canonical m-efficient schedule, propagated from the
+    lexicographically least size-m set of minimum propagation time. A
+    standard-rule ``solvers._Scan`` of ``g`` as ``scan`` lends its memo."""
     report = solvers.propagation_time_m(g, m, Rule.STANDARD, cap=cap, _scan=scan)
     best = sorted(report.witnesses[0])
     result = propagate(Rule.STANDARD, g, best)
     if not result.ok:
         raise InvariantViolation("efficient set failed to replay")
-    return result.chronology
+    return Replay.standard(g, result.chronology)
 
 
 def psd_set_from_slices(
@@ -193,7 +193,7 @@ def psd_set_from_slices(
     cut_times="auto",
     cap: int | None = None,
     *,
-    _chronology: RelaxedChronology | None = None,
+    _replay: Replay | None = None,
 ) -> SliceConstruction:
     """Build a size-m PSD forcing set from slice sets of an m-efficient
     standard schedule.
@@ -203,8 +203,8 @@ def psd_set_from_slices(
     the guarantee max(first gap, gaps between cuts, last gap); achieved
     time (often better for several cuts) is replayed and returned.
     """
-    chron = _chronology or _efficient_chronology(g, m, cap)
-    k_total = chron.ct
+    r = _replay or _efficient_replay(g, m, cap)
+    k_total = r.chron.ct
     if cut_times == "auto":
         cuts = ((k_total + 1) // 2,)
     else:
@@ -213,7 +213,6 @@ def psd_set_from_slices(
             raise ValueError("at least one cut time is required")
         if cuts[0] < 0 or cuts[-1] > k_total:
             raise ValueError(f"cut times must lie in 0..{k_total}")
-    r = Replay.standard(g, chron)
     base: set[int] = set()
     for c in cuts:
         at = _time_slice(r, c).at
@@ -240,17 +239,16 @@ def power_set_from_slice(
     m: int,
     cap: int | None = None,
     *,
-    _chronology: RelaxedChronology | None = None,
+    _replay: Replay | None = None,
 ) -> PowerConstruction:
     """Build a size-m power dominating set: the slice at ceil(K/2) of an
     m-efficient standard schedule, guaranteeing power propagation time at
     most ceil(pt(G, m)/2)."""
-    chron = _chronology or _efficient_chronology(g, m, cap)
-    k_total = chron.ct
+    r = _replay or _efficient_replay(g, m, cap)
+    k_total = r.chron.ct
     if k_total == 0:
         return PowerConstruction(frozenset(range(g.n)), 0, 0, 0, 0)
     n_cut = (k_total + 1) // 2
-    r = Replay.standard(g, chron)
     base = _time_slice(r, n_cut).at
     if len(base) != m:
         raise InvariantViolation(

@@ -70,16 +70,12 @@ class ParameterReport:
         }
 
 
-_PARAM_NAMES = {
-    Rule.STANDARD: "z",
-    Rule.PSD: "zplus",
-    Rule.POWER_DOMINATION: "pd",
-}
-
-_PT_NAMES = {
-    Rule.STANDARD: "pt",
-    Rule.PSD: "ptplus",
-    Rule.POWER_DOMINATION: "ppt",
+# Rule -> names of its forcing number, propagation time and throttling
+# number; power domination has no throttling number here.
+_NAMES = {
+    Rule.STANDARD: ("z", "pt", "thr"),
+    Rule.PSD: ("zplus", "ptplus", "thrplus"),
+    Rule.POWER_DOMINATION: ("pd", "ppt"),
 }
 
 
@@ -138,11 +134,11 @@ def forcing_number(
     """Minimum size of a forcing set for the rule, with every witness of
     that size, by scanning subsets in ascending size."""
     rule = Rule(rule)
-    if rule not in _PARAM_NAMES:
+    if rule not in _NAMES:
         raise ValueError(f"no forcing number for rule {rule.value}")
     scan = _scan or _Scan(g, rule, cap)
     value, witnesses = scan.best(range(g.n + 1), lambda size, _: size)
-    return _report(_PARAM_NAMES[rule], value, witnesses)
+    return _report(_NAMES[rule][0], value, witnesses)
 
 
 def propagation_time_m(
@@ -151,7 +147,7 @@ def propagation_time_m(
     """Minimum propagation rounds over all size-m forcing sets, with every
     m-efficient witness (lexicographically least first)."""
     rule = Rule(rule)
-    if rule not in _PARAM_NAMES:
+    if rule not in _NAMES:
         raise ValueError(f"no propagation time for rule {rule.value}")
     scan = _scan or _Scan(g, rule, cap)
     if not 0 <= m <= g.n:
@@ -159,7 +155,7 @@ def propagation_time_m(
     value, witnesses = scan.best((m,), lambda _, rounds: rounds)
     if value is None:
         raise InfeasibleError(f"no forcing set of size {m} exists")
-    return _report(_PT_NAMES[rule], value, witnesses)
+    return _report(_NAMES[rule][1], value, witnesses)
 
 
 def throttling(
@@ -172,8 +168,7 @@ def throttling(
         raise ValueError("throttling is computed for the standard and PSD rules")
     scan = _scan or _Scan(g, rule, cap)
     value, witnesses = scan.best(range(g.n + 1), lambda size, rounds: size + rounds)
-    name = "thr" if rule is Rule.STANDARD else "thrplus"
-    return _report(name, value, witnesses)
+    return _report(_NAMES[rule][2], value, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +274,14 @@ def bounds_rows_for_graph(
     z = forcing_number(g, Rule.STANDARD, _scan=std).value
     pt_by_m: dict[int, int] = {}
     for m in range(z, g.n + 1):
-        chron = slices._efficient_chronology(g, m, cap, std)
-        pt_m = chron.ct
+        replay = slices._efficient_replay(g, m, cap, std)
+        pt_m = replay.chron.ct
         pt_by_m[m] = pt_m
         if "bounds" not in wanted:
             continue
         bound = (pt_m + 1) // 2
-        psd = slices.psd_set_from_slices(g, m, cap=cap, _chronology=chron)
-        power = slices.power_set_from_slice(g, m, cap=cap, _chronology=chron)
+        psd = slices.psd_set_from_slices(g, m, cap=cap, _replay=replay)
+        power = slices.power_set_from_slice(g, m, cap=cap, _replay=replay)
         ok = psd.achieved <= bound and power.achieved <= bound
         rows.append(
             BoundsRow(
@@ -338,7 +333,10 @@ def sweep_bounds(
 ) -> Iterator[BoundsRow]:
     """Run the bound checks over a graph stream; with jobs > 1 the graphs
     are processed in a process pool and rows come back in input order.
-    Unknown check names raise ValueError at the call, before any row."""
+    Unknown check names and jobs < 1 raise ValueError at the call, before
+    any row."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     return _sweep(stream, _known_checks(checks), jobs)
 
 
@@ -351,7 +349,7 @@ def _known_checks(checks: Iterable[str]) -> tuple[str, ...]:
 
 
 def _sweep(stream, checks: tuple[str, ...], jobs: int) -> Iterator[BoundsRow]:
-    if jobs <= 1:
+    if jobs == 1:
         for graph_id, g in stream:
             yield from bounds_rows_for_graph(graph_id, g, checks)
         return
@@ -368,28 +366,18 @@ def _bounds_worker(item: tuple[str, str, tuple[str, ...]]) -> list[BoundsRow]:
     return bounds_rows_for_graph(graph_id, graph6_decode(g6), checks)
 
 
-_RULE_OF_PARAM = {
-    "z": Rule.STANDARD,
-    "zplus": Rule.PSD,
-    "pd": Rule.POWER_DOMINATION,
-    "pt": Rule.STANDARD,
-    "ptplus": Rule.PSD,
-    "ppt": Rule.POWER_DOMINATION,
-    "thr": Rule.STANDARD,
-    "thrplus": Rule.PSD,
-}
-
-
 def solve_parameter(
     g: Graph, param: str, m: int | None = None, cap: int | None = None
 ) -> ParameterReport:
     """Dispatch a named parameter to the matching exhaustive search."""
-    if param not in _RULE_OF_PARAM:
+    for rule, names in _NAMES.items():
+        if param in names:
+            break
+    else:
         raise ValueError(f"unknown parameter {param!r}")
-    rule = _RULE_OF_PARAM[param]
-    if param in ("z", "zplus", "pd"):
+    if param == names[0]:
         return forcing_number(g, rule, cap=cap)
-    if param in ("pt", "ptplus", "ppt"):
+    if param == names[1]:
         if m is not None:
             return propagation_time_m(g, m, rule, cap=cap)
         scan = _Scan(g, rule, cap)

@@ -68,6 +68,8 @@ FILES = {
     "bad_rule.json": json.dumps({"rule": "nope", "base": [0], "steps": []}),
     "illegal.json": json.dumps({"rule": "standard", "base": [0], "steps": [[[0, 1]]]}),
     "no_partitions.json": json.dumps({"K": 4}),
+    # eight one-block paths: 28 optional cross edges, over the enumerate limit
+    "wide_partitions.json": json.dumps({"K": 4, "partitions": [[[0, 4]]] * 8}),
     "bad_witness.json": json.dumps({"K": 4, "paths": [[0, 1]], "blocks": "x"}),
 }
 
@@ -122,6 +124,12 @@ def _cases() -> list[tuple[str, list[str]]]:
         "--mode", "enumerate", "--count", "5")
     add("family-sample", "family", "generate", "--partitions", parts,
         "--mode", "sample", "--count", "4", "--seed", "7")
+    add("family-sample-negative", "family", "generate", "--partitions", parts,
+        "--mode", "sample", "--count", "-1")
+    add("family-sample-no-count", "family", "generate", "--partitions", parts,
+        "--mode", "sample")
+    add("family-enumerate-over-limit", "family", "generate", "--partitions",
+        "{tmp}/wide_partitions.json", "--mode", "enumerate")
 
     for action in ("induce", "reverse", "certify"):
         for x in ("0", "6", "11"):
@@ -141,6 +149,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("verify-bad-line", "verify", "bounds", "--graphs", "{tmp}/bad_line.g6")
     add("verify-n9", "verify", "bounds", "--graphs", "all-n:9")
     add("verify-bad-check", "verify", "bounds", "--graphs", "all-n:3", "--checks", "nope")
+    add("verify-jobs-0", "verify", "bounds", "--graphs", "all-n:3", "--jobs", "0")
+    add("verify-jobs-negative", "verify", "bounds", "--graphs", "all-n:3", "--jobs", "-3")
 
     add("export-dot", "export", "dot", "--graph", grid)
     add("export-slice", "export", "dot", "--graph", grid, "--slice", "3",

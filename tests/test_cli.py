@@ -264,6 +264,8 @@ def test_malformed_json_files_exit_one(capsys, tmp_path, argv, payload):
         ["--graphs", "all-n:9"],
         ["--graphs", "all-n:3", "--checks", "nope"],
         ["--graphs", "all-n:3", "--checks", "bounds,nope", "--jobs", "2"],
+        ["--graphs", "all-n:3", "--jobs", "0"],
+        ["--graphs", "all-n:3", "--jobs", "-3"],
     ],
 )
 def test_verify_bounds_bad_arguments_write_nothing(capsys, argv):

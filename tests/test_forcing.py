@@ -417,6 +417,11 @@ class TestForceSetPropagation:
             )
             assert fwd == bwd
 
+    def test_unused_forces_ignored_once_the_graph_is_blue(self):
+        # 2 -> 0 never becomes legal: vertex 0 is blue from the start
+        pool = [Force(0, 1), Force(1, 2), Force(2, 0)]
+        assert propagation_time_of_forces(path_graph(3), {0}, pool, Rule.STANDARD) == 2
+
     def test_incomplete_force_set_errors(self):
         g = path_graph(4)
         with pytest.raises(InfeasibleError):

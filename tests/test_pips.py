@@ -240,6 +240,20 @@ class TestFamilies:
         with pytest.raises(CapExceeded):
             list(generate_family(parts, mode="enumerate"))
 
+    @pytest.mark.parametrize(
+        "mode, count, error",
+        [
+            ("enumerate", None, CapExceeded),
+            ("sample", None, ValueError),
+            ("sample", -1, ValueError),
+            ("nope", 3, ValueError),
+        ],
+    )
+    def test_bad_arguments_raise_at_the_call(self, mode, count, error):
+        parts = [BlockPartition(4, [(0, 4)]) for _ in range(8)]  # 28 cross edges
+        with pytest.raises(error):
+            generate_family(parts, mode=mode, count=count)  # no next() needed
+
     def test_mismatched_horizon_rejected(self):
         with pytest.raises(ValueError):
             family_layout([

@@ -58,6 +58,16 @@ def test_power_set_from_slice(replays, grid34):
     assert replays(slices.power_set_from_slice, grid34, 3) <= 2
 
 
+def test_bounds_rows_replay_each_efficient_schedule_once(replays, grid34):
+    # Both slice constructions of an m row read one replay of the
+    # m-efficient schedule; a row with pt > 0 adds the reversal behind the
+    # power construction's boundary check.
+    for g in [g for _, g in solvers.atlas_stream(5)] + [grid34]:
+        rows = solvers.bounds_rows_for_graph("g", g)
+        expected = sum(1 + (int(r.pt) > 0) for r in rows if r.m.isdigit())
+        assert replays(solvers.bounds_rows_for_graph, "g", g) == expected
+
+
 @pytest.mark.parametrize(
     "func", [bundles.relocate_psd_set, bundles.certify_rigid_linkage]
 )

@@ -258,6 +258,11 @@ class TestSweeps:
         with pytest.raises(ValueError):
             bounds_rows_for_graph("p3", path_graph(3), checks=("nope",))
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected_at_the_call(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_bounds(atlas_stream(max_n=3), jobs=jobs)
+
 
 class TestExhaustiveness:
     def test_no_smaller_forcing_set_exists(self):
