@@ -185,21 +185,13 @@ PROCESSES = {
 
 
 # Rounds memos index a bitmask: 0 unknown, 1 the process stalls from it, and
-# r + 2 for r rounds to color every vertex. Up to this many vertices the memo
-# is a bytearray of 2^n entries (4 MB at 22); above, a dict of touched masks.
-_DENSE_MEMO_MAX_N = 22
+# r + 2 for r rounds to color every vertex; a memo is a bytearray of 2^n
+# entries. The solvers keep one only below ``solvers.SLICED_MIN_N`` vertices.
 
 
-class _SparseMemo(dict):
-    __slots__ = ()
-
-    def __missing__(self, mask: int) -> int:
-        return 0
-
-
-def new_rounds_memo(n: int):
+def new_rounds_memo(n: int) -> bytearray:
     """An empty rounds memo for :func:`memo_rounds` on ``n`` vertices."""
-    memo = bytearray(1 << n) if n <= _DENSE_MEMO_MAX_N else _SparseMemo()
+    memo = bytearray(1 << n)
     memo[(1 << n) - 1] = 2
     return memo
 

@@ -1,0 +1,225 @@
+"""Bit-sliced subset scans: every candidate set of one size at once.
+
+The k-subsets of the vertices 0..n-1 are indexed 0..C(n, k)-1 in
+:func:`itertools.combinations` order. Vertex v gets one C(n, k)-bit int
+whose bit i is set when v is blue in the process started from the i-th
+subset, so one round of a rule is a few big-int operations per edge for
+all C(n, k) processes together (bit-slicing, as in Biham's DES). The rule
+rounds here are written out on those vectors; they share no code with the
+per-mask engine of :mod:`forcelab.forcing`, which stays their oracle.
+"""
+
+from __future__ import annotations
+
+import re
+from itertools import combinations, compress
+from math import comb
+from typing import Iterator
+
+from .forcing import Rule
+
+
+def _subset_vectors(n: int, k: int) -> tuple[list[int], int]:
+    """``(X, count)``: ``X[v]`` marks the k-subsets of range(n) holding v,
+    bit i for the i-th subset in combinations order, and ``count`` is
+    C(n, k). The subsets of range(s, n) list those holding s first, then
+    the rest, so each level is built from the next by one shift per vertex."""
+    vecs, counts = {0: []}, {0: 1}  # size j -> vectors of s..n-1, and C(n - s, j)
+    for s in range(n - 1, -1, -1):
+        level, level_counts = {}, {}
+        for j in range(max(0, k - s), min(k, n - s) + 1):
+            low = counts.get(j - 1, 0)  # subsets of range(s, n) holding s
+            with_s = vecs.get(j - 1) or [0] * (n - 1 - s)
+            without = vecs.get(j) or [0] * (n - 1 - s)
+            level[j] = [(1 << low) - 1] + [a | b << low for a, b in zip(with_s, without)]
+            level_counts[j] = low + counts.get(j, 0)
+        vecs, counts = level, level_counts
+    return vecs.get(k, [0] * n), counts.get(k, 0)
+
+
+def finished_by_round(rule: Rule, nbrs, n: int, k: int) -> Iterator[list[int]]:
+    """Yield, for r = 0, 1, ..., the indices of the k-subsets whose maximal
+    process colors every vertex in exactly r rounds, ascending; stop once
+    every other subset has stalled. ``nbrs[v]`` lists the neighbors of v.
+
+    A subset that did not change in a round never changes again. Once at
+    most half the subsets still change, a PSD scan cuts its vectors down to
+    those bits (``_compact``), and ``index`` maps the bits left to subset
+    indices; a standard round costs too little to repay the cut."""
+    blue, count = _subset_vectors(n, k)
+    index = range(count)
+    every = (1 << count) - 1
+    done = every
+    for x in blue:
+        done &= x
+    yield _indices(done, index)
+    live = every ^ done
+    step, later = _ROUNDS[rule]
+    while live:
+        new = step(nbrs, blue, every)
+        moved = 0
+        for a, b in zip(blue, new):
+            moved |= a ^ b
+        blue, done = new, every
+        for x in blue:
+            done &= x
+        yield _indices(done & moved, index)
+        live = moved & ~done
+        if rule is Rule.PSD and live and live.bit_count() * 2 <= len(index):
+            blue, index, every = _compact(blue, live, index)
+        step = later
+
+
+def _power_round(nbrs, blue: list[int], every: int) -> list[int]:
+    """Power domination's first round: the closed neighborhood."""
+    out = []
+    for x, nv in zip(blue, nbrs):
+        for u in nv:
+            x |= blue[u]
+        out.append(x)
+    return out
+
+
+def _standard_round(nbrs, blue: list[int], every: int) -> list[int]:
+    """A blue vertex with exactly one white neighbor forces it. ``one`` and
+    ``two`` mark the subsets where u has at least one, and at least two,
+    white neighbors; a forcer's target is its one white neighbor, and
+    OR-ing into an already blue neighbor changes nothing."""
+    white = [every ^ x for x in blue]
+    out = list(blue)
+    for u, nu in enumerate(nbrs):
+        xu = blue[u]
+        if not xu:
+            continue
+        one = two = 0
+        for x in nu:
+            w = white[x]
+            two |= one & w
+            one |= w
+        forcing = xu & (one ^ two)
+        if forcing:
+            for w in nu:
+                out[w] |= forcing
+    return out
+
+
+def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
+    """Within each white component, a blue vertex with exactly one
+    neighbor there forces it. For each target w, a flood by frontier clears
+    ``unreached[u]`` in the subsets where u is white and joined to w by
+    white vertices, so ``white[u] ^ unreached[u]`` is w's reach; a blue
+    neighbor v of w forces it where exactly one of v's neighbors is in
+    that reach (w itself)."""
+    n = len(blue)
+    white = [every ^ x for x in blue]
+    out = list(blue)
+    for w in range(n):
+        ww = white[w]
+        if not ww:
+            continue
+        seen = 0
+        for v in nbrs[w]:
+            seen |= blue[v]
+        if not seen & ww:
+            continue
+        unreached = list(white)
+        unreached[w] = 0
+        front = {w: ww}
+        while front:
+            nxt = {}
+            for x, dx in front.items():
+                for y in nbrs[x]:
+                    a = dx & unreached[y]
+                    if a:
+                        unreached[y] ^= a
+                        nxt[y] = nxt.get(y, 0) | a
+            front = nxt
+        forced = 0
+        for v in nbrs[w]:
+            xv = blue[v]
+            if not xv:
+                continue
+            one = two = 0
+            for u in nbrs[v]:
+                r = white[u] ^ unreached[u]
+                two |= one & r
+                one |= r
+            forced |= xv & (one ^ two)
+        out[w] |= forced & ww
+    return out
+
+
+# The rounds of each maximal process: the first round's, then every later one's.
+_ROUNDS = {
+    Rule.STANDARD: (_standard_round, _standard_round),
+    Rule.PSD: (_psd_round, _psd_round),
+    Rule.POWER_DOMINATION: (_power_round, _standard_round),
+}
+
+
+_NONZERO = re.compile(rb"[^\x00]")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_MARKS = bytes.maketrans(b"01", b"\x00\x10")
+_KEPT = bytes.maketrans(b"@A", b"01")
+
+
+def _spelled(x: int) -> bytes:
+    """One ASCII '0' or '1' per bit of ``x``, bit 0 first, up to its top
+    set bit."""
+    return bin(x)[:1:-1].encode()
+
+
+def _compact(blue: list[int], live: int, index):
+    """Keep only the bits of ``live`` in every vector, in order. Each
+    vector is spelled out one byte per index, ``live`` adds 16 to the bytes
+    it keeps ('0' -> '@', '1' -> 'A'), and translate() drops the rest."""
+    count = len(index)
+    marks = int.from_bytes(_spelled(live).translate(_MARKS), "little")
+    kept = []
+    for x in blue:
+        spelled = int.from_bytes(_spelled(x).ljust(count, b"0"), "little") + marks
+        kept.append(int(spelled.to_bytes(count, "little").translate(_KEPT, b"01")[::-1], 2))
+    index = list(compress(index, _spelled(live).translate(_FLAGS)))
+    return kept, index, (1 << len(index)) - 1
+
+
+def _indices(bits: int, index) -> list[int]:
+    """``index[i]`` for every set bit i of ``bits``, ascending: from the
+    int's nonzero bytes when few are set, else through one 0/1 byte per bit."""
+    if bits.bit_count() * 8 >= bits.bit_length():
+        return list(compress(index, _spelled(bits).translate(_FLAGS)))
+    out = []
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    for match in _NONZERO.finditer(data):
+        base, byte = match.start() * 8, match[0][0]
+        out += [index[base + b] for b in range(8) if byte >> b & 1]
+    return out
+
+
+def subsets(indices: list[int], n: int, k: int) -> list[frozenset[int]]:
+    """The k-subsets of range(n) at the given ascending indices of
+    combinations order. Many are picked out of combinations() through one
+    0/1 flag per index; a few are unranked one by one, walking the vertices
+    and skipping the C(n - v - 1, j - 1) subsets that hold v when the index
+    lies past them."""
+    count = comb(n, k)
+    if len(indices) * n >= count:
+        flags = bytearray(count)
+        for i in indices:
+            flags[i] = 1
+        return list(map(frozenset, compress(combinations(range(n), k), flags)))
+    binom = [[comb(a, b) for b in range(k)] for a in range(n)]
+    out = []
+    for index in indices:
+        j, verts = k, []
+        for v in range(n):
+            if not j:
+                break
+            holding = binom[n - v - 1][j - 1]
+            if index < holding:
+                verts.append(v)
+                j -= 1
+            else:
+                index -= holding
+        out.append(frozenset(verts))
+    return out

@@ -59,6 +59,8 @@ FILES = {
     "psd_tree.json": json.dumps(PSD_TREE),
     "graphs.g6": "DQo\nEQjO\nCF\n",
     "bad_line.g6": "DQo\n!!\n",
+    # a 4-vertex graph, then the 3x5 grid: 15 vertices, above the sweep cap
+    "over_cap.g6": "Cr\nNhEAHCPAGG?P?P?G_AG\n",
     "bad_edges.edges": "3 2\n0 1\n",
     "loop.edges": "3 1\n1 1\n",
     "not_json.json": "{",
@@ -148,6 +150,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("verify-file", "verify", "bounds", "--graphs", "{tmp}/graphs.g6")
     add("verify-bad-line", "verify", "bounds", "--graphs", "{tmp}/bad_line.g6")
     add("verify-n9", "verify", "bounds", "--graphs", "all-n:9")
+    add("verify-over-cap", "verify", "bounds", "--graphs", "{tmp}/over_cap.g6")
     add("verify-bad-check", "verify", "bounds", "--graphs", "all-n:3", "--checks", "nope")
     add("verify-jobs-0", "verify", "bounds", "--graphs", "all-n:3", "--jobs", "0")
     add("verify-jobs-negative", "verify", "bounds", "--graphs", "all-n:3", "--jobs", "-3")

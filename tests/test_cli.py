@@ -317,3 +317,23 @@ def test_verify_bounds_bad_graph6_line_writes_nothing(capsys, tmp_path, jobs):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_bounds_graph_over_the_sweep_cap_writes_nothing(capsys, tmp_path, jobs):
+    # a 4-vertex graph, then the 3x5 grid (15 vertices, above the cap of 14)
+    path = tmp_path / "graphs.g6"
+    path.write_text("Cr\nNhEAHCPAGG?P?P?G_AG\n")
+    code, out, err = run(capsys, "verify", "bounds", "--graphs", str(path), "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "CapExceeded"
+
+
+def test_verify_bounds_atlas_over_an_env_cap_writes_nothing(capsys, monkeypatch):
+    monkeypatch.setenv("FORCELAB_CAP", "5")
+    code, out, err = run(capsys, "verify", "bounds", "--graphs", "all-n:7")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "CapExceeded"

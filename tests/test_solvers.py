@@ -3,6 +3,7 @@ import io
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -11,17 +12,22 @@ from forcelab import forcing
 from forcelab.errors import CapExceeded, InfeasibleError
 from forcelab.forcing import Rule, propagate
 from forcelab.graphs import (
+    Graph,
     complete_graph,
     components,
     cycle_graph,
+    empty_graph,
     grid_graph,
     path_graph,
     petersen_graph,
     star_graph,
 )
+from forcelab.sliced import finished_by_round
 from forcelab.solvers import (
     BOUNDS_HEADER,
     DEFAULT_CAP,
+    SLICED_MIN_N,
+    _Scan,
     atlas_stream,
     bounds_rows_for_graph,
     forcing_number,
@@ -291,18 +297,76 @@ def brute_force_table(g, rule):
 
 class TestScansAgreeWithBruteForce:
     """Values and witness tuples, in order, against a brute force over
-    every subset that counts rounds with the naive rules. The memo runs
-    dense (a bytearray) and, with its size limit at 0, sparse (a dict)."""
+    every subset that counts rounds with the naive rules. Graphs below
+    SLICED_MIN_N run the per-mask scan with its rounds memo; with the
+    constant at 0 they run the bit-sliced scan instead."""
 
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-    def test_random_graphs(self, monkeypatch, dense):
-        if not dense:
-            monkeypatch.setattr("forcelab.forcing._DENSE_MEMO_MAX_N", 0)
+    RULES = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
+
+    @pytest.mark.parametrize("sliced", [False, True], ids=["dense", "sliced"])
+    def test_random_graphs(self, monkeypatch, sliced):
+        if sliced:
+            monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", 0)
         rng = Random(211)
         for n in [n for n in range(1, 10) for _ in range(5)]:
             g = random_graph(rng, n, rng.uniform(0.15, 0.6))
-            for rule in (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION):
+            for rule in self.RULES:
                 self.check(g, rule, brute_force_table(g, rule))
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(0), Graph(1), Graph(4, [(0, 1)]), empty_graph(3)],
+        ids=["K0", "K1", "P2+2K1", "E3"],
+    )
+    def test_edge_cases_sliced(self, monkeypatch, g):
+        # C(n, 0) = 1 candidate, k = n, and V tying at thr = n.
+        monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", 0)
+        for rule in self.RULES:
+            self.check(g, rule, brute_force_table(g, rule))
+
+    def test_random_graphs_at_the_sliced_sizes(self):
+        assert SLICED_MIN_N <= 10, "these graphs must take the sliced scan"
+        rng = Random(223)
+        for n in (10, 10, 11):
+            g = random_graph(rng, n, rng.uniform(0.2, 0.5))
+            for rule in self.RULES:
+                self.check(g, rule, brute_force_table(g, rule))
+
+    def test_sliced_rounds_of_every_candidate(self):
+        # Every candidate's rounds, not only the optimal ones, in index order.
+        rng = Random(229)
+        for n in [n for n in range(1, 10) for _ in range(2)]:
+            g = random_graph(rng, n, rng.uniform(0.15, 0.6))
+            for rule in self.RULES:
+                got = []
+                for k in range(n + 1):
+                    rounds = [None] * comb(n, k)
+                    for r, finished in enumerate(finished_by_round(rule, g.adj, n, k)):
+                        for i in finished:
+                            rounds[i] = r
+                    got += rounds
+                assert got == [r for _, r in brute_force_table(g, rule)]
+
+    def test_scans_sharing_rounds_match_the_per_mask_path(self, monkeypatch):
+        # One call's sliced scans share every size a scan ran to the end:
+        # throttling cuts sizes short that Z then needs whole.
+        rng = Random(227)
+        for n in [n for n in range(4, 10) for _ in range(3)]:
+            g = random_graph(rng, n, rng.uniform(0.2, 0.6))
+            results = []
+            for constant in (n + 1, 0):
+                monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", constant)
+                got = [bounds_rows_for_graph("g", g)]
+                got += [solve_parameter(g, p) for p in ("pt", "ptplus", "ppt")]
+                for rule in (Rule.STANDARD, Rule.PSD):
+                    scan = _Scan(g, rule, None)
+                    got.append(throttling(g, rule, _scan=scan))
+                    z = forcing_number(g, rule, _scan=scan)
+                    got.append(z)
+                    got += [propagation_time_m(g, m, rule, _scan=scan)
+                            for m in range(z.value, n + 1)]
+                results.append(got)
+            assert results[0] == results[1]
 
     @staticmethod
     def check(g, rule, table):
@@ -364,14 +428,24 @@ class TestOneRoundsMemoPerRulePerCall:
             assert not repeated, graph_id
 
     def test_solve_parameter_pt(self, monkeypatch):
+        # The 3x4 grid (n = 12) runs per-mask only with the constant above 12.
+        monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", 13)
         seen = self.record_scan_steps(monkeypatch)
         assert solve_parameter(grid_graph(3, 4), "pt").value == 3
         assert seen and max(seen.values()) == 1
 
+    def test_no_per_mask_step_from_the_sliced_size_on(self, monkeypatch):
+        seen = self.record_scan_steps(monkeypatch)
+        for g in (path_graph(SLICED_MIN_N), grid_graph(3, 4)):
+            for param in ("z", "pt", "thr", "zplus", "ptplus", "thrplus", "pd", "ppt"):
+                solve_parameter(g, param)
+            bounds_rows_for_graph("g", g, checks=("thrplus", "zeq"))
+        assert not seen
 
-def test_sparse_memo_stays_small_above_the_dense_limit():
-    """On 26 vertices a dense memo would take 64 MB; the scan touches a few
-    dozen masks."""
+
+def test_sliced_scan_stays_small_on_26_vertices():
+    """A per-mask memo on 26 vertices would take 64 MB; the sliced scan
+    of P26 steps 1 + 26 candidate sets."""
     tracemalloc.start()
     try:
         report = forcing_number(path_graph(26), Rule.STANDARD, cap=26)
