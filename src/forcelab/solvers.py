@@ -399,15 +399,17 @@ def sweep_bounds(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     checks = _known_checks(checks)
-    graphs = list(stream)
     cap = effective_cap(None, SWEEP_CAP)
-    for graph_id, g in graphs:
+    items = []
+    for graph_id, g in stream:
         if g.n > cap:
             raise CapExceeded(
                 f"graph {graph_id} has {g.n} vertices, above the sweep cap {cap}; "
                 f"set {_ENV_CAP} to override"
             )
-    return _sweep(graphs, checks, jobs)
+        # a pool is sent graph6 text, so it keeps no decoded graph alive
+        items.append((graph_id, g) if jobs == 1 else (graph_id, graph6_encode(g), checks))
+    return _sweep(items, checks, jobs)
 
 
 def _known_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -418,14 +420,13 @@ def _known_checks(checks: Iterable[str]) -> tuple[str, ...]:
     return checks
 
 
-def _sweep(stream, checks: tuple[str, ...], jobs: int) -> Iterator[BoundsRow]:
+def _sweep(items: list, checks: tuple[str, ...], jobs: int) -> Iterator[BoundsRow]:
     if jobs == 1:
-        for graph_id, g in stream:
+        for graph_id, g in items:
             yield from bounds_rows_for_graph(graph_id, g, checks)
         return
     import multiprocessing as mp
 
-    items = [(graph_id, graph6_encode(g), checks) for graph_id, g in stream]
     with mp.Pool(jobs) as pool:
         for rows in pool.imap(_bounds_worker, items, chunksize=8):
             yield from rows
