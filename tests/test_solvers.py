@@ -297,16 +297,15 @@ def brute_force_table(g, rule):
 
 class TestScansAgreeWithBruteForce:
     """Values and witness tuples, in order, against a brute force over
-    every subset that counts rounds with the naive rules. Graphs below
-    SLICED_MIN_N run the per-mask scan with its rounds memo; with the
-    constant at 0 they run the bit-sliced scan instead."""
+    every subset that counts rounds with the naive rules. With
+    SLICED_MIN_N above n the scans run per mask with the rounds memo
+    (``dense``); with it at 0 they run bit-sliced."""
 
     RULES = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
 
-    @pytest.mark.parametrize("sliced", [False, True], ids=["dense", "sliced"])
-    def test_random_graphs(self, monkeypatch, sliced):
-        if sliced:
-            monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", 0)
+    @pytest.mark.parametrize("constant", [99, 0], ids=["dense", "sliced"])
+    def test_random_graphs(self, monkeypatch, constant):
+        monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", constant)
         rng = Random(211)
         for n in [n for n in range(1, 10) for _ in range(5)]:
             g = random_graph(rng, n, rng.uniform(0.15, 0.6))
