@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
         {
             "ok": True,
             "rule": rule.value,
-            "base": sorted(blue),
+            "base": sorted(set(blue)),
             "pt": result.pt,
             "steps": result.chronology.to_json_dict()["steps"],
         }

@@ -4,9 +4,11 @@ The k-subsets of the vertices 0..n-1 are indexed 0..C(n, k)-1 in
 :func:`itertools.combinations` order. Vertex v gets one C(n, k)-bit int
 whose bit i is set when v is blue in the process started from the i-th
 subset, so one round of a rule is a few big-int operations per edge for
-all C(n, k) processes together (bit-slicing, as in Biham's DES). The rule
-rounds here are written out on those vectors; they share no code with the
-per-mask engine of :mod:`forcelab.forcing`, which stays their oracle.
+all C(n, k) processes together (bit-slicing, as in Biham's DES); a PSD
+round floods each white component of each subset once, from its least
+vertex. The rule rounds here are written out on those vectors; they share
+no code with the per-mask engine of :mod:`forcelab.forcing`, which stays
+their oracle.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ def finished_by_round(rule: Rule, nbrs, n: int, k: int) -> Iterator[list[int]]:
     every other subset has stalled. ``nbrs[v]`` lists the neighbors of v.
 
     A subset that did not change in a round never changes again. Once at
-    most half the subsets still change, a PSD scan cuts its vectors down to
-    those bits (``_compact``), and ``index`` maps the bits left to subset
-    indices; a standard round costs too little to repay the cut."""
+    most a quarter of the subsets still change, a PSD scan cuts its vectors
+    down to those bits (``_compact``), and ``index`` maps the bits left to
+    subset indices; a standard round costs too little to repay the cut."""
     blue, count = _subset_vectors(n, k)
     index = range(count)
     every = (1 << count) - 1
@@ -65,7 +67,7 @@ def finished_by_round(rule: Rule, nbrs, n: int, k: int) -> Iterator[list[int]]:
             done &= x
         yield _indices(done & moved, index)
         live = moved & ~done
-        if rule is Rule.PSD and live and live.bit_count() * 2 <= len(index):
+        if rule is Rule.PSD and live and live.bit_count() * 4 <= len(index):
             blue, index, every = _compact(blue, live, index)
         step = later
 
@@ -105,26 +107,24 @@ def _standard_round(nbrs, blue: list[int], every: int) -> list[int]:
 
 def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
     """Within each white component, a blue vertex with exactly one
-    neighbor there forces it. For each target w, a flood by frontier clears
-    ``unreached[u]`` in the subsets where u is white and joined to w by
-    white vertices, so ``white[u] ^ unreached[u]`` is w's reach; a blue
-    neighbor v of w forces it where exactly one of v's neighbors is in
-    that reach (w itself)."""
-    n = len(blue)
+    neighbor there forces it. Each component is flooded once, by frontier,
+    from its least vertex. ``unreached[u]`` marks the subsets where u is
+    white and no flood has reached it yet; vertices are tried in ascending
+    order, so where r is still unreached, no smaller vertex shares its
+    component and the flood from r starts there. ``reach[u]`` collects the
+    subsets where the flood finds u. ``exact[v]`` marks where a blue v has
+    exactly one neighbor in the reach, and each reached w is forced where
+    it is reached and some neighbor's ``exact`` is set."""
     white = [every ^ x for x in blue]
+    unreached = list(white)
     out = list(blue)
-    for w in range(n):
-        ww = white[w]
-        if not ww:
+    for r in range(len(blue)):
+        start = unreached[r]
+        if not start:
             continue
-        seen = 0
-        for v in nbrs[w]:
-            seen |= blue[v]
-        if not seen & ww:
-            continue
-        unreached = list(white)
-        unreached[w] = 0
-        front = {w: ww}
+        unreached[r] = 0
+        reach = {r: start}
+        front = reach.copy()
         while front:
             nxt = {}
             for x, dx in front.items():
@@ -133,19 +133,28 @@ def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
                     if a:
                         unreached[y] ^= a
                         nxt[y] = nxt.get(y, 0) | a
+            for y, a in nxt.items():
+                reach[y] = reach.get(y, 0) | a
             front = nxt
-        forced = 0
-        for v in nbrs[w]:
-            xv = blue[v]
-            if not xv:
-                continue
-            one = two = 0
-            for u in nbrs[v]:
-                r = white[u] ^ unreached[u]
-                two |= one & r
-                one |= r
-            forced |= xv & (one ^ two)
-        out[w] |= forced & ww
+        exact = {}
+        for w in reach:
+            for v in nbrs[w]:
+                if v in exact:
+                    continue
+                xv = blue[v]
+                one = two = 0
+                if xv:
+                    for u in nbrs[v]:
+                        if u in reach:
+                            a = reach[u]
+                            two |= one & a
+                            one |= a
+                exact[v] = xv & (one ^ two)
+        for w, a in reach.items():
+            forced = 0
+            for v in nbrs[w]:
+                forced |= exact[v]
+            out[w] |= forced & a
     return out
 
 

@@ -55,6 +55,7 @@ PSD_TREE = {
 
 FILES = {
     "k3.edges": "3 3\n0 1\n0 2\n1 2\n",
+    "p3.edges": "3 2\n0 1\n1 2\n",
     "psd_grid.json": json.dumps(PSD_GRID),
     "psd_tree.json": json.dumps(PSD_TREE),
     "graphs.g6": "DQo\nEQjO\nCF\n",
@@ -93,6 +94,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("simulate-verbose", "simulate", "--rule", "z", "--graph", edges("p9"),
         "--blue", "0", "--verbose")
     add("simulate-stall", "simulate", "--rule", "z", "--graph", grid, "--blue", "5")
+    add("simulate-repeated-blue", "simulate", "--rule", "z", "--graph", "{tmp}/p3.edges",
+        "--blue", "0,0")
     add("simulate-chronology", "simulate", "--rule", "z", "--graph", grid,
         "--chronology", chron)
     add("simulate-psd-chronology", "simulate", "--rule", "zplus", "--graph", grid,

@@ -34,6 +34,17 @@ def test_simulate_stall_exits_one(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
+def test_simulate_prints_a_repeated_blue_vertex_once(capsys, tmp_path):
+    # propagate() starts from the set {0}, as a schedule file's base is read.
+    target = tmp_path / "p3.edges"
+    target.write_text(format_edge_list(path_graph(3)))
+    code, out, _ = run(capsys, "simulate", "--rule", "z", "--graph", str(target),
+                       "--blue", "0,0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["base"] == [0] and payload["pt"] == 2
+
+
 def test_simulate_validates_supplied_schedule(capsys, inputs_dir):
     code, out, _ = run(
         capsys,

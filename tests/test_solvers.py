@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from forcelab import forcing
+from forcelab import forcing, sliced
 from forcelab.errors import CapExceeded, InfeasibleError
 from forcelab.forcing import Rule, propagate
 from forcelab.graphs import (
@@ -393,6 +393,99 @@ class TestScansAgreeWithBruteForce:
         assert report.witnesses == tuple(tied)
 
 
+def disjoint_union(rng, *parts):
+    """The parts side by side, vertices shuffled so that components
+    interleave and a component's least vertex is seldom its first."""
+    labels = list(range(sum(p.n for p in parts)))
+    rng.shuffle(labels)
+    edges, base = [], 0
+    for p in parts:
+        edges += [(labels[base + u], labels[base + v]) for u, v in p.edges()]
+        base += p.n
+    return Graph(len(labels), edges)
+
+
+def random_tree(rng, n):
+    return Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def white_component_graphs():
+    """Graphs with n <= 10 whose candidates leave many white components:
+    disjoint unions of paths, stars, cycles and sparse connected graphs,
+    forests, isolated vertices."""
+    rng = Random(233)
+    yield disjoint_union(rng, path_graph(3), path_graph(4), path_graph(3))
+    yield disjoint_union(rng, star_graph(3), star_graph(2), Graph(1), path_graph(2))
+    yield disjoint_union(rng, cycle_graph(4), cycle_graph(3), path_graph(3))
+    yield disjoint_union(rng, cycle_graph(5), star_graph(4))
+    yield disjoint_union(rng, path_graph(10))
+    yield empty_graph(6)
+    # Cycles with branches, where one blue vertex can touch a white
+    # component once and another one twice.
+    yield disjoint_union(rng, Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]), star_graph(3))
+    for n in (7, 8):
+        yield disjoint_union(rng, random_graph(rng, n, 0.3, connected=True), path_graph(10 - n))
+    for n in (6, 8, 9, 10, 10):
+        parts, left = [], n
+        while left:
+            size = rng.randint(1, left)
+            parts.append(random_tree(rng, size))
+            left -= size
+        yield disjoint_union(rng, *parts)
+
+
+class TestSlicedPsdRound:
+    """``sliced._psd_round`` round by round: each candidate's new blue
+    set against the naive PSD step of its old one."""
+
+    @staticmethod
+    def sets_of(vecs, width):
+        return [frozenset(v for v, x in enumerate(vecs) if x >> i & 1) for i in range(width)]
+
+    def test_rounds_match_the_naive_step(self):
+        for g in white_component_graphs():
+            n = g.n
+            for k in range(n + 1):
+                blue, count = sliced._subset_vectors(n, k)
+                index, every = range(count), (1 << count) - 1
+                before = self.sets_of(blue, count)
+                assert before == [frozenset(c) for c in combinations(range(n), k)]
+                while True:
+                    new = sliced._psd_round(g.adj, blue, every)
+                    after = self.sets_of(new, len(index))
+                    for b, a in zip(before, after):
+                        step = {f.dst for f in naive.forces("psd", g, b)}
+                        assert a == b | step, (g.adj, sorted(b))
+                    live = 0
+                    for i, (b, a) in enumerate(zip(before, after)):
+                        if a != b and len(a) < n:
+                            live |= 1 << i
+                    if not live:
+                        break
+                    # Go on with the candidates still changing only, as a scan
+                    # does after _compact, so ``every`` is narrower than C(n, k).
+                    blue, index, every = sliced._compact(new, live, index)
+                    before = self.sets_of(blue, len(index))
+                    assert before == [a for i, a in enumerate(after) if live >> i & 1]
+
+    def test_each_white_component_is_flooded_once(self):
+        # One candidate: a white path 0..7 with a blue pendant at each vertex.
+        # Flooding the path once, finding the forcers and forcing needs at
+        # most four reads per neighbor list; a flood from each of the eight
+        # path vertices reads them eight times as often.
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, v):
+                Counted.reads += 1
+                return tuple.__getitem__(self, v)
+
+        g = Graph(16, [(i, i + 1) for i in range(7)] + [(i, i + 8) for i in range(8)])
+        blue = [0] * 8 + [1] * 8
+        assert sliced._psd_round(Counted(g.adj), blue, 1) == [1] * 16
+        assert Counted.reads <= 4 * g.n
+
+
 class TestOneRoundsMemoPerRulePerCall:
     """The scans of one public call share one rounds memo per rule, so the
     engine steps each mask at most once per rule in the call. Steps are
@@ -453,6 +546,21 @@ def test_sliced_scan_stays_small_on_26_vertices():
         tracemalloc.stop()
     assert report.value == 1 and report.witnesses == ({0}, {25})
     assert peak < 1 << 20
+
+
+def test_sliced_psd_scan_stays_small_on_20_vertices():
+    """Every PSD round of all C(20, 5) = 15,504 candidates of the 4x5 grid
+    peaks near 0.3 MB, with vectors of 2 KB; the bound is about twice that.
+    White connectivity kept as n^2 vectors would take 0.76 MB on its own."""
+    g = grid_graph(4, 5)
+    tracemalloc.start()
+    try:
+        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, g.n, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rounds == 11
+    assert peak < 640 << 10
 
 
 class TestSolveParameter:
