@@ -147,10 +147,14 @@ def cmd_solve(args) -> int:
 def cmd_witness(args) -> int:
     g = load_graph(args.graph)
     if args.action == "extract":
+        if not args.chronology:
+            raise ValueError("witness extract needs --chronology")
         chron = _load_chronology(args.chronology)
         witness = pips.chronology_to_witness(g, chron)
         _emit(witness.to_json_dict())
         return 0
+    if not args.witness:
+        raise ValueError(f"witness {args.action} needs --witness")
     witness = _load_witness(args.witness)
     if args.action == "apply":
         chron = pips.witness_to_chronology(g, witness)

@@ -4,6 +4,8 @@ Slicing a schedule at step N splits the vertices into those done forcing
 before N, those active at N, and those not yet blue; the active set
 separates the other two. These slice sets are the raw material for the
 constructive halving of PSD and power-domination propagation times.
+A built set is checked by the rounds of its process
+(:func:`forcelab.forcing.memo_rounds`), not by building its schedule.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 
 from . import solvers
 from .errors import InvariantViolation
-from .forcing import RelaxedChronology, Replay, Rule, propagate
-from .graphs import Graph, closed_neighborhood, induced_subgraph
+from .forcing import PROCESSES, RelaxedChronology, Replay, Rule, memo_rounds
+from .forcing import new_rounds_memo, propagate
+from .graphs import Graph, closed_neighborhood, induced_subgraph, mask_of
 
 
 @dataclass(frozen=True)
@@ -30,18 +33,18 @@ def time_slice(g: Graph, chron: RelaxedChronology, n_step: int) -> SliceReport:
 
 
 def _time_slice(r: Replay, n_step: int) -> SliceReport:
-    spans = r.spans
     if not 0 <= n_step <= r.chron.ct:
         raise ValueError(f"step {n_step} outside 0..{r.chron.ct}")
-    minus, at, plus = set(), set(), set()
+    return SliceReport(n_step, *_split(r.spans, n_step))
+
+
+def _split(spans: list[tuple[int, int]], step: int) -> tuple[frozenset[int], ...]:
+    """The vertices done forcing before ``step``, active at it, and not yet
+    blue at it, read off activity spans."""
+    minus, at, plus = [], [], []
     for v, (lo, hi) in enumerate(spans):
-        if hi < n_step:
-            minus.add(v)
-        elif lo > n_step:
-            plus.add(v)
-        else:
-            at.add(v)
-    return SliceReport(n_step, frozenset(minus), frozenset(at), frozenset(plus))
+        (minus if hi < step else plus if lo > step else at).append(v)
+    return frozenset(minus), frozenset(at), frozenset(plus)
 
 
 @dataclass(frozen=True)
@@ -68,16 +71,9 @@ def interval_slice(
 
 
 def _interval_slice(r: Replay, m_step: int, n_step: int) -> IntervalSlice:
-    spans = r.spans
-    closed = frozenset(
-        v for v, (lo, hi) in enumerate(spans) if lo <= n_step and hi >= m_step
-    )
-    at_m = frozenset(v for v, (lo, hi) in enumerate(spans) if lo <= m_step <= hi)
-    at_n = frozenset(v for v, (lo, hi) in enumerate(spans) if lo <= n_step <= hi)
-    after = frozenset(v for v, (lo, _) in enumerate(spans) if lo > m_step)
-    before = frozenset(v for v, (_, hi) in enumerate(spans) if hi < n_step)
-    bd_m_plus = r.initials(after)
-    bd_n_minus = r.reversal.initials(before) if before else frozenset()
+    minus_m, at_m, after = _split(r.spans, m_step)
+    before, at_n, plus_n = _split(r.spans, n_step)
+    closed = frozenset(range(r.graph.n)) - minus_m - plus_n
     return IntervalSlice(
         m_step,
         n_step,
@@ -85,8 +81,8 @@ def _interval_slice(r: Replay, m_step: int, n_step: int) -> IntervalSlice:
         closed - at_m,
         closed - at_n,
         closed - at_m - at_n,
-        bd_m_plus,
-        bd_n_minus,
+        r.initials(after),
+        r.reversal.initials(before) if before else frozenset(),
     )
 
 
@@ -106,25 +102,35 @@ class IntervalForcingReport:
     assertions: tuple[ForcingAssertion, ...]
 
 
-def _replay_on(g: Graph, verts, base, bound: int, name: str) -> ForcingAssertion:
+def _rounds(rule: Rule, g: Graph, base, scan=None) -> int:
+    """Rounds the maximal ``rule`` process takes to color ``g`` from
+    ``base``, -1 if it stalls, through the rounds memo of a per-mask
+    ``solvers._Scan`` of ``g`` (the standard one for power domination, whose
+    later steps are standard) or else a fresh memo."""
+    memo = scan.memo if scan and scan.memo is not None else new_rounds_memo(g.n)
+    adj, full = g.adjacency_masks(), (1 << g.n) - 1
+    return memo_rounds(PROCESSES[rule], adj, full, mask_of(base), memo)
+
+
+def _rounds_on(g: Graph, verts, base, bound: int, name: str) -> ForcingAssertion:
     verts = frozenset(verts)
     base = frozenset(base) & verts
     sub = induced_subgraph(g, verts)
     local = {old: new for new, old in enumerate(sub.vertices)}
-    result = propagate(Rule.STANDARD, sub.graph, {local[v] for v in base})
-    if not result.ok:
+    rounds = _rounds(Rule.STANDARD, sub.graph, {local[v] for v in base})
+    if rounds < 0:
         raise InvariantViolation(f"{name}: slice set fails to force its subgraph")
-    if result.pt > bound:
+    if rounds > bound:
         raise InvariantViolation(
-            f"{name}: took {result.pt} steps, guaranteed at most {bound}"
+            f"{name}: took {rounds} steps, guaranteed at most {bound}"
         )
-    return ForcingAssertion(name, base, verts, bound, result.pt)
+    return ForcingAssertion(name, base, verts, bound, rounds)
 
 
 def check_interval_forcing(
     g: Graph, chron: RelaxedChronology, m_step: int, n_step: int
 ) -> IntervalForcingReport:
-    """Replay the four guaranteed slice forcings for a window m < n.
+    """Check the four guaranteed slice forcings for a window m < n by rounds.
 
     Each failure is raised as :class:`InvariantViolation`: these facts hold
     for every valid schedule, so a failure is a library bug, not bad input.
@@ -134,16 +140,13 @@ def check_interval_forcing(
     k_total = chron.ct
     r = Replay.standard(g, chron)
     isl = _interval_slice(r, m_step, n_step)
-    at_m = isl.closed - isl.left_open
-    at_n = isl.closed - isl.right_open
-    spans = r.spans
-    before = frozenset(v for v, (_, hi) in enumerate(spans) if hi < n_step)
-    after = frozenset(v for v, (lo, _) in enumerate(spans) if lo > m_step)
+    at_m, at_n = isl.closed - isl.left_open, isl.closed - isl.right_open
+    before, after = _split(r.spans, n_step)[0], _split(r.spans, m_step)[2]
     checks = (
-        _replay_on(g, isl.closed, at_m, n_step - m_step, "window from its start slice"),
-        _replay_on(g, isl.closed, at_n, n_step - m_step, "window from its end slice"),
-        _replay_on(g, before, isl.bd_n_minus, n_step - 1, "prefix from its boundary"),
-        _replay_on(
+        _rounds_on(g, isl.closed, at_m, n_step - m_step, "window from its start slice"),
+        _rounds_on(g, isl.closed, at_n, n_step - m_step, "window from its end slice"),
+        _rounds_on(g, before, isl.bd_n_minus, n_step - 1, "prefix from its boundary"),
+        _rounds_on(
             g, after, isl.bd_m_plus, k_total - m_step - 1, "suffix from its boundary"
         ),
     )
@@ -194,6 +197,7 @@ def psd_set_from_slices(
     cap: int | None = None,
     *,
     _replay: Replay | None = None,
+    _scan=None,
 ) -> SliceConstruction:
     """Build a size-m PSD forcing set from slice sets of an m-efficient
     standard schedule.
@@ -201,7 +205,8 @@ def psd_set_from_slices(
     ``cut_times='auto'`` cuts once at ceil(K/2), which guarantees a PSD
     propagation time of at most ceil(pt(G, m)/2). Explicit cut times give
     the guarantee max(first gap, gaps between cuts, last gap); achieved
-    time (often better for several cuts) is replayed and returned.
+    time (often better for several cuts) is counted in PSD rounds, through
+    the memo of a PSD ``solvers._Scan`` of ``g`` passed as ``_scan``.
     """
     r = _replay or _efficient_replay(g, m, cap)
     k_total = r.chron.ct
@@ -215,7 +220,7 @@ def psd_set_from_slices(
             raise ValueError(f"cut times must lie in 0..{k_total}")
     base: set[int] = set()
     for c in cuts:
-        at = _time_slice(r, c).at
+        at = _split(r.spans, c)[1]
         if len(at) != m:
             raise InvariantViolation(
                 f"slice at {c} has {len(at)} vertices, expected one per chain"
@@ -224,14 +229,14 @@ def psd_set_from_slices(
     gaps = [cuts[0], k_total - cuts[-1]]
     gaps.extend(b - a for a, b in zip(cuts, cuts[1:]))
     bound = max(gaps)
-    result = propagate(Rule.PSD, g, base)
-    if not result.ok:
+    rounds = _rounds(Rule.PSD, g, base, _scan)
+    if rounds < 0:
         raise InvariantViolation("slice set failed to PSD-force the graph")
-    if result.pt > bound:
+    if rounds > bound:
         raise InvariantViolation(
-            f"slice set took {result.pt} PSD steps, guaranteed at most {bound}"
+            f"slice set took {rounds} PSD steps, guaranteed at most {bound}"
         )
-    return SliceConstruction(frozenset(base), bound, result.pt, cuts, k_total)
+    return SliceConstruction(frozenset(base), bound, rounds, cuts, k_total)
 
 
 def power_set_from_slice(
@@ -240,31 +245,33 @@ def power_set_from_slice(
     cap: int | None = None,
     *,
     _replay: Replay | None = None,
+    _scan=None,
 ) -> PowerConstruction:
     """Build a size-m power dominating set: the slice at ceil(K/2) of an
     m-efficient standard schedule, guaranteeing power propagation time at
-    most ceil(pt(G, m)/2)."""
+    most ceil(pt(G, m)/2); achieved time is counted in rounds, through the
+    memo of a standard ``solvers._Scan`` of ``g`` passed as ``_scan``."""
     r = _replay or _efficient_replay(g, m, cap)
     k_total = r.chron.ct
     if k_total == 0:
         return PowerConstruction(frozenset(range(g.n)), 0, 0, 0, 0)
     n_cut = (k_total + 1) // 2
-    base = _time_slice(r, n_cut).at
+    before, base, after = _split(r.spans, n_cut)
     if len(base) != m:
         raise InvariantViolation(
             f"slice at {n_cut} has {len(base)} vertices, expected one per chain"
         )
-    isl = _interval_slice(r, n_cut, n_cut)
     hood = closed_neighborhood(g, base)
-    if not (isl.bd_n_minus <= hood and isl.bd_m_plus <= hood):
+    bd_n_minus = r.reversal.initials(before) if before else frozenset()
+    if not (bd_n_minus <= hood and r.initials(after) <= hood):
         raise InvariantViolation(
             "slice neighborhood misses a boundary set it must dominate"
         )
-    result = propagate(Rule.POWER_DOMINATION, g, base)
-    if not result.ok:
+    rounds = _rounds(Rule.POWER_DOMINATION, g, base, _scan)
+    if rounds < 0:
         raise InvariantViolation("slice set failed to power-dominate the graph")
-    if result.pt > n_cut:
+    if rounds > n_cut:
         raise InvariantViolation(
-            f"power propagation took {result.pt} steps, guaranteed at most {n_cut}"
+            f"power propagation took {rounds} steps, guaranteed at most {n_cut}"
         )
-    return PowerConstruction(base, n_cut, result.pt, n_cut, k_total)
+    return PowerConstruction(base, n_cut, rounds, n_cut, k_total)

@@ -9,13 +9,13 @@ Two engines run the candidates. Below ``SLICED_MIN_N`` vertices each
 candidate bitmask goes through the rule engine of :mod:`forcelab.forcing`,
 and the scans of one public call share one rounds memo per rule, a
 bytearray of 2^n bytes indexed by bitmask (Z then pt(G, Z) in
-``solve_parameter``; Z, every pt(G, m), thr+, Z+ and pt+ in
-``bounds_rows_for_graph``), so the engine steps each mask at most once per
-rule however many scans and candidates' processes pass through it. From
-``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced` steps all C(n, k)
-candidates of a size at once, and the scans of one call share the rounds
-of every size that one of them ran to the end. Either store dies when the
-public call returns: nothing is cached between calls.
+``solve_parameter``; Z, every pt(G, m), the slice constructions' checks,
+thr+, Z+ and pt+ in ``bounds_rows_for_graph``), so the engine steps each
+mask at most once per rule however many scans and candidates' processes
+pass through it. From ``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced`
+steps all C(n, k) candidates of a size at once, and the scans of one call
+share the rounds of every size that one of them ran to the end. Either
+store dies when the public call returns: nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -325,12 +325,17 @@ def bounds_rows_for_graph(
     min_m(m + ceil(pt(G, m)/2)). ``zeq``: when the standard and PSD
     forcing numbers agree, exact minimum PSD propagation time is at most
     ceil(pt(G)/2). The last two appear as tagged rows (m = 'thr+', 'pt+').
+
+    Each m replays its one efficient schedule; the constructions check
+    their sets by rounds through the standard scan's memo (power) and the
+    PSD scan's (PSD), which the thr+ and pt+ scans then share.
     """
     from . import slices  # local import: slices builds on these solvers
 
     wanted = set(_known_checks(checks))
     cap = effective_cap(None, SWEEP_CAP)
     std = _Scan(g, Rule.STANDARD, cap)
+    psd_scan = _Scan(g, Rule.PSD, cap)
     rows: list[BoundsRow] = []
     z = forcing_number(g, Rule.STANDARD, _scan=std).value
     pt_by_m: dict[int, int] = {}
@@ -341,8 +346,8 @@ def bounds_rows_for_graph(
         if "bounds" not in wanted:
             continue
         bound = (pt_m + 1) // 2
-        psd = slices.psd_set_from_slices(g, m, cap=cap, _replay=replay)
-        power = slices.power_set_from_slice(g, m, cap=cap, _replay=replay)
+        psd = slices.psd_set_from_slices(g, m, _replay=replay, _scan=psd_scan)
+        power = slices.power_set_from_slice(g, m, _replay=replay, _scan=std)
         ok = psd.achieved <= bound and power.achieved <= bound
         rows.append(
             BoundsRow(
@@ -358,7 +363,6 @@ def bounds_rows_for_graph(
             )
         )
     rhs = min(m + (pt_by_m[m] + 1) // 2 for m in pt_by_m)
-    psd_scan = _Scan(g, Rule.PSD, cap) if wanted & {"thrplus", "zeq"} else None
     if "thrplus" in wanted:
         thr_plus = throttling(g, Rule.PSD, _scan=psd_scan).value
         rows.append(
@@ -440,12 +444,16 @@ def _bounds_worker(item: tuple[str, str, tuple[str, ...]]) -> list[BoundsRow]:
 def solve_parameter(
     g: Graph, param: str, m: int | None = None, cap: int | None = None
 ) -> ParameterReport:
-    """Dispatch a named parameter to the matching exhaustive search."""
+    """Dispatch a named parameter to the matching exhaustive search. Only
+    the propagation times take ``m``; giving it to another parameter raises
+    ValueError."""
     for rule, names in _NAMES.items():
         if param in names:
             break
     else:
         raise ValueError(f"unknown parameter {param!r}")
+    if m is not None and param != names[1]:
+        raise ValueError(f"parameter {param!r} takes no m")
     if param == names[0]:
         return forcing_number(g, rule, cap=cap)
     if param == names[1]:

@@ -112,6 +112,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("solve-pt-m-too-large", "solve", "--param", "pt", "--graph", grid, "-m", "13")
     add("solve-over-cap", "solve", "--param", "z", "--graph", grid, "--cap", "8")
     add("solve-g6", "solve", "--param", "z", "--graph", "{tmp}/graphs.g6")
+    add("solve-z-with-m", "solve", "--param", "z", "--graph", grid, "-m", "2")
 
     add("witness-extract", "witness", "extract", "--graph", grid, "--chronology", chron)
     add("witness-apply", "witness", "apply", "--graph", grid, "--witness", witness)
@@ -122,6 +123,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         "--witness", "inputs/tree_three_paths_witness.json")
     add("witness-verify-wrong-graph", "witness", "verify", "--graph", edges("p9"),
         "--witness", witness)
+    add("witness-extract-no-chronology", "witness", "extract", "--graph", grid)
+    add("witness-apply-no-witness", "witness", "apply", "--graph", grid)
+    add("witness-verify-no-witness", "witness", "verify", "--graph", grid)
 
     parts = "inputs/fan_partitions.json"
     add("family-extremes", "family", "generate", "--partitions", parts)

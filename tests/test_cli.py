@@ -119,6 +119,23 @@ def test_witness_verify_tree(capsys, inputs_dir):
     assert json.loads(out)["valid"]
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["witness", "extract"], "witness extract needs --chronology"),
+        (["witness", "apply"], "witness apply needs --witness"),
+        (["witness", "verify"], "witness verify needs --witness"),
+        (["solve", "--param", "z", "-m", "2"], "parameter 'z' takes no m"),
+        (["solve", "--param", "thrplus", "-m", "2"], "parameter 'thrplus' takes no m"),
+    ],
+)
+def test_missing_or_unused_flag_exits_one(capsys, inputs_dir, argv, detail):
+    code, out, err = run(capsys, *argv, "--graph", str(inputs_dir / "grid_3x4.edges"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": detail}
+
+
 def test_witness_extract_apply_round_trip(capsys, tmp_path, inputs_dir):
     code, out, _ = run(
         capsys,

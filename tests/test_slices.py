@@ -2,17 +2,18 @@ from random import Random
 
 import pytest
 
-from forcelab.errors import InfeasibleError
+from forcelab.errors import InfeasibleError, InvariantViolation
 from forcelab.forcing import Rule, propagate
-from forcelab.graphs import grid_graph, is_vertex_cut, path_graph
+from forcelab.graphs import grid_graph, induced_subgraph, is_vertex_cut, path_graph
 from forcelab.slices import (
+    _efficient_replay,
     check_interval_forcing,
     interval_slice,
     power_set_from_slice,
     psd_set_from_slices,
     time_slice,
 )
-from forcelab import solvers
+from forcelab import forcing, slices, solvers
 from randgen import random_chronology, random_forcing_set, random_graph
 
 
@@ -201,3 +202,106 @@ class TestThrottlingUpperBound:
             )
             thr_plus = solvers.throttling(g, Rule.PSD).value
             assert thr_plus <= best
+
+
+class TestAchievedTimesMatchPropagate:
+    """The constructions and interval checks count rounds and build no
+    schedule; ``propagate``, which they no longer call, is the oracle."""
+
+    def test_constructions_with_and_without_scans(self):
+        rng = Random(67)
+        sizes = set()
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 12), rng.choice((0.3, 0.5)), True)
+            std = solvers._Scan(g, Rule.STANDARD, None)
+            psd = solvers._Scan(g, Rule.PSD, None)
+            sizes.add(std.memo is None)
+            z = solvers.forcing_number(g, Rule.STANDARD, _scan=std).value
+            for m in range(z, g.n + 1):
+                replay = _efficient_replay(g, m, None, std)
+                k_total = replay.chron.ct
+                cuts = sorted(rng.sample(range(k_total + 1), min(2, k_total + 1)))
+                built = (
+                    psd_set_from_slices(g, m),
+                    psd_set_from_slices(g, m, _replay=replay, _scan=psd),
+                    psd_set_from_slices(g, m, cuts, _replay=replay, _scan=psd),
+                    psd_set_from_slices(g, m, cuts),
+                )
+                for b in built:
+                    assert b.achieved == propagate(Rule.PSD, g, b.base).pt
+                for b in (
+                    power_set_from_slice(g, m),
+                    power_set_from_slice(g, m, _replay=replay, _scan=std),
+                ):
+                    assert b.achieved == propagate(Rule.POWER_DOMINATION, g, b.base).pt
+        assert sizes == {False, True}  # both the memo and the memo-less path ran
+
+    def test_interval_checks(self):
+        rng = Random(71)
+        done = 0
+        while done < 200:
+            g = random_graph(rng, rng.randint(2, 12), 0.35, connected=True)
+            chron = random_chronology(rng, g, random_forcing_set(rng, g))
+            if chron.ct < 1:
+                continue
+            m_step = rng.randrange(chron.ct)
+            n_step = rng.randint(m_step + 1, chron.ct)
+            for a in check_interval_forcing(g, chron, m_step, n_step).assertions:
+                sub = induced_subgraph(g, a.sub_vertices)
+                local = {old: new for new, old in enumerate(sub.vertices)}
+                oracle = propagate(Rule.STANDARD, sub.graph, {local[v] for v in a.base})
+                assert a.achieved == oracle.pt
+            done += 1
+
+
+def test_bounds_rows_propagate_once_per_m_row(monkeypatch):
+    """Only the efficient schedule of each m is built; the constructions
+    check their sets by rounds."""
+    calls = []
+
+    def counted(rule, g, base):
+        calls.append(rule)
+        return propagate(rule, g, base)
+
+    monkeypatch.setattr(forcing, "propagate", counted)
+    monkeypatch.setattr(slices, "propagate", counted)
+    graphs = [*solvers.atlas_stream(max_n=5), ("P10", path_graph(10))]
+    for graph_id, g in graphs:
+        calls.clear()
+        rows = solvers.bounds_rows_for_graph(graph_id, g, checks=("bounds",))
+        assert calls == [Rule.STANDARD] * len(rows), graph_id
+
+
+class TestChecksStillRaise:
+    """A construction whose set stalls or exceeds its bound raises
+    InvariantViolation with the same message as when it replayed."""
+
+    @pytest.mark.parametrize(
+        "rounds, build, message",
+        [
+            (-1, lambda: psd_set_from_slices(path_graph(9), 1),
+             "slice set failed to PSD-force the graph"),
+            (99, lambda: psd_set_from_slices(path_graph(9), 1),
+             "slice set took 99 PSD steps, guaranteed at most 4"),
+            (-1, lambda: power_set_from_slice(path_graph(9), 1),
+             "slice set failed to power-dominate the graph"),
+            (99, lambda: power_set_from_slice(path_graph(9), 1),
+             "power propagation took 99 steps, guaranteed at most 4"),
+            (-1, lambda: solvers.bounds_rows_for_graph("P9", path_graph(9)),
+             "slice set failed to PSD-force the graph"),
+            (-1, lambda: check_interval_forcing(path_graph(5), _P5_CHRON, 1, 3),
+             "window from its start slice: slice set fails to force its subgraph"),
+            (99, lambda: check_interval_forcing(path_graph(5), _P5_CHRON, 1, 3),
+             "window from its start slice: took 99 steps, guaranteed at most 2"),
+        ],
+    )
+    def test_patched_rounds(self, monkeypatch, rounds, build, message):
+        monkeypatch.setattr(slices, "memo_rounds", lambda *args: rounds)
+        with pytest.raises(InvariantViolation) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+_P5_CHRON = forcing.RelaxedChronology(
+    Rule.STANDARD, [0], [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]
+)

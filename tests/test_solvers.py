@@ -575,3 +575,8 @@ class TestSolveParameter:
     def test_unknown(self):
         with pytest.raises(ValueError):
             solve_parameter(path_graph(3), "zz")
+
+    @pytest.mark.parametrize("param", ["z", "zplus", "pd", "thr", "thrplus"])
+    def test_m_refused_without_a_propagation_time(self, param):
+        with pytest.raises(ValueError, match="takes no m"):
+            solve_parameter(path_graph(3), param, m=1)
