@@ -10,12 +10,13 @@ A built set is checked by the rounds of its process
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import solvers
 from .errors import InvariantViolation
 from .forcing import PROCESSES, RelaxedChronology, Replay, Rule, memo_rounds
-from .forcing import new_rounds_memo, propagate
+from .forcing import propagate
 from .graphs import Graph, closed_neighborhood, induced_subgraph, mask_of
 
 
@@ -106,9 +107,10 @@ def _rounds(rule: Rule, g: Graph, base, scan=None) -> int:
     """Rounds the maximal ``rule`` process takes to color ``g`` from
     ``base``, -1 if it stalls, through the rounds memo of a per-mask
     ``solvers._Scan`` of ``g`` (the standard one for power domination, whose
-    later steps are standard) or else a fresh memo."""
-    memo = scan.memo if scan and scan.memo is not None else new_rounds_memo(g.n)
+    later steps are standard) or else a fresh memo of just the walked masks,
+    so no 2^n table is allocated for a walk of at most n + 1 masks."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
+    memo = scan.memo if scan and scan.memo is not None else defaultdict(int, {full: 2})
     return memo_rounds(PROCESSES[rule], adj, full, mask_of(base), memo)
 
 
@@ -137,17 +139,18 @@ def check_interval_forcing(
     """
     if not 0 <= m_step < n_step <= chron.ct:
         raise ValueError(f"need 0 <= {m_step} < {n_step} <= {chron.ct}")
-    k_total = chron.ct
     r = Replay.standard(g, chron)
-    isl = _interval_slice(r, m_step, n_step)
-    at_m, at_n = isl.closed - isl.left_open, isl.closed - isl.right_open
-    before, after = _split(r.spans, n_step)[0], _split(r.spans, m_step)[2]
+    minus_m, at_m, after = _split(r.spans, m_step)
+    before, at_n, plus_n = _split(r.spans, n_step)
+    closed = frozenset(range(g.n)) - minus_m - plus_n
+    bd_n_minus = r.reversal.initials(before) if before else frozenset()
+    bd_m_plus = r.initials(after)
     checks = (
-        _rounds_on(g, isl.closed, at_m, n_step - m_step, "window from its start slice"),
-        _rounds_on(g, isl.closed, at_n, n_step - m_step, "window from its end slice"),
-        _rounds_on(g, before, isl.bd_n_minus, n_step - 1, "prefix from its boundary"),
+        _rounds_on(g, closed, at_m, n_step - m_step, "window from its start slice"),
+        _rounds_on(g, closed, at_n, n_step - m_step, "window from its end slice"),
+        _rounds_on(g, before, bd_n_minus, n_step - 1, "prefix from its boundary"),
         _rounds_on(
-            g, after, isl.bd_m_plus, k_total - m_step - 1, "suffix from its boundary"
+            g, after, bd_m_plus, chron.ct - m_step - 1, "suffix from its boundary"
         ),
     )
     return IntervalForcingReport(m_step, n_step, checks)

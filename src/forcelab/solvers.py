@@ -328,7 +328,8 @@ def bounds_rows_for_graph(
 
     Each m replays its one efficient schedule; the constructions check
     their sets by rounds through the standard scan's memo (power) and the
-    PSD scan's (PSD), which the thr+ and pt+ scans then share.
+    PSD scan's (PSD), which the thr+ and pt+ scans then share; sliced scans
+    (n >= SLICED_MIN_N) have no memo, so each check walks a fresh one.
     """
     from . import slices  # local import: slices builds on these solvers
 

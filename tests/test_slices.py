@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import pytest
@@ -252,6 +253,30 @@ class TestAchievedTimesMatchPropagate:
                 oracle = propagate(Rule.STANDARD, sub.graph, {local[v] for v in a.base})
                 assert a.achieved == oracle.pt
             done += 1
+
+
+class TestNoTablePerCall:
+    """Without a memo-backed scan, rounds are memoized over the walked masks
+    only, so a check's memory does not grow with 2^n."""
+
+    @pytest.mark.parametrize("n", [40, 70])
+    def test_full_window_of_a_long_path(self, n):
+        g = path_graph(n)
+        chron = propagate(Rule.STANDARD, g, [0]).chronology
+        report = check_interval_forcing(g, chron, 0, chron.ct)
+        assert [a.achieved for a in report.assertions] == [n - 1, n - 1, n - 2, n - 2]
+
+    def test_construction_memory_on_p20(self):
+        psd_set_from_slices(path_graph(20), 1, cap=20)
+        g = path_graph(20)
+        tracemalloc.start()
+        try:
+            built = psd_set_from_slices(g, 1, cap=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.achieved == propagate(Rule.PSD, g, built.base).pt
+        assert peak < 256 * 1024  # a 2^20-byte table would exceed this
 
 
 def test_bounds_rows_propagate_once_per_m_row(monkeypatch):
