@@ -186,7 +186,9 @@ PROCESSES = {
 
 # Rounds memos index a bitmask: 0 unknown, 1 the process stalls from it, and
 # r + 2 for r rounds to color every vertex; a memo is a bytearray of 2^n
-# entries. The solvers keep one only below ``solvers.SLICED_MIN_N`` vertices.
+# entries or a mapping of the masks walked. Below ``solvers.SLICED_MIN_N``
+# vertices the solvers' scans lend full ones, built whole by
+# :func:`forcelab.sliced.rounds_table`.
 
 
 def new_rounds_memo(n: int) -> bytearray:

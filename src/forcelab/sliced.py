@@ -1,4 +1,5 @@
-"""Bit-sliced subset scans: every candidate set of one size at once.
+"""Bit-sliced subset scans: every candidate set of one size at once, or
+every subset of the vertices at once.
 
 The k-subsets of the vertices 0..n-1 are indexed 0..C(n, k)-1 in
 :func:`itertools.combinations` order. Vertex v gets one C(n, k)-bit int
@@ -6,9 +7,11 @@ whose bit i is set when v is blue in the process started from the i-th
 subset, so one round of a rule is a few big-int operations per edge for
 all C(n, k) processes together (bit-slicing, as in Biham's DES); a PSD
 round floods each white component of each subset once, from its least
-vertex. The rule rounds here are written out on those vectors; they share
-no code with the per-mask engine of :mod:`forcelab.forcing`, which stays
-their oracle.
+vertex. :func:`rounds_table` runs one round on 2^n-bit vectors instead,
+whose bit B stands for the bitmask B, and reads every mask's rounds off
+the successors that round gives. The rule rounds here are written out on
+those vectors; they share no code with the per-mask engine of
+:mod:`forcelab.forcing`, which stays their oracle.
 """
 
 from __future__ import annotations
@@ -190,6 +193,68 @@ def _compact(blue: list[int], live: int, index):
         kept.append(int(spelled.to_bytes(count, "little").translate(_KEPT, b"01")[::-1], 2))
     index = list(compress(index, _spelled(live).translate(_FLAGS)))
     return kept, index, (1 << len(index)) - 1
+
+
+# _BIT_OF[b] turns a spelled vector into one byte per mask holding 1 << b
+# where the bit is set; _AFTER[k] is the rounds byte of a mask whose
+# successor's byte is k: an unfilled 0 (the mask is its own successor) and
+# 1 both stall, and r rounds after one round take r + 1.
+_BIT_OF = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]
+_AFTER = bytes(k + 1 if k > 1 else 1 for k in range(255)) + b"\xff"
+
+
+def _lattice_vectors(n: int) -> list[int]:
+    """``X[v]`` has bit B set when v is in the bitmask B, for all 2^n masks
+    B, built by doubling shifts: bits 2^v..2^(v+1)-1 set, then repeated
+    every 2^(v+1) bits."""
+    out = []
+    for v in range(n):
+        half = 1 << v
+        x, width = ((1 << half) - 1) << half, half << 1
+        while width >> n == 0:
+            x |= x << width
+            width <<= 1
+        out.append(x)
+    return out
+
+
+def _successors(blue: list[int], n: int):
+    """The mask of the vertices set at bit B of the vectors ``blue``, for
+    every mask B. Vertex v's vector is spelled out into the byte plane of
+    vertices 8(v // 8).., as 1 << (v % 8) where set; a graph up to 8
+    vertices has one plane, read as bytes."""
+    planes = [0] * ((n + 7) // 8 or 1)
+    for v, x in enumerate(blue):
+        planes[v >> 3] |= int.from_bytes(_spelled(x).translate(_BIT_OF[v & 7]), "little")
+    size = 1 << n
+    succ = planes[0].to_bytes(size, "little")
+    for i in range(1, len(planes)):
+        high = planes[i].to_bytes(size, "little")
+        succ = [c | h << 8 * i for c, h in zip(succ, high)]
+    return succ
+
+
+def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:
+    """The rounds of the maximal ``rule`` process from every bitmask B of
+    range(n), in the encoding of :func:`forcelab.forcing.memo_rounds`: 1 if
+    it stalls, r + 2 if it takes r rounds. One later round on the lattice
+    vectors gives each mask's successor c, a superset, so c >= B and the
+    table fills from the top mask down; a distinct first round (power
+    domination's neighborhood) then maps every mask through the table of
+    the later ones."""
+    blue = _lattice_vectors(n)
+    every = (1 << (1 << n)) - 1
+    first, later = _ROUNDS[rule]
+    table = bytearray(1 << n)
+    table[-1] = 2
+    succ = _successors(later(nbrs, blue, every), n)
+    for b in range(len(table) - 2, -1, -1):
+        table[b] = _AFTER[table[succ[b]]]
+    if first is not later:
+        succ = _successors(first(nbrs, blue, every), n)
+        table = bytearray(map(table.__getitem__, succ)).translate(_AFTER)
+        table[-1] = 2
+    return table
 
 
 def _indices(bits: int, index) -> list[int]:

@@ -105,10 +105,12 @@ class IntervalForcingReport:
 
 def _rounds(rule: Rule, g: Graph, base, scan=None) -> int:
     """Rounds the maximal ``rule`` process takes to color ``g`` from
-    ``base``, -1 if it stalls, through the rounds memo of a per-mask
-    ``solvers._Scan`` of ``g`` (the standard one for power domination, whose
-    later steps are standard) or else a fresh memo of just the walked masks,
-    so no 2^n table is allocated for a walk of at most n + 1 masks."""
+    ``base``, -1 if it stalls, read from the rounds table of a
+    ``solvers._Scan`` of ``g`` below ``solvers.SLICED_MIN_N`` vertices (the
+    standard one for power domination, whose later steps are standard, so
+    only its neighborhood step runs here) or else walked through a fresh
+    memo of just the walked masks, so no 2^n table is allocated for a walk
+    of at most n + 1 masks."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     memo = scan.memo if scan and scan.memo is not None else defaultdict(int, {full: 2})
     return memo_rounds(PROCESSES[rule], adj, full, mask_of(base), memo)
@@ -183,10 +185,12 @@ class PowerConstruction:
 
 def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
     """Replay of the canonical m-efficient schedule, propagated from the
-    lexicographically least size-m set of minimum propagation time. A
-    standard-rule ``solvers._Scan`` of ``g`` as ``scan`` lends its memo."""
-    report = solvers.propagation_time_m(g, m, Rule.STANDARD, cap=cap, _scan=scan)
-    best = sorted(report.witnesses[0])
+    lexicographically least size-m set of minimum propagation time, read
+    from a standard-rule ``solvers._Scan`` of ``g`` (``scan``, or a new one
+    under ``cap``)."""
+    scan = scan or solvers._Scan(g, Rule.STANDARD, cap)
+    found = scan.time(m)[1]
+    best = sorted(scan.sets(found[:1])[0])
     result = propagate(Rule.STANDARD, g, best)
     if not result.ok:
         raise InvariantViolation("efficient set failed to replay")

@@ -5,17 +5,19 @@ combinations order within a size), refuses instances above a configurable
 cap, and reports every optimal witness. No heuristics: a reported value
 is the true minimum over all candidates.
 
-Two engines run the candidates. Below ``SLICED_MIN_N`` vertices each
-candidate bitmask goes through the rule engine of :mod:`forcelab.forcing`,
-and the scans of one public call share one rounds memo per rule, a
-bytearray of 2^n bytes indexed by bitmask (Z then pt(G, Z) in
-``solve_parameter``; Z, every pt(G, m), the slice constructions' checks,
-thr+, Z+ and pt+ in ``bounds_rows_for_graph``), so the engine steps each
-mask at most once per rule however many scans and candidates' processes
-pass through it. From ``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced`
-steps all C(n, k) candidates of a size at once, and the scans of one call
-share the rounds of every size that one of them ran to the end. Either
-store dies when the public call returns: nothing is cached between calls.
+Two engines run the candidates, both from :mod:`forcelab.sliced`. Below
+``SLICED_MIN_N`` vertices a scan first builds the rounds table of its rule
+over all 2^n bitmasks (:func:`forcelab.sliced.rounds_table`, one bit-sliced
+round over the whole subset lattice) and then reads each candidate's rounds
+from it; the scans of one public call share one table per rule (Z then
+pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), the slice
+constructions' checks, thr+, Z+ and pt+ in ``bounds_rows_for_graph``). From
+``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced` steps all C(n, k)
+candidates of a size at once, and the scans of one call share the rounds
+of every size that one of them ran to the end. Either store dies when the
+public call returns: nothing is cached between calls. The per-mask engine
+of :mod:`forcelab.forcing` runs no scan; it replays schedules and is the
+tables' oracle in the tests.
 """
 
 from __future__ import annotations
@@ -23,24 +25,25 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator
 
 from . import sliced
 from .errors import CapExceeded, InfeasibleError
-from .forcing import PROCESSES, Rule, memo_rounds, new_rounds_memo
+from .forcing import Rule
 from .graphs import Graph, components, graph6_decode, graph6_encode, set_of
 
 DEFAULT_CAP = 16
 SWEEP_CAP = 14
-# Scans on this many vertices or more take the bit-sliced engine. Measured
-# on random graphs (CPython 3.11): at n = 9 the per-mask engine still wins
-# one-off Z+, pd and pt queries by more than the sliced one wins Z and
-# thr+; at n = 10 the sliced engine is ahead on the sum of those queries
-# (one-off Z+ and pd stay up to 0.3 ms slower) and twice as fast on pt at
-# every m; from n = 11 on only pd, at 0.2 ms either way, is not faster.
-# The n <= 7 atlas stays per-mask: on the sliced engine, the bounds sweep
-# of its 1,252 graphs took 2.4 s instead of 1.6 s.
+# Scans on this many vertices or more take the per-size sliced engine, and
+# smaller ones a whole-lattice rounds table. One-off z, zplus, pd and pt at
+# m = Z, table vs sliced, in ms per query (best of 5 over 24 random
+# connected graphs per n, CPython 3.11, 2-core VM):
+#   n = 9:  0.22/0.43, 0.33/0.88, 0.23/0.11, 0.24/0.38 (sum 1.02/1.79)
+#   n = 10: 0.42/0.49, 0.55/1.37, 0.41/0.14, 0.43/0.51 (sum 1.81/2.51)
+#   n = 11: 0.75/0.77, 1.01/2.25, 0.95/0.15, 0.95/0.92 (sum 3.66/4.09)
+# pd, whose scan stops at one or two vertices, is slower on the table at
+# every n, since its table covers the whole lattice.
 SLICED_MIN_N = 10
 _ENV_CAP = "FORCELAB_CAP"
 
@@ -95,15 +98,23 @@ _NAMES = {
 class _Scan:
     """The subset scans of one public call on one graph under one rule.
 
-    Below ``SLICED_MIN_N`` vertices a scan steps one bitmask at a time
-    through the per-mask engine, and the scans share one rounds memo
-    (:func:`forcelab.forcing.memo_rounds`), so the engine steps each mask at
-    most once however many scans pass through it. From ``SLICED_MIN_N`` on,
-    a scan takes one size k at a time through :mod:`forcelab.sliced`, which
-    steps all C(n, k) candidate sets of the size at once, and the scans
-    share the rounds of every size that one of them ran to the end. Either
-    store dies with the object when the call returns. Construction refuses
-    a graph above the cap before allocating."""
+    Below ``SLICED_MIN_N`` vertices the scan builds the rounds table of its
+    rule once (:func:`forcelab.sliced.rounds_table`) and keeps it as
+    ``memo``, in the encoding of :func:`forcelab.forcing.memo_rounds`; every
+    scan reads its candidates' rounds from it, and the bounds sweep lends
+    the standard and PSD tables to its slice checks (a power-domination
+    table counts the neighborhood round too, so it is never lent). From
+    ``SLICED_MIN_N`` on, ``memo`` is None and a scan takes one size k at a
+    time through :mod:`forcelab.sliced`, which steps all C(n, k) candidate
+    sets of the size at once; the scans share the rounds of every size that
+    one of them ran to the end. Either store dies with the object when the
+    call returns. Construction refuses a graph above the cap before
+    allocating.
+
+    Witnesses come back in the scan's own form, bitmasks from a table and
+    frozensets when sliced, so the bounds sweep reads values and first
+    witnesses without building the sets a report holds; ``sets`` turns
+    them into vertex sets."""
 
     def __init__(self, g: Graph, rule: Rule, cap: int | None):
         _require_within_cap(g, cap)
@@ -114,41 +125,56 @@ class _Scan:
             self.finished: dict[int, list[list[int]]] = {}
             self.memo = None
         else:
-            self.process = PROCESSES[rule]
-            self.adj = g.adjacency_masks()
-            self.full = (1 << g.n) - 1
             self.bits = [1 << v for v in range(g.n)]
-            self.memo = new_rounds_memo(g.n)
+            self.memo = sliced.rounds_table(rule, g.adj, g.n)
 
-    def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list[frozenset[int]]]:
+    def forcing(self) -> tuple[int | None, list]:
+        return self.best(range(self.n + 1), lambda size, _: size)
+
+    def time(self, m: int) -> tuple[int, list]:
+        if not 0 <= m <= self.n:
+            raise InfeasibleError(f"no size-{m} subsets of {self.n} vertices")
+        value, found = self.best((m,), lambda _, rounds: rounds)
+        if value is None:
+            raise InfeasibleError(f"no forcing set of size {m} exists")
+        return value, found
+
+    def throttling(self) -> tuple[int | None, list]:
+        return self.best(range(self.n + 1), lambda size, rounds: size + rounds)
+
+    def sets(self, found: list) -> list[frozenset[int]]:
+        """The witnesses of ``best`` as vertex sets."""
+        return found if self.memo is None else [set_of(w) for w in found]
+
+    def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list]:
         """Scan the subsets of each size in turn, in combinations order
         within a size, for the least ``cost(size, rounds)`` over forcing
         sets; costs never fall as rounds grow. Returns that cost (None if no
         set forces) and every set achieving it, in scan order. Rounds are at
         least 1 below the full set, so the scan stops at the first size
         whose least possible cost exceeds the best found, and a sliced scan
-        stops a size at the first round whose cost does."""
+        stops a size at the first round whose cost does. A table scan reads
+        a size's rounds bytes at once and prices each distinct byte once."""
         if self.memo is None:
             return self._best_sliced(sizes, cost)
-        process, adj, full, memo = self.process, self.adj, self.full, self.memo
-        n = self.n
+        table, n = self.memo, self.n
         best = None
         witnesses: list[int] = []
         for size in sizes:
             if best is not None and cost(size, 0 if size == n else 1) > best:
                 break
-            for combo in combinations(self.bits, size):
-                blue = sum(combo)
-                rounds = memo_rounds(process, adj, full, blue, memo)
-                if rounds < 0:
-                    continue
-                value = cost(size, rounds)
-                if best is None or value < best:
-                    best = value
-                    witnesses = [blue]
-                elif value == best:
-                    witnesses.append(blue)
-        return best, [set_of(w) for w in witnesses]
+            masks = list(map(sum, combinations(self.bits, size)))
+            found = bytes(map(table.__getitem__, masks))
+            costs = {k: cost(size, k - 2) for k in set(found) if k > 1}
+            if not costs:
+                continue
+            least = min(costs.values())
+            if best is None or least < best:
+                best, witnesses = least, []
+            if least == best:
+                tied = {k for k, value in costs.items() if value == best}
+                witnesses += compress(masks, map(tied.__contains__, found))
+        return best, witnesses
 
     def _best_sliced(self, sizes: Iterable[int], cost):
         n = self.n
@@ -185,8 +211,8 @@ class _Scan:
         self.finished[size] = known
 
 
-def _report(name: str, value: int, witnesses: list[frozenset[int]]) -> ParameterReport:
-    return ParameterReport(name, value, tuple(witnesses), True)
+def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:
+    return ParameterReport(name, value, tuple(scan.sets(found)), True)
 
 
 def forcing_number(
@@ -198,8 +224,7 @@ def forcing_number(
     if rule not in _NAMES:
         raise ValueError(f"no forcing number for rule {rule.value}")
     scan = _scan or _Scan(g, rule, cap)
-    value, witnesses = scan.best(range(g.n + 1), lambda size, _: size)
-    return _report(_NAMES[rule][0], value, witnesses)
+    return _report(_NAMES[rule][0], scan, *scan.forcing())
 
 
 def propagation_time_m(
@@ -211,12 +236,7 @@ def propagation_time_m(
     if rule not in _NAMES:
         raise ValueError(f"no propagation time for rule {rule.value}")
     scan = _scan or _Scan(g, rule, cap)
-    if not 0 <= m <= g.n:
-        raise InfeasibleError(f"no size-{m} subsets of {g.n} vertices")
-    value, witnesses = scan.best((m,), lambda _, rounds: rounds)
-    if value is None:
-        raise InfeasibleError(f"no forcing set of size {m} exists")
-    return _report(_NAMES[rule][1], value, witnesses)
+    return _report(_NAMES[rule][1], scan, *scan.time(m))
 
 
 def throttling(
@@ -228,8 +248,7 @@ def throttling(
     if rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("throttling is computed for the standard and PSD rules")
     scan = _scan or _Scan(g, rule, cap)
-    value, witnesses = scan.best(range(g.n + 1), lambda size, rounds: size + rounds)
-    return _report(_NAMES[rule][2], value, witnesses)
+    return _report(_NAMES[rule][2], scan, *scan.throttling())
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +259,13 @@ def atlas_stream(
     max_n: int = 7, connected_only: bool = False
 ) -> Iterator[tuple[str, Graph]]:
     """Stream (graph_id, graph) for every simple graph on 1..max_n vertices
-    (max_n <= 7), from the packaged graph6 data; ids are the graph6 strings.
-    A larger max_n raises CapExceeded at the call, before any graph."""
+    (1 <= max_n <= 7), from the packaged graph6 data; ids are the graph6
+    strings. A larger max_n raises CapExceeded and a smaller one ValueError,
+    at the call, before any graph."""
     if max_n > 7:
         raise CapExceeded("packaged graph stream covers n <= 7")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     return _atlas_graphs(max_n, connected_only)
 
 
@@ -326,10 +348,14 @@ def bounds_rows_for_graph(
     forcing numbers agree, exact minimum PSD propagation time is at most
     ceil(pt(G)/2). The last two appear as tagged rows (m = 'thr+', 'pt+').
 
-    Each m replays its one efficient schedule; the constructions check
-    their sets by rounds through the standard scan's memo (power) and the
-    PSD scan's (PSD), which the thr+ and pt+ scans then share; sliced scans
-    (n >= SLICED_MIN_N) have no memo, so each check walks a fresh one.
+    One standard and one PSD ``_Scan`` serve every row, and the values
+    and the first efficient witness are read from them, not from the
+    public reports, so the only witness set built is the efficient set
+    each m replays. Below SLICED_MIN_N vertices the
+    constructions count their sets' rounds in the scans' tables: PSD
+    rounds in the PSD table, power rounds as one neighborhood step then the
+    standard table; from SLICED_MIN_N on the scans have no table, so each
+    check walks a fresh memo of just the masks it visits.
     """
     from . import slices  # local import: slices builds on these solvers
 
@@ -338,7 +364,7 @@ def bounds_rows_for_graph(
     std = _Scan(g, Rule.STANDARD, cap)
     psd_scan = _Scan(g, Rule.PSD, cap)
     rows: list[BoundsRow] = []
-    z = forcing_number(g, Rule.STANDARD, _scan=std).value
+    z = std.forcing()[0]
     pt_by_m: dict[int, int] = {}
     for m in range(z, g.n + 1):
         replay = slices._efficient_replay(g, m, cap, std)
@@ -365,16 +391,16 @@ def bounds_rows_for_graph(
         )
     rhs = min(m + (pt_by_m[m] + 1) // 2 for m in pt_by_m)
     if "thrplus" in wanted:
-        thr_plus = throttling(g, Rule.PSD, _scan=psd_scan).value
+        thr_plus = psd_scan.throttling()[0]
         rows.append(
             BoundsRow(
                 graph_id, g.n, "thr+", z, str(thr_plus), rhs, "", "", thr_plus <= rhs
             )
         )
     if "zeq" in wanted:
-        z_plus = forcing_number(g, Rule.PSD, _scan=psd_scan).value
+        z_plus = psd_scan.forcing()[0]
         if z_plus == z:
-            pt_plus_exact = propagation_time_m(g, z_plus, Rule.PSD, _scan=psd_scan).value
+            pt_plus_exact = psd_scan.time(z_plus)[0]
             bound = (pt_by_m[z] + 1) // 2
             rows.append(
                 BoundsRow(

@@ -157,6 +157,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("verify-file", "verify", "bounds", "--graphs", "{tmp}/graphs.g6")
     add("verify-bad-line", "verify", "bounds", "--graphs", "{tmp}/bad_line.g6")
     add("verify-n9", "verify", "bounds", "--graphs", "all-n:9")
+    add("verify-n0", "verify", "bounds", "--graphs", "all-n:0")
+    add("verify-n-negative", "verify", "bounds", "--graphs", "all-n:-2")
     add("verify-over-cap", "verify", "bounds", "--graphs", "{tmp}/over_cap.g6")
     add("verify-bad-check", "verify", "bounds", "--graphs", "all-n:3", "--checks", "nope")
     add("verify-jobs-0", "verify", "bounds", "--graphs", "all-n:3", "--jobs", "0")

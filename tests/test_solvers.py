@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from forcelab import forcing, sliced
+from forcelab import forcing, sliced, solvers
 from forcelab.errors import CapExceeded, InfeasibleError
 from forcelab.forcing import Rule, propagate
 from forcelab.graphs import (
@@ -17,6 +17,7 @@ from forcelab.graphs import (
     components,
     cycle_graph,
     empty_graph,
+    graph6_encode,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -226,7 +227,10 @@ class TestAtlasStream:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            list(atlas_stream(max_n=8))
+            atlas_stream(max_n=8)
+        for max_n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                atlas_stream(max_n=max_n)
 
 
 class TestSweeps:
@@ -487,10 +491,14 @@ class TestSlicedPsdRound:
 
 
 class TestOneRoundsMemoPerRulePerCall:
-    """The scans of one public call share one rounds memo per rule, so the
-    engine steps each mask at most once per rule in the call. Steps are
-    recorded through PROCESSES; calls that pass a ``forces`` list come
-    from propagate and replay, not from the scans, and are not counted."""
+    """The scans of one public call share one rounds table per rule, built
+    at most once, and take no per-mask step: below SLICED_MIN_N they read
+    the table, from it on they run sliced. Per-mask steps are recorded
+    through PROCESSES; calls that pass a ``forces`` list come from propagate
+    and replay, not from the scans, and are not counted. The only steps
+    left are the power slice checks' neighborhood steps, which run before
+    the standard table is read. The bounds sweep reads its scans directly
+    and builds one witness set per m row, the efficient set it replays."""
 
     @staticmethod
     def record_scan_steps(monkeypatch) -> Counter:
@@ -510,29 +518,86 @@ class TestOneRoundsMemoPerRulePerCall:
             monkeypatch.setitem(forcing.PROCESSES, rule, steps)
         return seen
 
+    @staticmethod
+    def record_table_builds(monkeypatch) -> Counter:
+        builds = Counter()
+        build = sliced.rounds_table
+
+        def recorded(rule, nbrs, n):
+            builds[rule] += 1
+            return build(rule, nbrs, n)
+
+        monkeypatch.setattr(sliced, "rounds_table", recorded)
+        return builds
+
     def test_bounds_rows_for_graph(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
+        builds = self.record_table_builds(monkeypatch)
+        witness_sets = Counter()
+        set_of = solvers.set_of
+
+        def counted(mask):
+            witness_sets["built"] += 1
+            return set_of(mask)
+
+        monkeypatch.setattr(solvers, "set_of", counted)
         for graph_id, g in atlas_stream(max_n=6):
             seen.clear()
-            bounds_rows_for_graph(graph_id, g)
-            assert seen, graph_id
-            repeated = [key for key, count in seen.items() if count > 1]
-            assert not repeated, graph_id
+            builds.clear()
+            witness_sets.clear()
+            rows = bounds_rows_for_graph(graph_id, g)
+            m_rows = [row for row in rows if row.m.isdigit()]
+            # one power slice check per m row with pt > 0; m = n checks none
+            checked = sum(1 for row in m_rows if row.pt != "0")
+            assert {step for step, _ in seen} <= {forcing._power_step}, graph_id
+            assert sum(seen.values()) == len(seen) == checked, graph_id
+            assert builds == {Rule.STANDARD: 1, Rule.PSD: 1}, graph_id
+            # the one witness set read per m row: the efficient set replayed
+            assert witness_sets["built"] == len(m_rows), graph_id
 
     def test_solve_parameter_pt(self, monkeypatch):
-        # The 3x4 grid (n = 12) runs per-mask only with the constant above 12.
+        # The 3x4 grid (n = 12) reads tables only with the constant above 12.
         monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", 13)
         seen = self.record_scan_steps(monkeypatch)
-        assert solve_parameter(grid_graph(3, 4), "pt").value == 3
-        assert seen and max(seen.values()) == 1
+        builds = self.record_table_builds(monkeypatch)
+        g = grid_graph(3, 4)
+        for param, value, rule in (
+            ("pt", 3, Rule.STANDARD),
+            ("ptplus", 2, Rule.PSD),
+            ("ppt", 4, Rule.POWER_DOMINATION),
+            ("thrplus", 5, Rule.PSD),
+        ):
+            builds.clear()
+            assert solve_parameter(g, param).value == value
+            assert builds == {rule: 1}, param
+        assert not seen
 
     def test_no_per_mask_step_from_the_sliced_size_on(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
+        builds = self.record_table_builds(monkeypatch)
         for g in (path_graph(SLICED_MIN_N), grid_graph(3, 4)):
             for param in ("z", "pt", "thr", "zplus", "ptplus", "thrplus", "pd", "ppt"):
                 solve_parameter(g, param)
             bounds_rows_for_graph("g", g, checks=("thrplus", "zeq"))
-        assert not seen
+        assert not seen and not builds
+
+
+def test_rounds_tables_match_the_per_mask_engine():
+    """Every entry of every rule's rounds table equals ``memo_rounds`` on a
+    fresh memo, for every atlas graph (n <= 7) and for 200 random graphs on
+    8 and 9 vertices, whose successors span two byte planes at n = 9."""
+    rng = Random(233)
+    graphs = [g for _, g in atlas_stream(max_n=7)]
+    graphs += [random_graph(rng, n, rng.uniform(0.1, 0.6)) for n in (8, 9) for _ in range(100)]
+    for g in graphs:
+        adj, full = g.adjacency_masks(), (1 << g.n) - 1
+        for rule in (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION):
+            table = sliced.rounds_table(rule, g.adj, g.n)
+            memo = forcing.new_rounds_memo(g.n)
+            process = forcing.PROCESSES[rule]
+            expected = [forcing.memo_rounds(process, adj, full, mask, memo) + 2
+                        for mask in range(full + 1)]
+            assert list(table) == expected, (graph6_encode(g), rule)
 
 
 def test_sliced_scan_stays_small_on_26_vertices():
