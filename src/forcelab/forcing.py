@@ -184,56 +184,6 @@ PROCESSES = {
 }
 
 
-# Rounds memos index a bitmask: 0 unknown, 1 the process stalls from it, and
-# r + 2 for r rounds to color every vertex; a memo is a bytearray of 2^n
-# entries or a mapping of the masks walked. Below ``solvers.SLICED_MIN_N``
-# vertices the solvers' scans lend full ones, built whole by
-# :func:`forcelab.sliced.rounds_table`.
-
-
-def new_rounds_memo(n: int) -> bytearray:
-    """An empty rounds memo for :func:`memo_rounds` on ``n`` vertices."""
-    memo = bytearray(1 << n)
-    memo[(1 << n) - 1] = 2
-    return memo
-
-
-def memo_rounds(process, adj: tuple[int, ...], full: int, blue: int, memo) -> int:
-    """Rounds a process of :data:`PROCESSES` takes to color every vertex
-    from a bitmask, coloring all it can each round; -1 if it stalls.
-
-    Walks ``blue -> blue | step(blue)`` until a mask already in ``memo``,
-    then writes every mask of the walk back, so each mask's step runs at
-    most once per memo. The memo holds rounds of the later step; a distinct
-    first step (power domination's neighborhood) runs before it is read."""
-    first, step = process
-    rounds = 0
-    if first is not step and blue != full:
-        add = first(adj, blue)
-        if not add:
-            return -1
-        blue |= add
-        rounds = 1
-    walk = []
-    known = memo[blue]
-    while not known:
-        walk.append(blue)
-        add = step(adj, blue)
-        if not add:
-            known = 1
-            break
-        blue |= add
-        known = memo[blue]
-    if known == 1:
-        for mask in walk:
-            memo[mask] = 1
-        return -1
-    for mask in reversed(walk):
-        known += 1
-        memo[mask] = known
-    return rounds + known - 2
-
-
 def possible_forces(
     rule: Rule,
     g: Graph,

@@ -236,8 +236,8 @@ def _successors(blue: list[int], n: int):
 
 def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:
     """The rounds of the maximal ``rule`` process from every bitmask B of
-    range(n), in the encoding of :func:`forcelab.forcing.memo_rounds`: 1 if
-    it stalls, r + 2 if it takes r rounds. One later round on the lattice
+    range(n), one byte per mask at index B: 1 if the process stalls from B,
+    r + 2 if it colors every vertex in r rounds. One later round on the lattice
     vectors gives each mask's successor c, a superset, so c >= B and the
     table fills from the top mask down; a distinct first round (power
     domination's neighborhood) then maps every mask through the table of
@@ -282,14 +282,13 @@ def subsets(indices: list[int], n: int, k: int) -> list[frozenset[int]]:
         for i in indices:
             flags[i] = 1
         return list(map(frozenset, compress(combinations(range(n), k), flags)))
-    binom = [[comb(a, b) for b in range(k)] for a in range(n)]
     out = []
     for index in indices:
         j, verts = k, []
         for v in range(n):
             if not j:
                 break
-            holding = binom[n - v - 1][j - 1]
+            holding = comb(n - v - 1, j - 1)
             if index < holding:
                 verts.append(v)
                 j -= 1

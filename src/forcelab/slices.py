@@ -4,18 +4,18 @@ Slicing a schedule at step N splits the vertices into those done forcing
 before N, those active at N, and those not yet blue; the active set
 separates the other two. These slice sets are the raw material for the
 constructive halving of PSD and power-domination propagation times.
-A built set is checked by the rounds of its process
-(:func:`forcelab.forcing.memo_rounds`), not by building its schedule.
+A built set is checked by the rounds of its process, read from a scan's
+rounds table or walked through the steps of :data:`forcelab.forcing.PROCESSES`,
+not by building its schedule.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from . import solvers
 from .errors import InvariantViolation
-from .forcing import PROCESSES, RelaxedChronology, Replay, Rule, memo_rounds
+from .forcing import PROCESSES, RelaxedChronology, Replay, Rule
 from .forcing import propagate
 from .graphs import Graph, closed_neighborhood, induced_subgraph, mask_of
 
@@ -105,15 +105,27 @@ class IntervalForcingReport:
 
 def _rounds(rule: Rule, g: Graph, base, scan=None) -> int:
     """Rounds the maximal ``rule`` process takes to color ``g`` from
-    ``base``, -1 if it stalls, read from the rounds table of a
-    ``solvers._Scan`` of ``g`` below ``solvers.SLICED_MIN_N`` vertices (the
-    standard one for power domination, whose later steps are standard, so
-    only its neighborhood step runs here) or else walked through a fresh
-    memo of just the walked masks, so no 2^n table is allocated for a walk
-    of at most n + 1 masks."""
+    ``base``, -1 if it stalls. Power domination's neighborhood step runs
+    first; where it adds nothing, no blue vertex has a white neighbor, so
+    the later steps stall too. The rest is read from the rounds table of a
+    ``solvers._Scan`` of ``g`` passed as ``scan``, which has one below
+    ``solvers.SLICED_MIN_N`` vertices (the standard scan for power
+    domination, whose later steps are standard), or else walked one step
+    at a time, keeping only the current mask."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
-    memo = scan.memo if scan and scan.memo is not None else defaultdict(int, {full: 2})
-    return memo_rounds(PROCESSES[rule], adj, full, mask_of(base), memo)
+    first, step = PROCESSES[rule]
+    blue, rounds = mask_of(base), 0
+    if first is not step and blue != full:
+        blue, rounds = blue | first(adj, blue), 1
+    if scan is not None and scan.table is not None:
+        known = scan.table[blue]
+        return -1 if known == 1 else rounds + known - 2
+    while blue != full:
+        add = step(adj, blue)
+        if not add:
+            return -1
+        blue, rounds = blue | add, rounds + 1
+    return rounds
 
 
 def _rounds_on(g: Graph, verts, base, bound: int, name: str) -> ForcingAssertion:
@@ -189,8 +201,7 @@ def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
     from a standard-rule ``solvers._Scan`` of ``g`` (``scan``, or a new one
     under ``cap``)."""
     scan = scan or solvers._Scan(g, Rule.STANDARD, cap)
-    found = scan.time(m)[1]
-    best = sorted(scan.sets(found[:1])[0])
+    best = sorted(scan.first(scan.time(m)[1]))
     result = propagate(Rule.STANDARD, g, best)
     if not result.ok:
         raise InvariantViolation("efficient set failed to replay")
@@ -212,8 +223,8 @@ def psd_set_from_slices(
     ``cut_times='auto'`` cuts once at ceil(K/2), which guarantees a PSD
     propagation time of at most ceil(pt(G, m)/2). Explicit cut times give
     the guarantee max(first gap, gaps between cuts, last gap); achieved
-    time (often better for several cuts) is counted in PSD rounds, through
-    the memo of a PSD ``solvers._Scan`` of ``g`` passed as ``_scan``.
+    time (often better for several cuts) is counted in PSD rounds, read from
+    the table of a PSD ``solvers._Scan`` of ``g`` passed as ``_scan``.
     """
     r = _replay or _efficient_replay(g, m, cap)
     k_total = r.chron.ct
@@ -256,8 +267,8 @@ def power_set_from_slice(
 ) -> PowerConstruction:
     """Build a size-m power dominating set: the slice at ceil(K/2) of an
     m-efficient standard schedule, guaranteeing power propagation time at
-    most ceil(pt(G, m)/2); achieved time is counted in rounds, through the
-    memo of a standard ``solvers._Scan`` of ``g`` passed as ``_scan``."""
+    most ceil(pt(G, m)/2); achieved time is counted in rounds, read from the
+    table of a standard ``solvers._Scan`` of ``g`` passed as ``_scan``."""
     r = _replay or _efficient_replay(g, m, cap)
     k_total = r.chron.ct
     if k_total == 0:

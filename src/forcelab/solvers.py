@@ -13,11 +13,13 @@ from it; the scans of one public call share one table per rule (Z then
 pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), the slice
 constructions' checks, thr+, Z+ and pt+ in ``bounds_rows_for_graph``). From
 ``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced` steps all C(n, k)
-candidates of a size at once, and the scans of one call share the rounds
-of every size that one of them ran to the end. Either store dies when the
-public call returns: nothing is cached between calls. The per-mask engine
-of :mod:`forcelab.forcing` runs no scan; it replays schedules and is the
-tables' oracle in the tests.
+candidates of a size at once. Either way one result loop, ``_Scan.best``,
+reads a size's candidates as index lists by the round they finish in, and
+the scans of one call share those lists for every size that one of them
+ran to the end. All of it dies when the public call returns: nothing is
+cached between calls. The per-mask engine of :mod:`forcelab.forcing` runs
+no scan; it replays schedules, and its step-by-step walk in
+``slices._rounds`` is the tables' oracle in the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Iterator
 from . import sliced
 from .errors import CapExceeded, InfeasibleError
 from .forcing import Rule
-from .graphs import Graph, components, graph6_decode, graph6_encode, set_of
+from .graphs import Graph, components, graph6_decode, graph6_encode
 
 DEFAULT_CAP = 16
 SWEEP_CAP = 14
@@ -100,39 +102,40 @@ class _Scan:
 
     Below ``SLICED_MIN_N`` vertices the scan builds the rounds table of its
     rule once (:func:`forcelab.sliced.rounds_table`) and keeps it as
-    ``memo``, in the encoding of :func:`forcelab.forcing.memo_rounds`; every
-    scan reads its candidates' rounds from it, and the bounds sweep lends
-    the standard and PSD tables to its slice checks (a power-domination
-    table counts the neighborhood round too, so it is never lent). From
-    ``SLICED_MIN_N`` on, ``memo`` is None and a scan takes one size k at a
-    time through :mod:`forcelab.sliced`, which steps all C(n, k) candidate
-    sets of the size at once; the scans share the rounds of every size that
-    one of them ran to the end. Either store dies with the object when the
-    call returns. Construction refuses a graph above the cap before
-    allocating.
+    ``table``; every scan reads its candidates' rounds from it, and the
+    bounds sweep lends the standard and PSD tables to its slice checks (a
+    power-domination table counts the neighborhood round too, so it is
+    never lent). From ``SLICED_MIN_N`` on, ``table`` is None and a scan
+    takes one size k at a time through :mod:`forcelab.sliced`, which steps
+    all C(n, k) candidate sets of the size at once. Either way the scans
+    share the rounds of every size that one of them ran to the end
+    (``finished``), and all of it dies with the object when the call
+    returns. Construction refuses a graph above the cap before allocating.
 
-    Witnesses come back in the scan's own form, bitmasks from a table and
-    frozensets when sliced, so the bounds sweep reads values and first
-    witnesses without building the sets a report holds; ``sets`` turns
-    them into vertex sets."""
+    Witnesses come back as ``(size, indices)`` chunks, the ascending
+    combinations-order indices of the size's witnesses, so the bounds sweep
+    reads values and first witnesses without building the sets a report
+    holds; ``sets`` and ``first`` turn them into vertex sets."""
 
     def __init__(self, g: Graph, rule: Rule, cap: int | None):
         _require_within_cap(g, cap)
         self.n = g.n
+        self.finished: dict[int, list[tuple[int, list[int]]]] = {}
         if g.n >= SLICED_MIN_N:
             self.rule = rule
             self.nbrs = g.adj
-            self.finished: dict[int, list[list[int]]] = {}
-            self.memo = None
+            self.table = None
         else:
             self.bits = [1 << v for v in range(g.n)]
-            self.memo = sliced.rounds_table(rule, g.adj, g.n)
+            self.table = sliced.rounds_table(rule, g.adj, g.n)
 
     def forcing(self) -> tuple[int | None, list]:
         return self.best(range(self.n + 1), lambda size, _: size)
 
     def time(self, m: int) -> tuple[int, list]:
-        if not 0 <= m <= self.n:
+        if m < 0:
+            raise InfeasibleError(f"m must be at least 0, got {m}")
+        if m > self.n:
             raise InfeasibleError(f"no size-{m} subsets of {self.n} vertices")
         value, found = self.best((m,), lambda _, rounds: rounds)
         if value is None:
@@ -143,8 +146,13 @@ class _Scan:
         return self.best(range(self.n + 1), lambda size, rounds: size + rounds)
 
     def sets(self, found: list) -> list[frozenset[int]]:
-        """The witnesses of ``best`` as vertex sets."""
-        return found if self.memo is None else [set_of(w) for w in found]
+        """The witnesses of ``best`` as vertex sets, in scan order."""
+        return [w for size, indices in found for w in sliced.subsets(indices, self.n, size)]
+
+    def first(self, found: list) -> frozenset[int]:
+        """The first witness of ``best``, unranking no other."""
+        size, indices = found[0]
+        return sliced.subsets(indices[:1], self.n, size)[0]
 
     def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list]:
         """Scan the subsets of each size in turn, in combinations order
@@ -152,39 +160,16 @@ class _Scan:
         sets; costs never fall as rounds grow. Returns that cost (None if no
         set forces) and every set achieving it, in scan order. Rounds are at
         least 1 below the full set, so the scan stops at the first size
-        whose least possible cost exceeds the best found, and a sliced scan
-        stops a size at the first round whose cost does. A table scan reads
-        a size's rounds bytes at once and prices each distinct byte once."""
-        if self.memo is None:
-            return self._best_sliced(sizes, cost)
-        table, n = self.memo, self.n
-        best = None
-        witnesses: list[int] = []
-        for size in sizes:
-            if best is not None and cost(size, 0 if size == n else 1) > best:
-                break
-            masks = list(map(sum, combinations(self.bits, size)))
-            found = bytes(map(table.__getitem__, masks))
-            costs = {k: cost(size, k - 2) for k in set(found) if k > 1}
-            if not costs:
-                continue
-            least = min(costs.values())
-            if best is None or least < best:
-                best, witnesses = least, []
-            if least == best:
-                tied = {k for k, value in costs.items() if value == best}
-                witnesses += compress(masks, map(tied.__contains__, found))
-        return best, witnesses
-
-    def _best_sliced(self, sizes: Iterable[int], cost):
+        whose least possible cost exceeds the best found, and a size at the
+        first round whose cost does."""
         n = self.n
         best = None
-        witnesses: list[frozenset[int]] = []
+        witnesses: list[tuple[int, list[int]]] = []
         for size in sizes:
             if best is not None and cost(size, 0 if size == n else 1) > best:
                 break
             tied: list[int] = []
-            for rounds, finished in enumerate(self._finished_by_round(size)):
+            for rounds, finished in self._finished_by_round(size):
                 if finished:
                     value = cost(size, rounds)
                     if best is None or value < best:
@@ -194,20 +179,35 @@ class _Scan:
                 if best is not None and cost(size, rounds + 1) > best:
                     break
             if tied:
-                witnesses += sliced.subsets(sorted(tied), n, size)
+                witnesses.append((size, sorted(tied)))
         return best, witnesses
 
-    def _finished_by_round(self, size: int) -> Iterator[list[int]]:
-        """:func:`forcelab.sliced.finished_by_round` for this size, kept
-        once a scan has run the size to the end."""
+    def _finished_by_round(self, size: int) -> Iterator[tuple[int, list[int]]]:
+        """``(r, indices)`` for r ascending: the indices of the size's
+        candidates that color every vertex in exactly r rounds, kept once a
+        scan has run the size to the end. A table gives the rounds that some
+        candidate takes, from the size's rounds bytes, read once, with one
+        translate per distinct byte; a sliced scan gives every r of
+        :func:`forcelab.sliced.finished_by_round`."""
         known = self.finished.get(size)
         if known is not None:
             yield from known
             return
+        if self.table is None:
+            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, self.n, size))
+        else:
+            found = bytes(map(self.table.__getitem__, map(sum, combinations(self.bits, size))))
+            index = range(len(found))
+            rounds = (
+                (k - 2, list(compress(index, found.translate(flags))))
+                for k in sorted(set(found))
+                if k > 1
+                for flags in [bytes(k) + b"\x01" + bytes(255 - k)]  # 1 where the byte is k
+            )
         known = []
-        for finished in sliced.finished_by_round(self.rule, self.nbrs, self.n, size):
-            known.append(finished)
-            yield finished
+        for pair in rounds:
+            known.append(pair)
+            yield pair
         self.finished[size] = known
 
 
@@ -350,12 +350,12 @@ def bounds_rows_for_graph(
 
     One standard and one PSD ``_Scan`` serve every row, and the values
     and the first efficient witness are read from them, not from the
-    public reports, so the only witness set built is the efficient set
-    each m replays. Below SLICED_MIN_N vertices the
+    public reports, so the only witness set unranked is the efficient set
+    each m replays (``_Scan.first``). Below SLICED_MIN_N vertices the
     constructions count their sets' rounds in the scans' tables: PSD
     rounds in the PSD table, power rounds as one neighborhood step then the
     standard table; from SLICED_MIN_N on the scans have no table, so each
-    check walks a fresh memo of just the masks it visits.
+    check walks its process one step at a time.
     """
     from . import slices  # local import: slices builds on these solvers
 

@@ -110,6 +110,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         for m in ("1", "2", "3", "5"):
             add(f"solve-{param}-m{m}", "solve", "--param", param, "--graph", grid, "-m", m)
     add("solve-pt-m-too-large", "solve", "--param", "pt", "--graph", grid, "-m", "13")
+    add("solve-pt-m-negative", "solve", "--param", "pt", "--graph", "{tmp}/p3.edges",
+        "-m", "-1")
     add("solve-over-cap", "solve", "--param", "z", "--graph", grid, "--cap", "8")
     add("solve-g6", "solve", "--param", "z", "--graph", "{tmp}/graphs.g6")
     add("solve-z-with-m", "solve", "--param", "z", "--graph", grid, "-m", "2")

@@ -1,11 +1,12 @@
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
+from forcelab import sliced, slices
 from forcelab.errors import ChronologyError, InfeasibleError
 from forcelab.forcing import (
-    PROCESSES,
     Force,
     RelaxedChronology,
     Rule,
@@ -13,8 +14,6 @@ from forcelab.forcing import (
     active_times,
     activity_spans,
     forcing_cover,
-    memo_rounds,
-    new_rounds_memo,
     possible_forces,
     propagate,
     propagation_time_of_forces,
@@ -84,12 +83,14 @@ class TestEngineAgreesWithNaiveReference:
 
     def test_rounds_random(self):
         """Propagation rounds, and propagate's steps, for the maximal
-        processes; memo_rounds is the path the solvers scan with. For the
-        standard and PSD rules, every mask of the process is then read back
-        from the memo the walk wrote."""
+        processes; ``slices._rounds`` is the path the slice checks count
+        with, both walking the steps and reading a lent rounds table (the
+        standard one for power domination). For the standard and PSD rules,
+        every mask of the process is then read back the same two ways."""
         rules = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
+        lent_rule = {Rule.STANDARD: Rule.STANDARD, Rule.PSD: Rule.PSD,
+                     Rule.POWER_DOMINATION: Rule.STANDARD}
         for _, g, blue in self.random_cases(109, 200):
-            adj, full = g.adjacency_masks(), (1 << g.n) - 1
             for rule in rules:
                 steps = naive.maximal_steps(rule, g, blue)
                 rounds = -1 if steps is None else len(steps)
@@ -97,16 +98,17 @@ class TestEngineAgreesWithNaiveReference:
                 assert (res.pt if res.ok else -1) == rounds
                 if res.ok:
                     assert [list(s) for s in res.chronology.steps] == steps
-                mask = sum(1 << v for v in blue)
-                memo = new_rounds_memo(g.n)
-                process = PROCESSES[rule]
-                assert memo_rounds(process, adj, full, mask, memo) == rounds
+                lent = SimpleNamespace(table=sliced.rounds_table(lent_rule[rule], g.adj, g.n))
+                for scan in (None, lent):
+                    assert slices._rounds(rule, g, blue, scan) == rounds
                 if rule is Rule.POWER_DOMINATION:
                     continue
+                colored = set(blue)
                 for k, step in enumerate(steps or ()):
-                    mask |= sum(1 << f.dst for f in step)
+                    colored |= {f.dst for f in step}
                     left = rounds - k - 1
-                    assert memo_rounds(process, adj, full, mask, memo) == left
+                    for scan in (None, lent):
+                        assert slices._rounds(rule, g, colored, scan) == left
 
 
 def disjoint_union(*parts: Graph) -> Graph:

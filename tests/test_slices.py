@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import tracemalloc
 from random import Random
 
@@ -5,7 +7,14 @@ import pytest
 
 from forcelab.errors import InfeasibleError, InvariantViolation
 from forcelab.forcing import Rule, propagate
-from forcelab.graphs import grid_graph, induced_subgraph, is_vertex_cut, path_graph
+from forcelab.graphs import (
+    Graph,
+    grid_graph,
+    induced_subgraph,
+    is_vertex_cut,
+    path_graph,
+    set_of,
+)
 from forcelab.slices import (
     _efficient_replay,
     check_interval_forcing,
@@ -14,7 +23,7 @@ from forcelab.slices import (
     psd_set_from_slices,
     time_slice,
 )
-from forcelab import forcing, slices, solvers
+from forcelab import forcing, sliced, slices, solvers
 from randgen import random_chronology, random_forcing_set, random_graph
 
 
@@ -216,7 +225,7 @@ class TestAchievedTimesMatchPropagate:
             g = random_graph(rng, rng.randint(2, 12), rng.choice((0.3, 0.5)), True)
             std = solvers._Scan(g, Rule.STANDARD, None)
             psd = solvers._Scan(g, Rule.PSD, None)
-            sizes.add(std.memo is None)
+            sizes.add(std.table is None)
             z = solvers.forcing_number(g, Rule.STANDARD, _scan=std).value
             for m in range(z, g.n + 1):
                 replay = _efficient_replay(g, m, None, std)
@@ -235,7 +244,7 @@ class TestAchievedTimesMatchPropagate:
                     power_set_from_slice(g, m, _replay=replay, _scan=std),
                 ):
                     assert b.achieved == propagate(Rule.POWER_DOMINATION, g, b.base).pt
-        assert sizes == {False, True}  # both the memo and the memo-less path ran
+        assert sizes == {False, True}  # both the table and the walk ran
 
     def test_interval_checks(self):
         rng = Random(71)
@@ -255,9 +264,82 @@ class TestAchievedTimesMatchPropagate:
             done += 1
 
 
+def _propagated_rounds(rule, g, base) -> int:
+    res = propagate(rule, g, base)
+    return res.pt if res.ok else -1
+
+
+class TestRoundsEdgeCases:
+    """``slices._rounds``, walked and read from a lent table, against
+    ``propagate(...).pt``."""
+
+    @pytest.mark.parametrize(
+        "g, base, expected",
+        [(path_graph(4), range(4), 0), (path_graph(4), (), -1), (Graph(0), (), 0)],
+        ids=["full-base", "empty-base-stalls", "K0"],
+    )
+    def test_power_domination(self, g, base, expected):
+        lent = solvers._Scan(g, Rule.STANDARD, None)
+        assert _propagated_rounds(Rule.POWER_DOMINATION, g, base) == expected
+        for scan in (None, lent):
+            assert slices._rounds(Rule.POWER_DOMINATION, g, base, scan) == expected
+
+    def test_table_and_walk_agree_on_every_mask(self):
+        # power domination is lent the standard table, as in the sweep
+        lent_rule = {Rule.STANDARD: Rule.STANDARD, Rule.PSD: Rule.PSD,
+                     Rule.POWER_DOMINATION: Rule.STANDARD}
+        rng = Random(239)
+        for n in [n for n in range(1, 10) for _ in range(2)]:
+            g = random_graph(rng, n, rng.uniform(0.15, 0.6))
+            for rule, lent in lent_rule.items():
+                scan = solvers._Scan(g, lent, None)
+                assert scan.table is not None
+                for mask in range(1 << n):
+                    base = set_of(mask)
+                    walked = slices._rounds(rule, g, base)
+                    assert slices._rounds(rule, g, base, scan) == walked
+                    assert walked == _propagated_rounds(rule, g, base)
+
+
+class TestOracleIndependence:
+    """The rounds tables of ``sliced`` are checked against the per-mask
+    steps of ``forcing``, so the two must share no code beyond ``Rule``."""
+
+    def test_sliced_imports_only_rule_from_forcing(self):
+        tree = ast.parse(pathlib.Path(sliced.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("forcelab.forcing") for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                if node.module in ("forcing", "forcelab.forcing"):
+                    assert names == {"Rule"}, ast.unparse(node)
+                elif node.module in (None, "forcelab"):
+                    assert "forcing" not in names, ast.unparse(node)
+
+    def test_rounds_walks_the_forcing_processes(self):
+        tree = ast.parse(pathlib.Path(slices.__file__).read_text())
+        imported = {
+            a.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "forcing"
+            for a in node.names
+        }
+        assert "PROCESSES" in imported
+        (func,) = (
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_rounds"
+        )
+        names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        assert "PROCESSES" in names and "sliced" not in names
+        assert slices.PROCESSES is forcing.PROCESSES
+
+
 class TestNoTablePerCall:
-    """Without a memo-backed scan, rounds are memoized over the walked masks
-    only, so a check's memory does not grow with 2^n."""
+    """Without a scan's table, rounds are walked one step at a time,
+    keeping only the current mask, so a check's memory does not grow with
+    2^n."""
 
     @pytest.mark.parametrize("n", [40, 70])
     def test_full_window_of_a_long_path(self, n):
@@ -321,7 +403,7 @@ class TestChecksStillRaise:
         ],
     )
     def test_patched_rounds(self, monkeypatch, rounds, build, message):
-        monkeypatch.setattr(slices, "memo_rounds", lambda *args: rounds)
+        monkeypatch.setattr(slices, "_rounds", lambda *args: rounds)
         with pytest.raises(InvariantViolation) as exc:
             build()
         assert str(exc.value) == message

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from forcelab import forcing, sliced, solvers
+from forcelab import forcing, sliced, slices
 from forcelab.errors import CapExceeded, InfeasibleError
 from forcelab.forcing import Rule, propagate
 from forcelab.graphs import (
@@ -21,6 +21,7 @@ from forcelab.graphs import (
     grid_graph,
     path_graph,
     petersen_graph,
+    set_of,
     star_graph,
 )
 from forcelab.sliced import finished_by_round
@@ -159,6 +160,8 @@ class TestPropagationTimes:
             propagation_time_m(complete_graph(4), 1, Rule.STANDARD)
         with pytest.raises(InfeasibleError):
             propagation_time_m(path_graph(3), 7, Rule.STANDARD)
+        with pytest.raises(InfeasibleError, match=r"^m must be at least 0, got -1$"):
+            propagation_time_m(path_graph(3), -1, Rule.STANDARD)
 
     def test_witnesses_are_lexicographic_and_efficient(self):
         g = path_graph(5)
@@ -302,7 +305,7 @@ def brute_force_table(g, rule):
 class TestScansAgreeWithBruteForce:
     """Values and witness tuples, in order, against a brute force over
     every subset that counts rounds with the naive rules. With
-    SLICED_MIN_N above n the scans run per mask with the rounds memo
+    SLICED_MIN_N above n the scans read a whole-lattice rounds table
     (``dense``); with it at 0 they run bit-sliced."""
 
     RULES = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
@@ -498,7 +501,7 @@ class TestOneRoundsMemoPerRulePerCall:
     and replay, not from the scans, and are not counted. The only steps
     left are the power slice checks' neighborhood steps, which run before
     the standard table is read. The bounds sweep reads its scans directly
-    and builds one witness set per m row, the efficient set it replays."""
+    and unranks one witness set per m row, the efficient set it replays."""
 
     @staticmethod
     def record_scan_steps(monkeypatch) -> Counter:
@@ -534,13 +537,14 @@ class TestOneRoundsMemoPerRulePerCall:
         seen = self.record_scan_steps(monkeypatch)
         builds = self.record_table_builds(monkeypatch)
         witness_sets = Counter()
-        set_of = solvers.set_of
+        subsets = sliced.subsets
 
-        def counted(mask):
-            witness_sets["built"] += 1
-            return set_of(mask)
+        def counted(indices, n, k):
+            out = subsets(indices, n, k)
+            witness_sets["built"] += len(out)
+            return out
 
-        monkeypatch.setattr(solvers, "set_of", counted)
+        monkeypatch.setattr(sliced, "subsets", counted)
         for graph_id, g in atlas_stream(max_n=6):
             seen.clear()
             builds.clear()
@@ -583,25 +587,24 @@ class TestOneRoundsMemoPerRulePerCall:
 
 
 def test_rounds_tables_match_the_per_mask_engine():
-    """Every entry of every rule's rounds table equals ``memo_rounds`` on a
-    fresh memo, for every atlas graph (n <= 7) and for 200 random graphs on
-    8 and 9 vertices, whose successors span two byte planes at n = 9."""
+    """Every entry of every rule's rounds table equals the rounds that
+    ``slices._rounds`` walks with the per-mask steps of
+    ``forcing.PROCESSES``, plus 2 (1 for a stall), for every atlas graph
+    (n <= 7) and for 200 random graphs on 8 and 9 vertices, whose
+    successors span two byte planes at n = 9."""
     rng = Random(233)
     graphs = [g for _, g in atlas_stream(max_n=7)]
     graphs += [random_graph(rng, n, rng.uniform(0.1, 0.6)) for n in (8, 9) for _ in range(100)]
     for g in graphs:
-        adj, full = g.adjacency_masks(), (1 << g.n) - 1
+        bases = [set_of(mask) for mask in range(1 << g.n)]
         for rule in (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION):
             table = sliced.rounds_table(rule, g.adj, g.n)
-            memo = forcing.new_rounds_memo(g.n)
-            process = forcing.PROCESSES[rule]
-            expected = [forcing.memo_rounds(process, adj, full, mask, memo) + 2
-                        for mask in range(full + 1)]
+            expected = [slices._rounds(rule, g, base) + 2 for base in bases]
             assert list(table) == expected, (graph6_encode(g), rule)
 
 
 def test_sliced_scan_stays_small_on_26_vertices():
-    """A per-mask memo on 26 vertices would take 64 MB; the sliced scan
+    """A rounds table on 26 vertices would take 64 MB; the sliced scan
     of P26 steps 1 + 26 candidate sets."""
     tracemalloc.start()
     try:
