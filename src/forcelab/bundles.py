@@ -20,7 +20,8 @@ from .forcing import (
     RelaxedChronology,
     Replay,
     Rule,
-    possible_forces,
+    _fire,
+    _legal_forces,
     validate_chronology,
 )
 from .graphs import Graph, component_masks, induced_subgraph, is_path_sequence, mask_of
@@ -254,8 +255,8 @@ def psd_reversal(
     """Relocate a PSD forcing set onto ``x``.
 
     Take the bundle induced by x, reverse its forces (one per step, newest
-    first), then replay the remaining host forces greedily in their
-    original order, deferring any force that is not yet legal. The new
+    first), then fire the remaining host forces round by round, each as
+    soon as it is legal (``forcing._fire`` with them as its pool). The new
     base is the bundle terminus: same size as the original and containing
     x. The rebuilt schedule is validated before being returned.
     """
@@ -268,30 +269,19 @@ def _psd_reversal(host: Replay, x: int) -> tuple[frozenset[int], Replay]:
     bundle = _induced_bundle(host, x)
     new_base = bundle.terminus()
     in_bundle = [f for step in bundle.restriction.steps for f in step]
-    new_steps: list[tuple[Force, ...]] = [
-        (Force(f.dst, f.src),) for f in reversed(in_bundle)
-    ]
-    blue = set(bundle.sub_vertices)
-    pending = [f for f in chron.all_forces() if f not in set(in_bundle)]
-    while pending:
-        legal = possible_forces(Rule.PSD, g, blue)
-        fired: list[Force] = []
-        taken: set[int] = set()
-        still: list[Force] = []
-        for f in pending:
-            if f in legal and f.dst not in taken:
-                fired.append(f)
-                taken.add(f.dst)
-            else:
-                still.append(f)
-        if not fired:
-            raise InvariantViolation(
-                "preserved forces stalled while rebuilding the schedule"
-            )
-        new_steps.append(tuple(sorted(fired)))
-        blue.update(f.dst for f in fired)
-        pending = still
-    new_chron = RelaxedChronology(Rule.PSD, new_base, new_steps)
+    new_steps = [(Force(f.dst, f.src),) for f in reversed(in_bundle)]
+    # The host forces each vertex at most once and every force into a
+    # bundle vertex is a bundle force, so the rest are fired until blue.
+    rest = set(chron.all_forces()).difference(in_bundle)
+    full = (1 << g.n) - 1
+    fired, blue = _fire(
+        Rule.PSD, g.adjacency_masks(), mask_of(bundle.sub_vertices), full, rest
+    )
+    if blue != full:
+        raise InvariantViolation(
+            "preserved forces stalled while rebuilding the schedule"
+        )
+    new_chron = RelaxedChronology(Rule.PSD, new_base, new_steps + fired)
     try:
         rebuilt = Replay(g, new_chron)
     except ChronologyError as exc:
@@ -351,7 +341,8 @@ def certify_rigid_linkage(g: Graph, chron: RelaxedChronology, x: int) -> RlCerti
     """
     bundle = _induced_bundle(_psd_replay(g, chron, x), x)
     in_bundle = [f for step in bundle.restriction.steps for f in step]
-    rest = [f for f in chron.all_forces() if f not in set(in_bundle)]
+    bundle_forces = set(in_bundle)
+    rest = [f for f in chron.all_forces() if f not in bundle_forces]
     reordered = RelaxedChronology(
         Rule.PSD, chron.base, [(f,) for f in in_bundle + rest]
     )
@@ -361,17 +352,16 @@ def certify_rigid_linkage(g: Graph, chron: RelaxedChronology, x: int) -> RlCerti
         raise InvariantViolation(
             f"bundle-first reordering is not PSD-valid: {exc}"
         ) from exc
-    blue = set(chron.base)
-    inactive: set[int] = set()
+    adj = g.adjacency_masks()
+    blue, idle = mask_of(chron.base), 0
     for idx, f in enumerate(in_bundle, start=1):
-        legal = possible_forces(Rule.RIGID_LINKAGE, g, blue, inactive)
-        if f not in legal:
+        if f not in _legal_forces(Rule.RIGID_LINKAGE, adj, blue, idle):
             raise InvariantViolation(
                 f"bundle force {idx} ({f.src}->{f.dst}) is not a legal "
                 f"rigid-linkage force"
             )
-        blue.add(f.dst)
-        inactive.add(f.src)
+        blue |= 1 << f.dst
+        idle |= 1 << f.src
     return RlCertificate(
         frozenset(chron.base), bundle.terminus(), tuple(in_bundle), True
     )

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["bounds"])
     p.add_argument("--graphs", required=True, help="'all-n:K' or a graph6 file")
     p.add_argument("--checks", default="bounds,thrplus,zeq")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="at most one worker per graph and CPU")
     p.add_argument("--connected-only", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ChronologyError, InfeasibleError, InvariantViolation
-from .graphs import Graph, component_masks, mask_of, set_of
+from .graphs import Graph, component_masks, mask_of, set_of, validate_path_cover
 
 
 class Rule(str, Enum):
@@ -149,20 +149,17 @@ def _psd_step(adj: tuple[int, ...], blue: int, forces=None, idle: int = 0) -> in
 
 def _power_step(adj: tuple[int, ...], blue: int, forces=None) -> int:
     """Power domination's first step: color the closed neighborhood of the
-    blue set. Appends one force per new vertex, from its least blue
-    neighbor."""
+    blue set. Appends every force from a blue vertex into a white neighbor,
+    sources ascending, so a new vertex's least blue neighbor comes first."""
     hood = 0
     rem = blue
     while rem:
         bit = rem & -rem
         rem ^= bit
-        hood |= adj[bit.bit_length() - 1]
-    if forces is not None:
-        seen = blue
-        for u in sorted(set_of(blue)):
-            new = adj[u] & ~seen
-            seen |= new
-            forces.extend(Force(u, w) for w in sorted(set_of(new)))
+        u = bit.bit_length() - 1
+        hood |= adj[u]
+        if forces is not None:
+            forces.extend(Force(u, w) for w in set_of(adj[u] & ~blue))
     return hood & ~blue
 
 
@@ -182,6 +179,30 @@ PROCESSES = {
     Rule.PSD: (_psd_step, _psd_step),
     Rule.POWER_DOMINATION: (_power_step, _standard_step),
 }
+
+
+def _fire(rule: Rule, adj, blue: int, full: int, pool=None) -> tuple[list, int]:
+    """Run the maximal process of ``rule`` from ``blue``, the one loop that
+    records its forces round by round. Each round fires every legal force
+    (only those in ``pool`` when a pool is given), one per target, from its
+    least source. Stops once ``blue`` is ``full`` or nothing fires; returns
+    the rounds' forces and the last blue mask."""
+    current, later = PROCESSES[rule]
+    steps: list[tuple[Force, ...]] = []
+    while blue != full:
+        forces: list[Force] = []
+        add = current(adj, blue, forces)
+        if pool is not None:
+            forces = [f for f in forces if f in pool]
+        least: dict[int, Force] = {}
+        for f in forces:
+            least.setdefault(f.dst, f)
+        if not least:
+            break
+        steps.append(tuple(sorted(least.values())))
+        blue |= add if pool is None else mask_of(least)
+        current = later
+    return steps, blue
 
 
 def possible_forces(
@@ -270,12 +291,11 @@ class PropagationResult:
 def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
     """Run the full propagation process for ``rule`` from ``base``.
 
-    STANDARD and PSD perform every possible force at each time-step,
-    breaking forcer ties toward the smallest source id. POWER_DOMINATION
-    colors the closed neighborhood first and then runs STANDARD steps.
-    RIGID_LINKAGE replays greedily, one least-(src, dst) force per step;
-    note RL completion can depend on force order, so a greedy stall does
-    not prove the base set is not RL-forcing.
+    STANDARD, PSD and POWER_DOMINATION (whose first step colors the closed
+    neighborhood) run the maximal process of :func:`_fire`. RIGID_LINKAGE
+    replays greedily, one least-(src, dst) force per step; note RL
+    completion can depend on force order, so a greedy stall does not prove
+    the base set is not RL-forcing.
 
     On success ``pt`` counts the time-steps taken (per-rule propagation
     time). On failure ``blue`` holds the stalled blue set.
@@ -284,31 +304,22 @@ def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
     b = g.check_set(base)
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    steps: list[tuple[Force, ...]] = []
     blue = mask_of(b)
     if rule is Rule.RIGID_LINKAGE:
+        steps: list[tuple[Force, ...]] = []
         idle = 0
         while blue != full:
             legal = _legal_forces(rule, adj, blue, idle)
             if not legal:
-                return PropagationResult(False, None, None, set_of(blue))
+                break
             f = min(legal)
             steps.append((f,))
             blue |= 1 << f.dst
             idle |= 1 << f.src
     else:
-        current, step = PROCESSES[rule]
-        while blue != full:
-            forces: list[Force] = []
-            add = current(adj, blue, forces)
-            if not add:
-                return PropagationResult(False, None, None, set_of(blue))
-            least: dict[int, Force] = {}
-            for f in forces:
-                least.setdefault(f.dst, f)
-            steps.append(tuple(sorted(least.values())))
-            blue |= add
-            current = step
+        steps, blue = _fire(rule, adj, blue, full)
+    if blue != full:
+        return PropagationResult(False, None, None, set_of(blue))
     chron = RelaxedChronology(rule, b, steps)
     return PropagationResult(True, chron, len(steps), set_of(blue))
 
@@ -316,8 +327,8 @@ def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
 def propagation_time_of_forces(
     g: Graph, base: Iterable[int], forces: Iterable[Force], rule: Rule
 ) -> int:
-    """Least number of rounds in which the given force set colors the graph,
-    firing every currently-legal force from the set each round.
+    """Least number of rounds in which the given force set colors the graph:
+    :func:`_fire` with the set as pool, each round firing its legal forces.
 
     Raises :class:`InfeasibleError` if the set stalls before the graph is
     blue. Forces still unused once the graph is blue are ignored.
@@ -325,21 +336,14 @@ def propagation_time_of_forces(
     rule = Rule(rule)
     if rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("force-set propagation time needs the standard or PSD rule")
-    adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    blue = mask_of(g.check_set(base))
     pool = {Force(int(s), int(d)) for s, d in forces}
-    rounds = 0
-    while blue != full:
-        fired = [f for f in _legal_forces(rule, adj, blue) if f in pool]
-        if not fired:
-            raise InfeasibleError(
-                "force set cannot color the remaining vertices", blue=set_of(blue)
-            )
-        for f in fired:
-            blue |= 1 << f.dst
-        rounds += 1
-    return rounds
+    steps, blue = _fire(rule, g.adjacency_masks(), mask_of(g.check_set(base)), full, pool)
+    if blue != full:
+        raise InfeasibleError(
+            "force set cannot color the remaining vertices", blue=set_of(blue)
+        )
+    return len(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +427,11 @@ class Replay:
                 while chain[-1] in nxt:
                     chain.append(nxt[chain[-1]])
                 chains.append(tuple(chain))
-            self._check_chain_cover(chains)
+            check = validate_path_cover(self.graph, chains)
+            if not check.ok:
+                raise InvariantViolation(
+                    f"forcing chains are not an induced path cover: {check.violation}"
+                )
             return ForcingCover(chron.rule, tuple(chains), None)
         children: dict[int, list[int]] = {}
         for f in forces:
@@ -448,22 +456,6 @@ class Replay:
         if len(covered) != n or sum(len(t.vertices) for t in trees) != n:
             raise InvariantViolation("forcing trees do not partition the vertices")
         return ForcingCover(chron.rule, None, tuple(trees))
-
-    def _check_chain_cover(self, chains) -> None:
-        g = self.graph
-        covered: set[int] = set()
-        for chain in chains:
-            covered.update(chain)
-            for i in range(len(chain)):
-                for j in range(i + 2, len(chain)):
-                    if g.has_edge(chain[i], chain[j]):
-                        raise InvariantViolation(
-                            f"chain through {chain[0]} is not an induced path"
-                        )
-        if len(covered) != g.n:
-            raise InvariantViolation("chains do not partition the vertices")
-        if len(chains) != len(self.chron.base):
-            raise InvariantViolation("chain count differs from the base size")
 
     @cached_property
     def terminus(self) -> frozenset[int]:

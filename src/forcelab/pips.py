@@ -202,7 +202,6 @@ class FamilyLayout(NamedTuple):
 
     n: int
     paths: tuple[tuple[int, ...], ...]
-    labels: dict[int, str]
     path_edges: tuple[tuple[int, int], ...]
     cross_edges: tuple[tuple[int, int], ...]
     witness: PipWitness
@@ -226,13 +225,9 @@ def family_layout(partitions: Iterable[BlockPartition]) -> FamilyLayout:
     if any(p.k != k for p in parts):
         raise ValueError("all block partitions must share the same horizon")
     paths = []
-    labels = {}
     offset = 0
-    for i, part in enumerate(parts, start=1):
-        ids = tuple(range(offset, offset + len(part)))
-        for j, v in enumerate(ids):
-            labels[v] = f"v{i},{j}"
-        paths.append(ids)
+    for part in parts:
+        paths.append(tuple(range(offset, offset + len(part))))
         offset += len(part)
     path_edges = []
     for ids in paths:
@@ -246,7 +241,7 @@ def family_layout(partitions: Iterable[BlockPartition]) -> FamilyLayout:
                         cross.append((paths[i1][j1], paths[i2][j2]))
     witness = PipWitness(k, paths, parts)
     return FamilyLayout(
-        offset, tuple(paths), labels, tuple(path_edges), tuple(sorted(cross)), witness
+        offset, tuple(paths), tuple(path_edges), tuple(sorted(cross)), witness
     )
 
 

@@ -215,39 +215,35 @@ def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:
     return ParameterReport(name, value, tuple(scan.sets(found)), True)
 
 
-def forcing_number(
-    g: Graph, rule: Rule, cap: int | None = None, *, _scan: _Scan | None = None
-) -> ParameterReport:
+def forcing_number(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
     """Minimum size of a forcing set for the rule, with every witness of
     that size, by scanning subsets in ascending size."""
     rule = Rule(rule)
     if rule not in _NAMES:
         raise ValueError(f"no forcing number for rule {rule.value}")
-    scan = _scan or _Scan(g, rule, cap)
+    scan = _Scan(g, rule, cap)
     return _report(_NAMES[rule][0], scan, *scan.forcing())
 
 
 def propagation_time_m(
-    g: Graph, m: int, rule: Rule, cap: int | None = None, *, _scan: _Scan | None = None
+    g: Graph, m: int, rule: Rule, cap: int | None = None
 ) -> ParameterReport:
     """Minimum propagation rounds over all size-m forcing sets, with every
     m-efficient witness (lexicographically least first)."""
     rule = Rule(rule)
     if rule not in _NAMES:
         raise ValueError(f"no propagation time for rule {rule.value}")
-    scan = _scan or _Scan(g, rule, cap)
+    scan = _Scan(g, rule, cap)
     return _report(_NAMES[rule][1], scan, *scan.time(m))
 
 
-def throttling(
-    g: Graph, rule: Rule, cap: int | None = None, *, _scan: _Scan | None = None
-) -> ParameterReport:
+def throttling(g: Graph, rule: Rule, cap: int | None = None) -> ParameterReport:
     """Minimum of |B| + rounds(B) over all forcing sets B, with every set
     achieving it."""
     rule = Rule(rule)
     if rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("throttling is computed for the standard and PSD rules")
-    scan = _scan or _Scan(g, rule, cap)
+    scan = _Scan(g, rule, cap)
     return _report(_NAMES[rule][2], scan, *scan.throttling())
 
 
@@ -424,7 +420,8 @@ def sweep_bounds(
     jobs: int = 1,
 ) -> Iterator[BoundsRow]:
     """Run the bound checks over a graph stream; with jobs > 1 the graphs
-    are processed in a process pool and rows come back in input order.
+    are processed in a pool of at most ``min(jobs, graphs, CPUs)`` worker
+    processes and rows come back in input order.
     Unknown check names and jobs < 1 raise ValueError, and a graph above
     the sweep cap raises CapExceeded, at the call, before any row."""
     if jobs < 1:
@@ -458,7 +455,9 @@ def _sweep(items: list, checks: tuple[str, ...], jobs: int) -> Iterator[BoundsRo
         return
     import multiprocessing as mp
 
-    with mp.Pool(jobs) as pool:
+    # no more workers than graphs or CPUs: each would only sit idle
+    workers = max(1, min(jobs, len(items), os.cpu_count() or 1))
+    with mp.Pool(workers) as pool:
         for rows in pool.imap(_bounds_worker, items, chunksize=8):
             yield from rows
 
@@ -487,6 +486,5 @@ def solve_parameter(
         if m is not None:
             return propagation_time_m(g, m, rule, cap=cap)
         scan = _Scan(g, rule, cap)
-        m = forcing_number(g, rule, _scan=scan).value
-        return propagation_time_m(g, m, rule, _scan=scan)
+        return _report(param, scan, *scan.time(scan.forcing()[0]))
     return throttling(g, rule, cap=cap)

@@ -87,3 +87,17 @@ def maximal_steps(rule: str, g, blue) -> list[list[Force]] | None:
         steps.append(sorted(least.values()))
         blue |= set(least)
     return steps
+
+
+def is_induced_path_partition(g, paths) -> bool:
+    """True iff ``paths`` lists every vertex exactly once and each path is
+    an induced path: consecutive vertices adjacent, no other pair."""
+    flat = [v for p in paths for v in p]
+    if sorted(flat) != list(range(g.n)) or not all(paths):
+        return False
+    for p in paths:
+        for i, u in enumerate(p):
+            for j in range(i + 1, len(p)):
+                if (p[j] in g.adj[u]) != (j == i + 1):
+                    return False
+    return True

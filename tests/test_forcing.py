@@ -26,7 +26,6 @@ from forcelab.graphs import (
     cycle_graph,
     path_graph,
     star_graph,
-    validate_path_cover,
 )
 import naive
 from randgen import random_chronology, random_forcing_set, random_graph
@@ -329,7 +328,7 @@ class TestForcingCover:
             chron = random_chronology(rng, g, base)
             cover = forcing_cover(g, chron)
             assert len(cover.chains) == len(base)
-            assert validate_path_cover(g, cover.chains).ok
+            assert naive.is_induced_path_partition(g, cover.chains)
 
 
 class TestTerminusAndReversal:
@@ -423,6 +422,13 @@ class TestForceSetPropagation:
         # 2 -> 0 never becomes legal: vertex 0 is blue from the start
         pool = [Force(0, 1), Force(1, 2), Force(2, 0)]
         assert propagation_time_of_forces(path_graph(3), {0}, pool, Rule.STANDARD) == 2
+
+    def test_two_pool_forces_into_one_target(self):
+        # P3 as 0-2-1: from {0, 1} both ends force 2 in the same round
+        g = Graph(3, [(0, 2), (2, 1)])
+        pool = [Force(0, 2), Force(1, 2)]
+        for rule in (Rule.STANDARD, Rule.PSD):
+            assert propagation_time_of_forces(g, {0, 1}, pool, rule) == 1
 
     def test_incomplete_force_set_errors(self):
         g = path_graph(4)

@@ -226,7 +226,7 @@ class TestAchievedTimesMatchPropagate:
             std = solvers._Scan(g, Rule.STANDARD, None)
             psd = solvers._Scan(g, Rule.PSD, None)
             sizes.add(std.table is None)
-            z = solvers.forcing_number(g, Rule.STANDARD, _scan=std).value
+            z = std.forcing()[0]
             for m in range(z, g.n + 1):
                 replay = _efficient_replay(g, m, None, std)
                 k_total = replay.chron.ct

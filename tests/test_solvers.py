@@ -271,6 +271,33 @@ class TestSweeps:
         with pytest.raises(ValueError):
             bounds_rows_for_graph("p3", path_graph(3), checks=("nope",))
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers", [(20000, 2, 2), (20000, 64, 3), (2, 64, 2), (2, None, 1)]
+    )
+    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, workers):
+        # The fake pool maps in-process and starts no worker.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("multiprocessing.Pool", FakePool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        stream = [("p2", path_graph(2)), ("p3", path_graph(3)), ("k3", complete_graph(3))]
+        rows = list(sweep_bounds(iter(stream), jobs=jobs))
+        assert sizes == [workers]
+        assert rows == list(sweep_bounds(iter(stream)))
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected_at_the_call(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
@@ -366,11 +393,9 @@ class TestScansAgreeWithBruteForce:
                 got += [solve_parameter(g, p) for p in ("pt", "ptplus", "ppt")]
                 for rule in (Rule.STANDARD, Rule.PSD):
                     scan = _Scan(g, rule, None)
-                    got.append(throttling(g, rule, _scan=scan))
-                    z = forcing_number(g, rule, _scan=scan)
-                    got.append(z)
-                    got += [propagation_time_m(g, m, rule, _scan=scan)
-                            for m in range(z.value, n + 1)]
+                    found = [scan.throttling(), scan.forcing()]
+                    found += [scan.time(m) for m in range(found[1][0], n + 1)]
+                    got += [(value, scan.sets(f)) for value, f in found]
                 results.append(got)
             assert results[0] == results[1]
 
