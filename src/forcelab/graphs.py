@@ -109,8 +109,12 @@ def induced_subgraph(g: Graph, verts: Iterable[int]) -> Subgraph:
 
 
 def mask_of(verts: Iterable[int]) -> int:
-    """Bitmask of a set of vertex ids: bit v is set for every v in it."""
-    return sum(1 << v for v in verts)
+    """Bitmask of a set of vertex ids: bit v is set for every v in it, once
+    however often v is listed."""
+    mask = 0
+    for v in verts:
+        mask |= 1 << v
+    return mask
 
 
 def set_of(mask: int) -> frozenset[int]:

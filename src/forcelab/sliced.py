@@ -7,7 +7,12 @@ whose bit i is set when v is blue in the process started from the i-th
 subset, so one round of a rule is a few big-int operations per edge for
 all C(n, k) processes together (bit-slicing, as in Biham's DES); a PSD
 round floods each white component of each subset once, from its least
-vertex. :func:`rounds_table` runs one round on 2^n-bit vectors instead,
+vertex. One :func:`subset_vectors` generator gives a scan the vectors of
+every size it asks for, deriving each size from the last. Once few
+candidates still change, a PSD scan packs seven vectors into one byte
+per candidate and drops the bytes of the rest (``_compact``); witnesses
+are read off set bits by one pass over the spelled-out bits (``_indices``).
+:func:`rounds_table` runs one round on 2^n-bit vectors instead,
 whose bit B stands for the bitmask B, and reads every mask's rounds off
 the successors that round gives. The rule rounds here are written out on
 those vectors; they share no code with the per-mask engine of
@@ -24,34 +29,53 @@ from typing import Iterator
 from .forcing import Rule
 
 
-def _subset_vectors(n: int, k: int) -> tuple[list[int], int]:
-    """``(X, count)``: ``X[v]`` marks the k-subsets of range(n) holding v,
-    bit i for the i-th subset in combinations order, and ``count`` is
-    C(n, k). The subsets of range(s, n) list those holding s first, then
-    the rest, so each level is built from the next by one shift per vertex."""
-    vecs, counts = {0: []}, {0: 1}  # size j -> vectors of s..n-1, and C(n - s, j)
+def subset_vectors(n: int, k: int) -> Iterator[tuple[list[int], int]]:
+    """Yield ``(X, count)`` for the sizes k, k + 1, ..., n in turn: ``X[v]``
+    marks the subsets of range(n) of the size holding v, bit i for the i-th
+    subset in combinations order, and ``count`` is C(n, size). The subsets
+    of range(s, n) list those holding s first, then the rest, so level s of
+    a size (its vectors over range(s, n)) comes from level s + 1 of the
+    size below and of the size itself by one shift per vertex. Size k is
+    built level by level over the smaller sizes it needs, keeping its own
+    vectors at every level; each later size is one new column of levels
+    from the last, and only the last column is kept."""
+    below = {0: ([], 1)}  # size j -> level s + 1 of size j
+    column = [None] * n + [below.get(k, ([], 0))]  # column[s]: level s of size k
     for s in range(n - 1, -1, -1):
-        level, level_counts = {}, {}
-        for j in range(max(0, k - s), min(k, n - s) + 1):
-            low = counts.get(j - 1, 0)  # subsets of range(s, n) holding s
-            with_s = vecs.get(j - 1) or [0] * (n - 1 - s)
-            without = vecs.get(j) or [0] * (n - 1 - s)
-            level[j] = [(1 << low) - 1] + [a | b << low for a, b in zip(with_s, without)]
-            level_counts[j] = low + counts.get(j, 0)
-        vecs, counts = level, level_counts
-    return vecs.get(k, [0] * n), counts.get(k, 0)
+        none = [0] * (n - 1 - s), 0
+        below = {
+            j: _level(*below.get(j - 1, none), *below.get(j, none))
+            for j in range(max(0, k - s), min(k, n - s) + 1)
+        }
+        column[s] = below.get(k) or ([0] * (n - s), 0)
+    yield column[0]
+    for _ in range(k, n):
+        later = [None] * n + [([], 0)]
+        for s in range(n - 1, -1, -1):
+            later[s] = _level(*column[s + 1], *later[s + 1])
+        column = later
+        yield column[0]
 
 
-def finished_by_round(rule: Rule, nbrs, n: int, k: int) -> Iterator[list[int]]:
-    """Yield, for r = 0, 1, ..., the indices of the k-subsets whose maximal
+def _level(with_s: list[int], low: int, without: list[int], high: int) -> tuple[list[int], int]:
+    """Level s of a size from level s + 1: ``with_s`` of the size below,
+    ``low`` = C(n - s - 1, j - 1) subsets, each taking s too; ``without`` of
+    the size itself, ``high`` subsets, listed after them."""
+    return [(1 << low) - 1] + [a | b << low for a, b in zip(with_s, without)], low + high
+
+
+def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator[list[int]]:
+    """Yield, for r = 0, 1, ..., the indices of the candidates whose maximal
     process colors every vertex in exactly r rounds, ascending; stop once
-    every other subset has stalled. ``nbrs[v]`` lists the neighbors of v.
+    every other candidate has stalled. ``nbrs[v]`` lists the neighbors of
+    v, and ``blue`` and ``count`` are one size's candidates, as
+    :func:`subset_vectors` yields them.
 
-    A subset that did not change in a round never changes again. Once at
-    most a quarter of the subsets still change, a PSD scan cuts its vectors
-    down to those bits (``_compact``), and ``index`` maps the bits left to
-    subset indices; a standard round costs too little to repay the cut."""
-    blue, count = _subset_vectors(n, k)
+    A candidate that did not change in a round never changes again. Once at
+    most a quarter of the candidates still change, a PSD scan cuts its
+    vectors down to those bits (``_compact``), and ``index`` maps the bits
+    left to candidate indices; a standard round costs too little to repay
+    the cut."""
     index = range(count)
     every = (1 << count) - 1
     done = every
@@ -169,10 +193,11 @@ _ROUNDS = {
 }
 
 
-_NONZERO = re.compile(rb"[^\x00]")
+_ONE = re.compile(b"1")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_MARKS = bytes.maketrans(b"01", b"\x00\x10")
-_KEPT = bytes.maketrans(b"@A", b"01")
+_UNMARKED = bytes(range(128))
+# _READ[b] spells each byte of a plane as '1' where its bit b is set, else '0'.
+_READ = [bytes(b"01"[c >> b & 1] for c in range(256)) for b in range(7)]
 
 
 def _spelled(x: int) -> bytes:
@@ -182,16 +207,26 @@ def _spelled(x: int) -> bytes:
 
 
 def _compact(blue: list[int], live: int, index):
-    """Keep only the bits of ``live`` in every vector, in order. Each
-    vector is spelled out one byte per index, ``live`` adds 16 to the bytes
-    it keeps ('0' -> '@', '1' -> 'A'), and translate() drops the rest."""
+    """Keep only the bits of ``live`` in every vector, in order. Seven
+    vectors at a time share a byte plane, one byte per candidate, spelled
+    high index first so that no byte order is reversed: the '0'/'1' bytes
+    of ``format`` less ASCII '0' are 0/1, shifted to bit b for the plane's
+    b-th vector and to bit 7 for ``live``. translate() drops the bytes
+    below 128, and each vector is read back from its bit of the rest."""
     count = len(index)
-    marks = int.from_bytes(_spelled(live).translate(_MARKS), "little")
+    spell = f"0{count}b"
+    zeros = int.from_bytes(b"0" * count, "big")
+    marks = int.from_bytes(format(live, spell).encode(), "big") - zeros << 7
     kept = []
-    for x in blue:
-        spelled = int.from_bytes(_spelled(x).ljust(count, b"0"), "little") + marks
-        kept.append(int(spelled.to_bytes(count, "little").translate(_KEPT, b"01")[::-1], 2))
-    index = list(compress(index, _spelled(live).translate(_FLAGS)))
+    for c in range(0, len(blue), 7):
+        chunk = blue[c : c + 7]
+        # each spelled vector brings '0' << b into every byte: take all off at once
+        plane = marks - zeros * ((1 << len(chunk)) - 1)
+        for b, x in enumerate(chunk):
+            plane += int.from_bytes(format(x, spell).encode(), "big") << b
+        plane = plane.to_bytes(count, "big").translate(None, _UNMARKED)
+        kept += [int(plane.translate(_READ[b]) or b"0", 2) for b in range(len(chunk))]
+    index = _indices(live, index)
     return kept, index, (1 << len(index)) - 1
 
 
@@ -258,26 +293,22 @@ def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:
 
 
 def _indices(bits: int, index) -> list[int]:
-    """``index[i]`` for every set bit i of ``bits``, ascending: from the
-    int's nonzero bytes when few are set, else through one 0/1 byte per bit."""
-    if bits.bit_count() * 8 >= bits.bit_length():
+    """``index[i]`` for every set bit i of ``bits``, ascending, from the
+    bits spelled out one byte each: through 0/1 flags when at least one bit
+    in nine is set, else by finding each '1'."""
+    if bits.bit_count() * 9 >= bits.bit_length():
         return list(compress(index, _spelled(bits).translate(_FLAGS)))
-    out = []
-    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    for match in _NONZERO.finditer(data):
-        base, byte = match.start() * 8, match[0][0]
-        out += [index[base + b] for b in range(8) if byte >> b & 1]
-    return out
+    return [index[match.start()] for match in _ONE.finditer(_spelled(bits))]
 
 
 def subsets(indices: list[int], n: int, k: int) -> list[frozenset[int]]:
     """The k-subsets of range(n) at the given ascending indices of
-    combinations order. Many are picked out of combinations() through one
-    0/1 flag per index; a few are unranked one by one, walking the vertices
-    and skipping the C(n - v - 1, j - 1) subsets that hold v when the index
-    lies past them."""
+    combinations order. Two or more, at least one in 128 of the size, are
+    picked out of combinations() through one 0/1 flag per index; fewer are
+    unranked one by one, walking the vertices and skipping the
+    C(n - v - 1, j - 1) subsets that hold v when the index lies past them."""
     count = comb(n, k)
-    if len(indices) * n >= count:
+    if len(indices) > 1 and len(indices) * 128 >= count:
         flags = bytearray(count)
         for i in indices:
             flags[i] = 1

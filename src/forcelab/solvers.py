@@ -13,7 +13,8 @@ from it; the scans of one public call share one table per rule (Z then
 pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), the slice
 constructions' checks, thr+, Z+ and pt+ in ``bounds_rows_for_graph``). From
 ``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced` steps all C(n, k)
-candidates of a size at once. Either way one result loop, ``_Scan.best``,
+candidates of a size at once, from vectors that each scan derives size
+after size from one generator. Either way one result loop, ``_Scan.best``,
 reads a size's candidates as index lists by the round they finish in, and
 the scans of one call share those lists for every size that one of them
 ran to the end. All of it dies when the public call returns: nothing is
@@ -39,13 +40,14 @@ DEFAULT_CAP = 16
 SWEEP_CAP = 14
 # Scans on this many vertices or more take the per-size sliced engine, and
 # smaller ones a whole-lattice rounds table. One-off z, zplus, pd and pt at
-# m = Z, table vs sliced, in ms per query (best of 5 over 24 random
-# connected graphs per n, CPython 3.11, 2-core VM):
-#   n = 9:  0.22/0.43, 0.33/0.88, 0.23/0.11, 0.24/0.38 (sum 1.02/1.79)
-#   n = 10: 0.42/0.49, 0.55/1.37, 0.41/0.14, 0.43/0.51 (sum 1.81/2.51)
-#   n = 11: 0.75/0.77, 1.01/2.25, 0.95/0.15, 0.95/0.92 (sum 3.66/4.09)
+# m = Z, table vs sliced, in ms per query (best of 5 per graph, mean over
+# 24 random connected graphs per n, CPython 3.11, 2-core VM):
+#   n = 9:  0.18/0.21, 0.33/0.71, 0.21/0.09, 0.18/0.22 (sum 0.89/1.23)
+#   n = 10: 0.36/0.34, 0.58/1.16, 0.40/0.10, 0.32/0.25 (sum 1.66/1.85)
+#   n = 11: 0.61/0.35, 0.82/1.40, 0.78/0.12, 0.63/0.33 (sum 2.83/2.19)
 # pd, whose scan stops at one or two vertices, is slower on the table at
-# every n, since its table covers the whole lattice.
+# every n, since its table covers the whole lattice; zplus is slower
+# sliced at every n.
 SLICED_MIN_N = 10
 _ENV_CAP = "FORCELAB_CAP"
 
@@ -107,7 +109,10 @@ class _Scan:
     power-domination table counts the neighborhood round too, so it is
     never lent). From ``SLICED_MIN_N`` on, ``table`` is None and a scan
     takes one size k at a time through :mod:`forcelab.sliced`, which steps
-    all C(n, k) candidate sets of the size at once. Either way the scans
+    all C(n, k) candidate sets of the size at once; the object holds one
+    :func:`forcelab.sliced.subset_vectors` generator, so a size that
+    follows the last one taken is derived from it, not built anew, and the
+    generator starts again only for a size no larger than the last. Either way the scans
     share the rounds of every size that one of them ran to the end
     (``finished``), and all of it dies with the object when the call
     returns. Construction refuses a graph above the cap before allocating.
@@ -125,6 +130,7 @@ class _Scan:
             self.rule = rule
             self.nbrs = g.adj
             self.table = None
+            self.size = g.n + 1  # the size ``vectors`` yields next; none yet
         else:
             self.bits = [1 << v for v in range(g.n)]
             self.table = sliced.rounds_table(rule, g.adj, g.n)
@@ -194,7 +200,7 @@ class _Scan:
             yield from known
             return
         if self.table is None:
-            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, self.n, size))
+            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self._vectors(size)))
         else:
             found = bytes(map(self.table.__getitem__, map(sum, combinations(self.bits, size))))
             index = range(len(found))
@@ -209,6 +215,18 @@ class _Scan:
             known.append(pair)
             yield pair
         self.finished[size] = known
+
+    def _vectors(self, size: int) -> tuple[list[int], int]:
+        """The size's candidate vectors from the scan's one
+        :func:`forcelab.sliced.subset_vectors` generator, which derives each
+        size from the last; it starts anew only for a size no larger than
+        the last one taken."""
+        if size < self.size:
+            self.vectors, self.size = sliced.subset_vectors(self.n, size), size
+        for _ in range(self.size, size):
+            next(self.vectors)
+        self.size = size + 1
+        return next(self.vectors)
 
 
 def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:

@@ -70,8 +70,9 @@ class TestRestrict:
 
     def test_psd_restriction_always_valid_and_no_slower(self):
         rng = Random(71)
-        done = 0
-        while done < 30:
+        done = attempts = 0
+        while done < 30 and attempts < 120:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 9), 0.35)
             rep = solvers.forcing_number(g, Rule.PSD)
             chron = psd_chronology(g, rep.witnesses[0])
@@ -81,6 +82,7 @@ class TestRestrict:
             res = propagate(Rule.PSD, sub.graph, sub_chron.base)
             assert res.ok and res.pt <= chron.ct
             done += 1
+        assert done == 30, attempts
 
     def test_rejects_other_rules(self, grid34_chords):
         pd = propagate(Rule.POWER_DOMINATION, grid34_chords, {5}).chronology
@@ -158,8 +160,9 @@ class TestInducedBundle:
 
     def test_contains_base_and_target(self):
         rng = Random(73)
-        done = 0
-        while done < 60:
+        done = attempts = 0
+        while done < 60 and attempts < 240:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 9), 0.35)
             rep = solvers.forcing_number(g, Rule.PSD)
             base = rng.choice(rep.witnesses)
@@ -170,13 +173,15 @@ class TestInducedBundle:
             assert base <= bundle.sub_vertices
             assert len(bundle.paths) == len(base)
             done += 1
+        assert done == 60, attempts
 
     def test_late_vertex_bundle_bounds_psd_time(self):
         # for a maximal PSD schedule and any x forced in its final step,
         # pt(H, B) <= pt+(G, B) <= |V(H)| - |B| over the bundle subgraph H
         rng = Random(149)
-        done = 0
-        while done < 30:
+        done = attempts = 0
+        while done < 30 and attempts < 120:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 8), 0.4, connected=True)
             rep = solvers.forcing_number(g, Rule.PSD)
             base = rep.witnesses[0]
@@ -192,11 +197,13 @@ class TestInducedBundle:
                 assert inner.pt <= res.pt
                 assert res.pt <= len(bundle.sub_vertices) - len(base)
             done += 1
+        assert done == 30, attempts
 
     def test_propagating_bundle_has_a_force_every_step(self):
         rng = Random(79)
-        done = 0
-        while done < 30:
+        done = attempts = 0
+        while done < 30 and attempts < 120:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 9), 0.35, connected=True)
             rep = solvers.forcing_number(g, Rule.PSD)
             chron = psd_chronology(g, rep.witnesses[0])
@@ -207,6 +214,7 @@ class TestInducedBundle:
                 # at least one force per step until the bundle is blue
                 assert fired_steps == list(range(fired_steps[-1] + 1))
             done += 1
+        assert done == 30, attempts
 
 
 class TestPsdReversal:
@@ -234,8 +242,9 @@ class TestPsdReversal:
 
     def test_exhaustive_small_sweep(self):
         rng = Random(83)
-        done = 0
-        while done < 25:
+        done = attempts = 0
+        while done < 25 and attempts < 100:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 7), 0.4, connected=True)
             rep = solvers.forcing_number(g, Rule.PSD)
             for base in rep.witnesses[:3]:
@@ -245,6 +254,7 @@ class TestPsdReversal:
                     assert len(new_base) == rep.value
                     assert x in new_base
             done += 1
+        assert done == 25, attempts
 
 
 class TestRelaxedPsdSchedules:
@@ -301,8 +311,9 @@ class TestRigidLinkage:
 
     def test_certificates_match_linkage_oracle(self):
         rng = Random(97)
-        done = 0
-        while done < 20:
+        done = attempts = 0
+        while done < 20 and attempts < 80:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 6), 0.45, connected=True)
             rep = solvers.forcing_number(g, Rule.PSD)
             chron = psd_chronology(g, rep.witnesses[0])
@@ -317,6 +328,7 @@ class TestRigidLinkage:
             )
             assert search.linkages[0] == normalized
             done += 1
+        assert done == 20, attempts
 
 
 class TestFindLinkages:

@@ -17,8 +17,10 @@ from forcelab.graphs import (
     grid_graph,
     induced_subgraph,
     is_vertex_cut,
+    mask_of,
     parse_edge_list,
     path_graph,
+    set_of,
     star_graph,
     to_dot,
     validate_path_cover,
@@ -127,6 +129,18 @@ class TestComponents:
         # ordered by minimum id
         mins = [min(c) for c in comps]
         assert mins == sorted(mins)
+
+
+class TestMasks:
+    def test_repeated_vertex_sets_its_bit_once(self):
+        assert mask_of([2, 2]) == 0b100
+        assert mask_of([0, 3, 0, 3, 3]) == 0b1001
+        assert mask_of(iter([5, 1, 5])) == 0b100010
+
+    def test_round_trip(self):
+        for verts in ([], [0], [1, 4, 6], list(range(30))):
+            assert mask_of(verts) == sum(1 << v for v in set(verts))
+            assert set_of(mask_of(verts)) == frozenset(verts)
 
 
 class TestVertexCut:

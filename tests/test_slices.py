@@ -112,8 +112,9 @@ class TestIntervalForcing:
 
     def test_random_windows_never_fail(self):
         rng = Random(47)
-        done = 0
-        while done < 500:
+        done = attempts = 0
+        while done < 500 and attempts < 2000:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 9), 0.35, connected=True)
             base = random_forcing_set(rng, g)
             chron = random_chronology(rng, g, base)
@@ -123,6 +124,7 @@ class TestIntervalForcing:
             n_step = rng.randint(m_step + 1, chron.ct)
             check_interval_forcing(g, chron, m_step, n_step)
             done += 1
+        assert done == 500, attempts
 
 
 class TestPsdConstruction:
@@ -248,8 +250,9 @@ class TestAchievedTimesMatchPropagate:
 
     def test_interval_checks(self):
         rng = Random(71)
-        done = 0
-        while done < 200:
+        done = attempts = 0
+        while done < 200 and attempts < 800:  # a broken engine fails, not spins
+            attempts += 1
             g = random_graph(rng, rng.randint(2, 12), 0.35, connected=True)
             chron = random_chronology(rng, g, random_forcing_set(rng, g))
             if chron.ct < 1:
@@ -262,6 +265,7 @@ class TestAchievedTimesMatchPropagate:
                 oracle = propagate(Rule.STANDARD, sub.graph, {local[v] for v in a.base})
                 assert a.achieved == oracle.pt
             done += 1
+        assert done == 200, attempts
 
 
 def _propagated_rounds(rule, g, base) -> int:

@@ -372,9 +372,9 @@ class TestScansAgreeWithBruteForce:
             g = random_graph(rng, n, rng.uniform(0.15, 0.6))
             for rule in self.RULES:
                 got = []
-                for k in range(n + 1):
+                for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
                     rounds = [None] * comb(n, k)
-                    for r, finished in enumerate(finished_by_round(rule, g.adj, n, k)):
+                    for r, finished in enumerate(finished_by_round(rule, g.adj, blue, count)):
                         for i in finished:
                             rounds[i] = r
                     got += rounds
@@ -477,8 +477,7 @@ class TestSlicedPsdRound:
     def test_rounds_match_the_naive_step(self):
         for g in white_component_graphs():
             n = g.n
-            for k in range(n + 1):
-                blue, count = sliced._subset_vectors(n, k)
+            for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
                 index, every = range(count), (1 << count) - 1
                 before = self.sets_of(blue, count)
                 assert before == [frozenset(c) for c in combinations(range(n), k)]
@@ -516,6 +515,67 @@ class TestSlicedPsdRound:
         blue = [0] * 8 + [1] * 8
         assert sliced._psd_round(Counted(g.adj), blue, 1) == [1] * 16
         assert Counted.reads <= 4 * g.n
+
+
+def bits_of(x: int, width: int) -> list[int]:
+    return [i for i in range(width) if x >> i & 1]
+
+
+class TestSlicedHelpers:
+    """The bookkeeping of ``sliced`` against plain loops over bits and
+    :func:`itertools.combinations`."""
+
+    def test_subset_vectors_from_every_start(self):
+        for n in range(13):
+            oracle = {}
+            for j in range(n + 1):
+                combos = list(combinations(range(n), j))
+                marks = [sum(1 << i for i, c in enumerate(combos) if v in c) for v in range(n)]
+                oracle[j] = marks, len(combos)
+            for k in range(n + 1):
+                sizes = list(sliced.subset_vectors(n, k))
+                assert len(sizes) == n + 1 - k, (n, k)
+                for j, got in enumerate(sizes, k):
+                    assert got == oracle[j], (n, k, j)
+                    assert got == next(sliced.subset_vectors(n, j)), (n, k, j)
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.1, 0.12, 0.3, 1.0])
+    def test_indices_on_both_sides_of_the_switch(self, density):
+        rng = Random(241)
+        for width in (1, 9, 64, 1000, 5000):
+            bits = sum(1 << i for i in range(width) if rng.random() < density)
+            positions = bits_of(bits, width)
+            assert sliced._indices(bits, range(width)) == positions
+            index = sorted(rng.sample(range(10 * width), width))
+            assert sliced._indices(bits, index) == [index[i] for i in positions]
+
+    def test_indices_take_both_paths(self):
+        # one set bit in nine is where the flags take over from the search
+        for bits in (0, 1 << 8, 1 << 9, (1 << 17) | 1, (1 << 18) | 1):
+            assert sliced._indices(bits, range(20)) == bits_of(bits, 20)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 13, 14, 15, 20])
+    def test_compact_gathers_the_live_bits(self, n):
+        rng = Random(251 + n)
+        for count in (1, 7, 100, 3000):
+            blue = [rng.getrandbits(count) for _ in range(n)]
+            index = sorted(rng.sample(range(5 * count), count))
+            for density in (0.0, 0.02, 0.25, 1.0):
+                live = sum(1 << i for i in range(count) if rng.random() < density)
+                positions = bits_of(live, count)
+                kept = [sum((x >> i & 1) << j for j, i in enumerate(positions)) for x in blue]
+                got = sliced._compact(blue, live, index)
+                assert got == (kept, [index[i] for i in positions], (1 << len(positions)) - 1)
+
+    def test_subsets_on_both_paths_follow_combinations_order(self):
+        rng = Random(257)
+        for n, k in [(0, 0), (5, 0), (5, 5), (7, 3), (12, 6), (14, 4), (18, 2)]:
+            combos = [frozenset(c) for c in combinations(range(n), k)]
+            count = len(combos)
+            # 1 (walked), under and over one in 128 of the size, and all
+            for picked in {1, 2, max(1, count // 128 - 1), count // 128 + 1, count}:
+                indices = sorted(rng.sample(range(count), min(picked, count)))
+                assert sliced.subsets(indices, n, k) == [combos[i] for i in indices]
 
 
 class TestOneRoundsMemoPerRulePerCall:
@@ -557,6 +617,56 @@ class TestOneRoundsMemoPerRulePerCall:
 
         monkeypatch.setattr(sliced, "rounds_table", recorded)
         return builds
+
+    @staticmethod
+    def record_vector_builds(monkeypatch) -> list:
+        """One ``[n, first size, sizes yielded]`` per generator started."""
+        builds = []
+        start = sliced.subset_vectors
+
+        def recorded(n, k):
+            builds.append(record := [n, k, 0])
+            for vectors in start(n, k):
+                record[2] += 1
+                yield vectors
+
+        monkeypatch.setattr(sliced, "subset_vectors", recorded)
+        return builds
+
+    def test_one_vector_build_per_sliced_call(self, monkeypatch):
+        # Each sliced scan builds its first size once and derives each later
+        # size from the last: Z reads sizes 0..Z, pt(G, m) size m only, and
+        # pt at m = Z reads Z's rounds from the forcing scan.
+        builds = self.record_vector_builds(monkeypatch)
+        rng = Random(263)
+        for g in (grid_graph(3, 4), random_graph(rng, 11, 0.3, connected=True)):
+            for rule, pt in ((Rule.STANDARD, "pt"), (Rule.PSD, "ptplus"), (Rule.POWER_DOMINATION, "ppt")):
+                z = forcing_number(g, rule).value
+                assert builds == [[g.n, 0, z + 1]]
+                builds.clear()
+                for m in range(z, g.n + 1):
+                    propagation_time_m(g, m, rule)
+                    assert builds == [[g.n, m, 1]]
+                    builds.clear()
+                solve_parameter(g, pt)
+                assert builds == [[g.n, 0, z + 1]]
+                builds.clear()
+                if rule is not Rule.POWER_DOMINATION:
+                    # sizes 0..thr - 1, as size thr costs at least thr + 1;
+                    # V costs n, so the scan reads it too when thr = n
+                    thr = throttling(g, rule).value
+                    assert builds == [[g.n, 0, thr if thr < g.n else g.n + 1]]
+                    builds.clear()
+                # a scan that skips sizes derives them on the way; a smaller
+                # size starts the generator again
+                scan = _Scan(g, rule, None)
+                got = [scan.time(m) for m in (z, z + 2, z + 1)]
+                assert builds == [[g.n, z, 3], [g.n, z + 1, 1]]
+                builds.clear()
+                for m, (value, found) in zip((z, z + 2, z + 1), got):
+                    report = propagation_time_m(g, m, rule)
+                    assert (value, tuple(scan.sets(found))) == (report.value, report.witnesses)
+                builds.clear()
 
     def test_bounds_rows_for_graph(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
@@ -648,7 +758,8 @@ def test_sliced_psd_scan_stays_small_on_20_vertices():
     g = grid_graph(4, 5)
     tracemalloc.start()
     try:
-        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, g.n, 5))
+        vectors = sliced.subset_vectors(g.n, 5)  # held through the rounds, as a scan holds it
+        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, *next(vectors)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
