@@ -58,9 +58,9 @@ def subset_vectors(n: int, k: int) -> Iterator[tuple[list[int], int]]:
 
 
 def _level(with_s: list[int], low: int, without: list[int], high: int) -> tuple[list[int], int]:
-    """Level s of a size from level s + 1: ``with_s`` of the size below,
-    ``low`` = C(n - s - 1, j - 1) subsets, each taking s too; ``without`` of
-    the size itself, ``high`` subsets, listed after them."""
+    """Level s of size j from level s + 1: first the ``low`` =
+    C(n - s - 1, j - 1) subsets of size j - 1 (vectors ``with_s``), each
+    with s added, then the ``high`` subsets of size j (``without``)."""
     return [(1 << low) - 1] + [a | b << low for a, b in zip(with_s, without)], low + high
 
 
