@@ -112,7 +112,7 @@ class _Scan:
     all C(n, k) candidate sets of the size at once; the object holds one
     :func:`forcelab.sliced.subset_vectors` generator, so a size that
     follows the last one taken is derived from it, not built anew, and the
-    generator starts again only for a size no larger than the last. Either way the scans
+    generator starts again only for a size below the last. Either way the scans
     share the rounds of every size that one of them ran to the end
     (``finished``), and all of it dies with the object when the call
     returns. Construction refuses a graph above the cap before allocating.
@@ -130,7 +130,7 @@ class _Scan:
             self.rule = rule
             self.nbrs = g.adj
             self.table = None
-            self.size = g.n + 1  # the size ``vectors`` yields next; none yet
+            self.size = g.n + 1  # the last size taken from ``vectors``; none yet
         else:
             self.bits = [1 << v for v in range(g.n)]
             self.table = sliced.rounds_table(rule, g.adj, g.n)
@@ -219,14 +219,15 @@ class _Scan:
     def _vectors(self, size: int) -> tuple[list[int], int]:
         """The size's candidate vectors from the scan's one
         :func:`forcelab.sliced.subset_vectors` generator, which derives each
-        size from the last; it starts anew only for a size no larger than
-        the last one taken."""
+        size from the last; it starts anew only for a size below the last
+        one taken, and that one's vectors are kept (the generator holds them
+        anyway)."""
         if size < self.size:
-            self.vectors, self.size = sliced.subset_vectors(self.n, size), size
-        for _ in range(self.size, size):
-            next(self.vectors)
-        self.size = size + 1
-        return next(self.vectors)
+            self.vectors, self.size = sliced.subset_vectors(self.n, size), size - 1
+        while self.size < size:
+            self.last = next(self.vectors)
+            self.size += 1
+        return self.last
 
 
 def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:

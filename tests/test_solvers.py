@@ -657,13 +657,15 @@ class TestOneRoundsMemoPerRulePerCall:
                     thr = throttling(g, rule).value
                     assert builds == [[g.n, 0, thr if thr < g.n else g.n + 1]]
                     builds.clear()
-                # a scan that skips sizes derives them on the way; a smaller
-                # size starts the generator again
+                # a scan that skips sizes derives them on the way, asks for
+                # the last size again without a build, and starts the
+                # generator again for a smaller size
                 scan = _Scan(g, rule, None)
-                got = [scan.time(m) for m in (z, z + 2, z + 1)]
+                sizes = (z, z + 2, z + 2, z + 1)
+                got = [scan.time(m) for m in sizes]
                 assert builds == [[g.n, z, 3], [g.n, z + 1, 1]]
                 builds.clear()
-                for m, (value, found) in zip((z, z + 2, z + 1), got):
+                for m, (value, found) in zip(sizes, got):
                     report = propagation_time_m(g, m, rule)
                     assert (value, tuple(scan.sets(found))) == (report.value, report.witnesses)
                 builds.clear()
