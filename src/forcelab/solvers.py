@@ -130,7 +130,7 @@ class _Scan:
             self.rule = rule
             self.nbrs = g.adj
             self.table = None
-            self.size = g.n + 1  # the last size taken from ``vectors``; none yet
+            self.size = g.n + 1  # the last size taken from ``vectors``: none yet, so above all
         else:
             self.bits = [1 << v for v in range(g.n)]
             self.table = sliced.rounds_table(rule, g.adj, g.n)
