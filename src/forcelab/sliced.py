@@ -5,9 +5,12 @@ The k-subsets of the vertices 0..n-1 are indexed 0..C(n, k)-1 in
 :func:`itertools.combinations` order. Vertex v gets one C(n, k)-bit int
 whose bit i is set when v is blue in the process started from the i-th
 subset, so one round of a rule is a few big-int operations per edge for
-all C(n, k) processes together (bit-slicing, as in Biham's DES); a PSD
-round floods each white component of each subset once, from its least
-vertex. One :func:`subset_vectors` generator gives a scan the vectors of
+all C(n, k) processes together (bit-slicing, as in Biham's DES). A PSD
+round forces the white vertices with no white neighbor first, then floods
+the rest in passes: each pass seeds every subset at its least white
+vertex not yet reached, so one flood gives every subset one whole white
+component, and a round takes as many passes as the most components a
+subset has. One :func:`subset_vectors` generator gives a scan the vectors of
 every size it asks for, deriving each size from the last. Once few
 candidates still change, a PSD scan packs seven vectors into one byte
 per candidate and drops the bytes of the rest (``_compact``); witnesses
@@ -22,6 +25,7 @@ those vectors; they share no code with the per-mask engine of
 from __future__ import annotations
 
 import re
+import sys
 from itertools import combinations, compress
 from math import comb
 from typing import Iterator
@@ -72,7 +76,7 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
     :func:`subset_vectors` yields them.
 
     A candidate that did not change in a round never changes again. Once at
-    most a quarter of the candidates still change, a PSD scan cuts its
+    most an eighth of the candidates still change, a PSD scan cuts its
     vectors down to those bits (``_compact``), and ``index`` maps the bits
     left to candidate indices; a standard round costs too little to repay
     the cut."""
@@ -94,7 +98,7 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
             done &= x
         yield _indices(done & moved, index)
         live = moved & ~done
-        if rule is Rule.PSD and live and live.bit_count() * 4 <= len(index):
+        if rule is Rule.PSD and live and live.bit_count() * 8 <= len(index):
             blue, index, every = _compact(blue, live, index)
         step = later
 
@@ -134,24 +138,45 @@ def _standard_round(nbrs, blue: list[int], every: int) -> list[int]:
 
 def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
     """Within each white component, a blue vertex with exactly one
-    neighbor there forces it. Each component is flooded once, by frontier,
-    from its least vertex. ``unreached[u]`` marks the subsets where u is
-    white and no flood has reached it yet; vertices are tried in ascending
-    order, so where r is still unreached, no smaller vertex shares its
-    component and the flood from r starts there. ``reach[u]`` collects the
-    subsets where the flood finds u. ``exact[v]`` marks where a blue v has
-    exactly one neighbor in the reach, and each reached w is forced where
-    it is reached and some neighbor's ``exact`` is set."""
+    neighbor there forces it. A white vertex with no white neighbor is a
+    component of its own, forced by any neighbor, so it is taken first
+    (``alone``); a vertex with no neighbor at all stays white.
+    ``unreached[u]`` marks the subsets where u is white and no flood has
+    reached it yet. Each pass seeds every subset at its least unreached
+    vertex: going up the vertices, ``taken`` marks the subsets already
+    seeded, so r seeds where it is unreached and not taken. One frontier
+    flood from all the seeds then gives each subset exactly one component,
+    and passes repeat until nothing is unreached: as many as the most
+    components a subset has. ``reach[u]`` collects the subsets where the
+    pass finds u. ``exact[v]`` marks where a blue v has exactly one
+    neighbor in the reach, and each reached w is forced where it is reached
+    and some neighbor's ``exact`` is set."""
     white = [every ^ x for x in blue]
-    unreached = list(white)
     out = list(blue)
-    for r in range(len(blue)):
-        start = unreached[r]
-        if not start:
-            continue
-        unreached[r] = 0
-        reach = {r: start}
-        front = reach.copy()
+    unreached = []
+    for w, (xw, nw) in enumerate(zip(white, nbrs)):
+        if xw and nw:
+            near = 0
+            for u in nw:
+                near |= white[u]
+            alone = xw & ~near
+            if alone:
+                out[w] |= alone
+                xw ^= alone
+        unreached.append(xw)
+    while True:
+        taken = 0
+        front = {}
+        for r, x in enumerate(unreached):
+            if x:
+                seed = x & ~taken
+                if seed:
+                    front[r] = seed
+                    unreached[r] = x ^ seed
+                taken |= x
+        if not front:
+            return out
+        reach = front.copy()
         while front:
             nxt = {}
             for x, dx in front.items():
@@ -182,7 +207,6 @@ def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
             for v in nbrs[w]:
                 forced |= exact[v]
             out[w] |= forced & a
-    return out
 
 
 # The rounds of each maximal process: the first round's, then every later one's.
@@ -255,18 +279,21 @@ def _lattice_vectors(n: int) -> list[int]:
 
 def _successors(blue: list[int], n: int):
     """The mask of the vertices set at bit B of the vectors ``blue``, for
-    every mask B. Vertex v's vector is spelled out into the byte plane of
-    vertices 8(v // 8).., as 1 << (v % 8) where set; a graph up to 8
-    vertices has one plane, read as bytes."""
+    every mask B, up to 16 vertices. Vertex v's vector is spelled out into
+    the byte plane of vertices 8(v // 8).., as 1 << (v % 8) where set. A
+    graph up to 8 vertices has one plane, read as bytes; above that the two
+    planes are interleaved into one native 16-bit word per mask."""
     planes = [0] * ((n + 7) // 8 or 1)
     for v, x in enumerate(blue):
         planes[v >> 3] |= int.from_bytes(_spelled(x).translate(_BIT_OF[v & 7]), "little")
     size = 1 << n
-    succ = planes[0].to_bytes(size, "little")
-    for i in range(1, len(planes)):
-        high = planes[i].to_bytes(size, "little")
-        succ = [c | h << 8 * i for c, h in zip(succ, high)]
-    return succ
+    if len(planes) == 1:
+        return planes[0].to_bytes(size, "little")
+    words = bytearray(2 * size)
+    low = sys.byteorder == "big"  # where a word's low byte sits
+    words[low::2] = planes[0].to_bytes(size, "little")
+    words[1 - low :: 2] = planes[1].to_bytes(size, "little")
+    return memoryview(words).cast("H")
 
 
 def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:

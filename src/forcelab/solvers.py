@@ -405,6 +405,10 @@ def bounds_rows_for_graph(
             )
         )
     rhs = min(m + (pt_by_m[m] + 1) // 2 for m in pt_by_m)
+    # Z+ first: it runs sizes 0..Z+ to the end, and throttling then reads
+    # them and derives Z+ + 1 onwards, where the other order cuts size Z+
+    # short and Z+ builds it again.
+    z_plus = psd_scan.forcing()[0] if "zeq" in wanted else None
     if "thrplus" in wanted:
         thr_plus = psd_scan.throttling()[0]
         rows.append(
@@ -412,24 +416,22 @@ def bounds_rows_for_graph(
                 graph_id, g.n, "thr+", z, str(thr_plus), rhs, "", "", thr_plus <= rhs
             )
         )
-    if "zeq" in wanted:
-        z_plus = psd_scan.forcing()[0]
-        if z_plus == z:
-            pt_plus_exact = psd_scan.time(z_plus)[0]
-            bound = (pt_by_m[z] + 1) // 2
-            rows.append(
-                BoundsRow(
-                    graph_id,
-                    g.n,
-                    "pt+",
-                    z,
-                    str(pt_plus_exact),
-                    bound,
-                    "",
-                    "",
-                    pt_plus_exact <= bound,
-                )
+    if "zeq" in wanted and z_plus == z:
+        pt_plus_exact = psd_scan.time(z_plus)[0]
+        bound = (pt_by_m[z] + 1) // 2
+        rows.append(
+            BoundsRow(
+                graph_id,
+                g.n,
+                "pt+",
+                z,
+                str(pt_plus_exact),
+                bound,
+                "",
+                "",
+                pt_plus_exact <= bound,
             )
+        )
     return rows
 
 

@@ -516,6 +516,51 @@ class TestSlicedPsdRound:
         assert sliced._psd_round(Counted(g.adj), blue, 1) == [1] * 16
         assert Counted.reads <= 4 * g.n
 
+    def test_one_flood_per_component_whatever_the_least_white_vertex(self):
+        # In K10 the white vertices of every candidate of size k <= 8 form
+        # one component, whose least vertex is any of 0..k. A pass seeds
+        # every candidate at once, and reads each neighbor list at most five
+        # times (seed, front, forcer search twice, forcing); a flood per
+        # least white vertex reads them k + 1 times as often.
+        g = complete_graph(10)
+        for k, (blue, count) in enumerate(sliced.subset_vectors(g.n, 0)):
+            if k > g.n - 2:
+                break
+            most = max(len(components(g, c)) for c in combinations(range(g.n), k))
+            assert most == 1
+            nbrs = CountedReads(g.adj)
+            # every blue vertex sees two or more white ones: nothing is forced
+            assert sliced._psd_round(nbrs, blue, (1 << count) - 1) == blue
+            assert nbrs.reads <= 5 * g.n * most, k
+
+    def test_a_vertex_isolated_in_the_graph_stays_white(self):
+        # candidates {0}, {1}, {2}: 0 and 1 force each other, 2 has no forcer
+        g = Graph(3, [(0, 1)])
+        blue, count = next(sliced.subset_vectors(g.n, 1))
+        new = sliced._psd_round(g.adj, blue, (1 << count) - 1)
+        assert self.sets_of(new, count) == [{0, 1}, {0, 1}, {2}]
+
+    def test_a_blue_centre_forces_every_leaf_without_a_flood(self):
+        # Each leaf is a white component of its own, forced by the centre
+        # before any flood starts: at most one read per vertex.
+        g = star_graph(6)
+        nbrs = CountedReads(g.adj)
+        assert sliced._psd_round(nbrs, [1] + [0] * 6, 1) == [1] * 7
+        assert nbrs.reads <= g.n
+
+
+class CountedReads(tuple):
+    """Neighbor lists that count the lists read by index."""
+
+    def __new__(cls, lists):
+        self = super().__new__(cls, lists)
+        self.reads = 0
+        return self
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return tuple.__getitem__(self, v)
+
 
 def bits_of(x: int, width: int) -> list[int]:
     return [i for i in range(width) if x >> i & 1]
@@ -669,6 +714,14 @@ class TestOneRoundsMemoPerRulePerCall:
                     report = propagation_time_m(g, m, rule)
                     assert (value, tuple(scan.sets(found))) == (report.value, report.witnesses)
                 builds.clear()
+
+    def test_bounds_sweep_starts_each_vector_generator_once(self, monkeypatch):
+        # The PSD scan takes Z+ before thr+, so throttling reads sizes
+        # 0..Z+ as Z+ ran them and derives the next size: no generator
+        # starts again.
+        builds = self.record_vector_builds(monkeypatch)
+        bounds_rows_for_graph("g", grid_graph(3, 4))
+        assert [(n, k) for n, k, _ in builds] == [(12, 0), (12, 0)]
 
     def test_bounds_rows_for_graph(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
