@@ -416,22 +416,23 @@ def bounds_rows_for_graph(
                 graph_id, g.n, "thr+", z, str(thr_plus), rhs, "", "", thr_plus <= rhs
             )
         )
-    if "zeq" in wanted and z_plus == z:
-        pt_plus_exact = psd_scan.time(z_plus)[0]
-        bound = (pt_by_m[z] + 1) // 2
-        rows.append(
-            BoundsRow(
-                graph_id,
-                g.n,
-                "pt+",
-                z,
-                str(pt_plus_exact),
-                bound,
-                "",
-                "",
-                pt_plus_exact <= bound,
+    if "zeq" in wanted:
+        if z_plus == z:
+            pt_plus_exact = psd_scan.time(z_plus)[0]
+            bound = (pt_by_m[z] + 1) // 2
+            rows.append(
+                BoundsRow(
+                    graph_id,
+                    g.n,
+                    "pt+",
+                    z,
+                    str(pt_plus_exact),
+                    bound,
+                    "",
+                    "",
+                    pt_plus_exact <= bound,
+                )
             )
-        )
     return rows
 
 
