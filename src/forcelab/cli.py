@@ -61,7 +61,10 @@ _SHAPES = {
 def _load_object(path: str, keys: tuple[str, ...]) -> dict:
     """A JSON object holding every key in ``keys``, each of its shape."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise GraphFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise GraphFormatError(f"{path}: expected a JSON object")
     for key in keys:

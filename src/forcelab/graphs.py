@@ -7,6 +7,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import GraphFormatError
 
+GRAPH6_MAX_N = 258047  # the most vertices a graph6 header can state
+
 
 class Graph:
     """Finite simple undirected graph on vertex ids 0..n-1.
@@ -294,6 +296,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
+    if n > GRAPH6_MAX_N:
+        raise GraphFormatError(f"header declares {n} vertices, above {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []
@@ -366,7 +370,7 @@ def graph6_encode(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= GRAPH6_MAX_N:
         head = "~" + chr(((n >> 12) & 63) + 63) + chr(((n >> 6) & 63) + 63) + chr((n & 63) + 63)
     else:
         raise GraphFormatError("graph too large for graph6 encoding")

@@ -4,9 +4,8 @@ Slicing a schedule at step N splits the vertices into those done forcing
 before N, those active at N, and those not yet blue; the active set
 separates the other two. These slice sets are the raw material for the
 constructive halving of PSD and power-domination propagation times.
-A built set is checked by the rounds of its process, read from a scan's
-rounds table or walked through the steps of :data:`forcelab.forcing.PROCESSES`,
-not by building its schedule.
+A built set is checked by the rounds of its process, walked through the
+steps of :data:`forcelab.forcing.PROCESSES`, not by building its schedule.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ class SliceReport:
 
 def time_slice(g: Graph, chron: RelaxedChronology, n_step: int) -> SliceReport:
     """Partition the vertices by their activity relative to step ``n_step``."""
-    return _time_slice(Replay.standard(g, chron), n_step)
-
-
-def _time_slice(r: Replay, n_step: int) -> SliceReport:
+    r = Replay.standard(g, chron)
     if not 0 <= n_step <= r.chron.ct:
         raise ValueError(f"step {n_step} outside 0..{r.chron.ct}")
     return SliceReport(n_step, *_split(r.spans, n_step))
@@ -46,6 +42,17 @@ def _split(spans: list[tuple[int, int]], step: int) -> tuple[frozenset[int], ...
     for v, (lo, hi) in enumerate(spans):
         (minus if hi < step else plus if lo > step else at).append(v)
     return frozenset(minus), frozenset(at), frozenset(plus)
+
+
+def _window(r: Replay, m_step: int, n_step: int) -> tuple[frozenset[int], ...]:
+    """The window of steps ``m_step`` to ``n_step``: its active vertices,
+    its end slices, the vertices done forcing before its end and not yet
+    blue at its start, and the boundary sets of those two."""
+    minus_m, at_m, after = _split(r.spans, m_step)
+    before, at_n, plus_n = _split(r.spans, n_step)
+    closed = frozenset(range(r.graph.n)) - minus_m - plus_n
+    bd_n_minus = r.reversal.initials(before) if before else frozenset()
+    return closed, at_m, at_n, before, after, bd_n_minus, r.initials(after)
 
 
 @dataclass(frozen=True)
@@ -68,13 +75,9 @@ def interval_slice(
 ) -> IntervalSlice:
     if not 0 <= m_step <= n_step <= chron.ct:
         raise ValueError(f"need 0 <= {m_step} <= {n_step} <= {chron.ct}")
-    return _interval_slice(Replay.standard(g, chron), m_step, n_step)
-
-
-def _interval_slice(r: Replay, m_step: int, n_step: int) -> IntervalSlice:
-    minus_m, at_m, after = _split(r.spans, m_step)
-    before, at_n, plus_n = _split(r.spans, n_step)
-    closed = frozenset(range(r.graph.n)) - minus_m - plus_n
+    closed, at_m, at_n, _, _, bd_n_minus, bd_m_plus = _window(
+        Replay.standard(g, chron), m_step, n_step
+    )
     return IntervalSlice(
         m_step,
         n_step,
@@ -82,8 +85,8 @@ def _interval_slice(r: Replay, m_step: int, n_step: int) -> IntervalSlice:
         closed - at_m,
         closed - at_n,
         closed - at_m - at_n,
-        r.initials(after),
-        r.reversal.initials(before) if before else frozenset(),
+        bd_m_plus,
+        bd_n_minus,
     )
 
 
@@ -103,23 +106,18 @@ class IntervalForcingReport:
     assertions: tuple[ForcingAssertion, ...]
 
 
-def _rounds(rule: Rule, g: Graph, base, scan=None) -> int:
+def _rounds(rule: Rule, g: Graph, base) -> int:
     """Rounds the maximal ``rule`` process takes to color ``g`` from
-    ``base``, -1 if it stalls. Power domination's neighborhood step runs
-    first; where it adds nothing, no blue vertex has a white neighbor, so
-    the later steps stall too. The rest is read from the rounds table of a
-    ``solvers._Scan`` of ``g`` passed as ``scan``, which has one below
-    ``solvers.SLICED_MIN_N`` vertices (the standard scan for power
-    domination, whose later steps are standard), or else walked one step
-    at a time, keeping only the current mask."""
+    ``base``, -1 if it stalls, walked one step of
+    :data:`forcelab.forcing.PROCESSES` at a time, keeping only the current
+    mask. Power domination's neighborhood step runs first; where it adds
+    nothing, no blue vertex has a white neighbor, so the later steps stall
+    too."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     first, step = PROCESSES[rule]
     blue, rounds = mask_of(base), 0
     if first is not step and blue != full:
         blue, rounds = blue | first(adj, blue), 1
-    if scan is not None and scan.table is not None:
-        known = scan.table[blue]
-        return -1 if known == 1 else rounds + known - 2
     while blue != full:
         add = step(adj, blue)
         if not add:
@@ -153,12 +151,9 @@ def check_interval_forcing(
     """
     if not 0 <= m_step < n_step <= chron.ct:
         raise ValueError(f"need 0 <= {m_step} < {n_step} <= {chron.ct}")
-    r = Replay.standard(g, chron)
-    minus_m, at_m, after = _split(r.spans, m_step)
-    before, at_n, plus_n = _split(r.spans, n_step)
-    closed = frozenset(range(g.n)) - minus_m - plus_n
-    bd_n_minus = r.reversal.initials(before) if before else frozenset()
-    bd_m_plus = r.initials(after)
+    closed, at_m, at_n, before, after, bd_n_minus, bd_m_plus = _window(
+        Replay.standard(g, chron), m_step, n_step
+    )
     checks = (
         _rounds_on(g, closed, at_m, n_step - m_step, "window from its start slice"),
         _rounds_on(g, closed, at_n, n_step - m_step, "window from its end slice"),
@@ -209,13 +204,7 @@ def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
 
 
 def psd_set_from_slices(
-    g: Graph,
-    m: int,
-    cut_times="auto",
-    cap: int | None = None,
-    *,
-    _replay: Replay | None = None,
-    _scan=None,
+    g: Graph, m: int, cut_times="auto", cap: int | None = None
 ) -> SliceConstruction:
     """Build a size-m PSD forcing set from slice sets of an m-efficient
     standard schedule.
@@ -223,10 +212,14 @@ def psd_set_from_slices(
     ``cut_times='auto'`` cuts once at ceil(K/2), which guarantees a PSD
     propagation time of at most ceil(pt(G, m)/2). Explicit cut times give
     the guarantee max(first gap, gaps between cuts, last gap); achieved
-    time (often better for several cuts) is counted in PSD rounds, read from
-    the table of a PSD ``solvers._Scan`` of ``g`` passed as ``_scan``.
+    time (often better for several cuts) is counted in PSD rounds.
     """
-    r = _replay or _efficient_replay(g, m, cap)
+    return _psd_set(_efficient_replay(g, m, cap), m, cut_times)
+
+
+def _psd_set(r: Replay, m: int, cut_times) -> SliceConstruction:
+    """:func:`psd_set_from_slices` on the replay ``r`` of the m-efficient
+    schedule."""
     k_total = r.chron.ct
     if cut_times == "auto":
         cuts = ((k_total + 1) // 2,)
@@ -247,7 +240,7 @@ def psd_set_from_slices(
     gaps = [cuts[0], k_total - cuts[-1]]
     gaps.extend(b - a for a, b in zip(cuts, cuts[1:]))
     bound = max(gaps)
-    rounds = _rounds(Rule.PSD, g, base, _scan)
+    rounds = _rounds(Rule.PSD, r.graph, base)
     if rounds < 0:
         raise InvariantViolation("slice set failed to PSD-force the graph")
     if rounds > bound:
@@ -257,20 +250,17 @@ def psd_set_from_slices(
     return SliceConstruction(frozenset(base), bound, rounds, cuts, k_total)
 
 
-def power_set_from_slice(
-    g: Graph,
-    m: int,
-    cap: int | None = None,
-    *,
-    _replay: Replay | None = None,
-    _scan=None,
-) -> PowerConstruction:
+def power_set_from_slice(g: Graph, m: int, cap: int | None = None) -> PowerConstruction:
     """Build a size-m power dominating set: the slice at ceil(K/2) of an
     m-efficient standard schedule, guaranteeing power propagation time at
-    most ceil(pt(G, m)/2); achieved time is counted in rounds, read from the
-    table of a standard ``solvers._Scan`` of ``g`` passed as ``_scan``."""
-    r = _replay or _efficient_replay(g, m, cap)
-    k_total = r.chron.ct
+    most ceil(pt(G, m)/2); achieved time is counted in rounds."""
+    return _power_set(_efficient_replay(g, m, cap), m)
+
+
+def _power_set(r: Replay, m: int) -> PowerConstruction:
+    """:func:`power_set_from_slice` on the replay ``r`` of the m-efficient
+    schedule."""
+    g, k_total = r.graph, r.chron.ct
     if k_total == 0:
         return PowerConstruction(frozenset(range(g.n)), 0, 0, 0, 0)
     n_cut = (k_total + 1) // 2
@@ -285,7 +275,7 @@ def power_set_from_slice(
         raise InvariantViolation(
             "slice neighborhood misses a boundary set it must dominate"
         )
-    rounds = _rounds(Rule.POWER_DOMINATION, g, base, _scan)
+    rounds = _rounds(Rule.POWER_DOMINATION, g, base)
     if rounds < 0:
         raise InvariantViolation("slice set failed to power-dominate the graph")
     if rounds > n_cut:

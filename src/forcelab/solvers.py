@@ -10,17 +10,17 @@ Two engines run the candidates, both from :mod:`forcelab.sliced`. Below
 over all 2^n bitmasks (:func:`forcelab.sliced.rounds_table`, one bit-sliced
 round over the whole subset lattice) and then reads each candidate's rounds
 from it; the scans of one public call share one table per rule (Z then
-pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), the slice
-constructions' checks, thr+, Z+ and pt+ in ``bounds_rows_for_graph``). From
-``SLICED_MIN_N`` vertices on, :mod:`forcelab.sliced` steps all C(n, k)
-candidates of a size at once, from vectors that each scan derives size
-after size from one generator. Either way one result loop, ``_Scan.best``,
+pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), thr+, Z+ and pt+ in
+``bounds_rows_for_graph``). From ``SLICED_MIN_N`` vertices on,
+:mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once, from
+vectors that each scan derives size after size from one generator. Either way one result loop, ``_Scan.best``,
 reads a size's candidates as index lists by the round they finish in, and
 the scans of one call share those lists for every size that one of them
 ran to the end. All of it dies when the public call returns: nothing is
 cached between calls. The per-mask engine of :mod:`forcelab.forcing` runs
 no scan; it replays schedules, and its step-by-step walk in
-``slices._rounds`` is the tables' oracle in the tests.
+``slices._rounds``, the one way the slice checks count their sets' rounds,
+is the tables' oracle in the tests.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ SWEEP_CAP = 14
 #   n = 9:  0.18/0.21, 0.33/0.71, 0.21/0.09, 0.18/0.22 (sum 0.89/1.23)
 #   n = 10: 0.36/0.34, 0.58/1.16, 0.40/0.10, 0.32/0.25 (sum 1.66/1.85)
 #   n = 11: 0.61/0.35, 0.82/1.40, 0.78/0.12, 0.63/0.33 (sum 2.83/2.19)
-# pd, whose scan stops at one or two vertices, is slower on the table at
-# every n, since its table covers the whole lattice; zplus is slower
-# sliced at every n.
+# zplus is slower sliced at every n. pd and ppt at m = Z, whose scans stop
+# at one or two vertices, are faster on a table up to n = 7 and slower from
+# n = 8; mean of the two, as above but over 30 graphs and in process time:
+#   n = 5..9: 0.040/0.050, 0.049/0.057, 0.066/0.070, 0.096/0.076, 0.180/0.098
 SLICED_MIN_N = 10
 _ENV_CAP = "FORCELAB_CAP"
 
@@ -104,10 +105,8 @@ class _Scan:
 
     Below ``SLICED_MIN_N`` vertices the scan builds the rounds table of its
     rule once (:func:`forcelab.sliced.rounds_table`) and keeps it as
-    ``table``; every scan reads its candidates' rounds from it, and the
-    bounds sweep lends the standard and PSD tables to its slice checks (a
-    power-domination table counts the neighborhood round too, so it is
-    never lent). From ``SLICED_MIN_N`` on, ``table`` is None and a scan
+    ``table``; only ``_finished_by_round`` reads it, to give every scan its
+    candidates' rounds. From ``SLICED_MIN_N`` on, ``table`` is None and a scan
     takes one size k at a time through :mod:`forcelab.sliced`, which steps
     all C(n, k) candidate sets of the size at once; the object holds one
     :func:`forcelab.sliced.subset_vectors` generator, so a size that
@@ -366,11 +365,9 @@ def bounds_rows_for_graph(
     One standard and one PSD ``_Scan`` serve every row, and the values
     and the first efficient witness are read from them, not from the
     public reports, so the only witness set unranked is the efficient set
-    each m replays (``_Scan.first``). Below SLICED_MIN_N vertices the
-    constructions count their sets' rounds in the scans' tables: PSD
-    rounds in the PSD table, power rounds as one neighborhood step then the
-    standard table; from SLICED_MIN_N on the scans have no table, so each
-    check walks its process one step at a time.
+    each m replays (``_Scan.first``). Both constructions of an m row share
+    that one replay, and each counts its set's rounds by walking its
+    process one step at a time (``slices._rounds``), at every n.
     """
     from . import slices  # local import: slices builds on these solvers
 
@@ -388,8 +385,8 @@ def bounds_rows_for_graph(
         if "bounds" not in wanted:
             continue
         bound = (pt_m + 1) // 2
-        psd = slices.psd_set_from_slices(g, m, _replay=replay, _scan=psd_scan)
-        power = slices.power_set_from_slice(g, m, _replay=replay, _scan=std)
+        psd = slices._psd_set(replay, m, "auto")
+        power = slices._power_set(replay, m)
         ok = psd.achieved <= bound and power.achieved <= bound
         rows.append(
             BoundsRow(

@@ -9,6 +9,23 @@ from forcelab.pips import BlockPartition, PipWitness
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", help="also run tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: long exhaustive checks, run only with --runslow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow: pass --runslow to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def inputs_dir() -> pathlib.Path:
     return INPUTS

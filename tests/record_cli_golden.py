@@ -64,7 +64,10 @@ FILES = {
     "over_cap.g6": "Cr\nNhEAHCPAGG?P?P?G_AG\n",
     "bad_edges.edges": "3 2\n0 1\n",
     "loop.edges": "3 1\n1 1\n",
+    # a header above the largest graph6 size, refused before any allocation
+    "huge_header.edges": "1000000000 0\n",
     "not_json.json": "{",
+    "deep.json": "[" * 100_000,
     "list.json": "[1, 2]",
     "no_steps.json": json.dumps({"rule": "standard", "base": [0, 4, 8]}),
     "str_base.json": json.dumps({"rule": "standard", "base": "0", "steps": []}),
@@ -174,8 +177,10 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("missing-graph", "solve", "--param", "z", "--graph", "{tmp}/absent.edges")
     add("bad-edge-count", "solve", "--param", "z", "--graph", "{tmp}/bad_edges.edges")
     add("self-loop", "solve", "--param", "z", "--graph", "{tmp}/loop.edges")
+    add("huge-header", "simulate", "--rule", "z", "--graph", "{tmp}/huge_header.edges",
+        "--blue", "0")
     add("bad-blue", "simulate", "--rule", "z", "--graph", grid, "--blue", "0,99")
-    for name in ("not_json", "list", "no_steps", "str_base", "bad_rule", "illegal"):
+    for name in ("not_json", "deep", "list", "no_steps", "str_base", "bad_rule", "illegal"):
         add(f"chronology-{name}", "simulate", "--rule", "z", "--graph", grid,
             "--chronology", f"{{tmp}}/{name}.json")
     add("partitions-missing", "family", "generate", "--partitions",

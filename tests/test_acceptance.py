@@ -117,6 +117,22 @@ def test_criterion_04_path_cover_number_equals_forcing_number():
     print(f"ACCEPTANCE 4 PASS: witness search = solver on {checked} connected graphs")
 
 
+@pytest.mark.slow
+def test_criterion_04_on_every_connected_7_vertex_graph():
+    """Criterion 4 on the 853 connected graphs with 7 vertices (opt-in:
+    ``--runslow``)."""
+    checked = 0
+    for gid, g in solvers.atlas_stream(max_n=7, connected_only=True):
+        if g.n < 7:
+            continue
+        direct = pips.pip_number_by_search(g)
+        solved = solvers.forcing_number(g, Rule.STANDARD).value
+        assert direct == solved, f"{gid}: search {direct} != solver {solved}"
+        checked += 1
+    assert checked == 853
+    print(f"ACCEPTANCE 4 PASS: witness search = solver on {checked} connected 7-vertex graphs")
+
+
 def test_criterion_05_witness_round_trip(instances):
     """Schedule -> witness verifies; witness -> schedule reproduces the
     active times exactly, on 1,000 random instances."""

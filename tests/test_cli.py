@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -284,6 +285,47 @@ def test_malformed_json_files_exit_one(capsys, tmp_path, argv, payload):
     assert error["error"] == "GraphFormatError"
     if isinstance(payload, dict):
         assert "missing key" in error["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rule", "z", "--chronology"],
+        ["witness", "verify", "--witness"],
+        ["family", "generate", "--partitions"],
+    ],
+    ids=["chronology", "witness", "partitions"],
+)
+def test_deeply_nested_json_exits_one(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = argv + [str(path)]
+    if argv[0] != "family":
+        argv += ["--graph", _graph_file(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "GraphFormatError"
+    assert str(path) in error["detail"]
+
+
+def test_huge_edge_list_header_exits_one_without_allocating(capsys, tmp_path):
+    path = tmp_path / "huge.edges"
+    path.write_text("1000000000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "simulate", "--rule", "z", "--graph", str(path),
+                             "--blue", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "GraphFormatError"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,7 @@ from forcelab.forcing import (
 from forcelab.graphs import (
     Graph,
     cycle_graph,
+    mask_of,
     path_graph,
     star_graph,
 )
@@ -82,13 +82,11 @@ class TestEngineAgreesWithNaiveReference:
 
     def test_rounds_random(self):
         """Propagation rounds, and propagate's steps, for the maximal
-        processes; ``slices._rounds`` is the path the slice checks count
-        with, both walking the steps and reading a lent rounds table (the
-        standard one for power domination). For the standard and PSD rules,
-        every mask of the process is then read back the same two ways."""
+        processes; ``slices._rounds``, the walk the slice checks count
+        with, and the rule's own rounds table (r + 2 for r rounds, 1 for a
+        stall) must agree with them. For the standard and PSD rules, every
+        mask of the process is then read back the same two ways."""
         rules = (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION)
-        lent_rule = {Rule.STANDARD: Rule.STANDARD, Rule.PSD: Rule.PSD,
-                     Rule.POWER_DOMINATION: Rule.STANDARD}
         for _, g, blue in self.random_cases(109, 200):
             for rule in rules:
                 steps = naive.maximal_steps(rule, g, blue)
@@ -97,17 +95,17 @@ class TestEngineAgreesWithNaiveReference:
                 assert (res.pt if res.ok else -1) == rounds
                 if res.ok:
                     assert [list(s) for s in res.chronology.steps] == steps
-                lent = SimpleNamespace(table=sliced.rounds_table(lent_rule[rule], g.adj, g.n))
-                for scan in (None, lent):
-                    assert slices._rounds(rule, g, blue, scan) == rounds
+                table = sliced.rounds_table(rule, g.adj, g.n)
+                assert slices._rounds(rule, g, blue) == rounds
+                assert table[mask_of(blue)] - 2 == rounds
                 if rule is Rule.POWER_DOMINATION:
                     continue
                 colored = set(blue)
                 for k, step in enumerate(steps or ()):
                     colored |= {f.dst for f in step}
                     left = rounds - k - 1
-                    for scan in (None, lent):
-                        assert slices._rounds(rule, g, colored, scan) == left
+                    assert slices._rounds(rule, g, colored) == left
+                    assert table[mask_of(colored)] - 2 == left
 
 
 def disjoint_union(*parts: Graph) -> Graph:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from forcelab.errors import GraphFormatError
 from forcelab.graphs import (
+    GRAPH6_MAX_N,
     Graph,
     boundary,
     closed_neighborhood,
@@ -222,6 +223,10 @@ class TestEdgeListFormat:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("2 1\n1 1\n")
+
+    def test_vertex_count_above_graph6_max_rejected(self):
+        with pytest.raises(GraphFormatError, match=str(GRAPH6_MAX_N)):
+            parse_edge_list(f"{GRAPH6_MAX_N + 1} 0\n")
 
 
 class TestGraph6:

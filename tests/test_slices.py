@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 import tracemalloc
 from random import Random
@@ -12,6 +13,7 @@ from forcelab.graphs import (
     grid_graph,
     induced_subgraph,
     is_vertex_cut,
+    mask_of,
     path_graph,
     set_of,
 )
@@ -221,32 +223,41 @@ class TestAchievedTimesMatchPropagate:
     schedule; ``propagate``, which they no longer call, is the oracle."""
 
     def test_constructions_with_and_without_scans(self):
+        """Each construction, from the public function and from a replay of
+        the sweep's standard scan, against ``propagate`` and the rule's own
+        rounds table (r + 2 for r rounds)."""
         rng = Random(67)
         sizes = set()
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 12), rng.choice((0.3, 0.5)), True)
             std = solvers._Scan(g, Rule.STANDARD, None)
-            psd = solvers._Scan(g, Rule.PSD, None)
+            tables = {
+                rule: sliced.rounds_table(rule, g.adj, g.n)
+                for rule in (Rule.PSD, Rule.POWER_DOMINATION)
+            }
             sizes.add(std.table is None)
             z = std.forcing()[0]
             for m in range(z, g.n + 1):
                 replay = _efficient_replay(g, m, None, std)
                 k_total = replay.chron.ct
                 cuts = sorted(rng.sample(range(k_total + 1), min(2, k_total + 1)))
-                built = (
-                    psd_set_from_slices(g, m),
-                    psd_set_from_slices(g, m, _replay=replay, _scan=psd),
-                    psd_set_from_slices(g, m, cuts, _replay=replay, _scan=psd),
-                    psd_set_from_slices(g, m, cuts),
-                )
-                for b in built:
-                    assert b.achieved == propagate(Rule.PSD, g, b.base).pt
-                for b in (
-                    power_set_from_slice(g, m),
-                    power_set_from_slice(g, m, _replay=replay, _scan=std),
-                ):
-                    assert b.achieved == propagate(Rule.POWER_DOMINATION, g, b.base).pt
-        assert sizes == {False, True}  # both the table and the walk ran
+                built = {
+                    Rule.PSD: (
+                        psd_set_from_slices(g, m),
+                        slices._psd_set(replay, m, "auto"),
+                        slices._psd_set(replay, m, cuts),
+                        psd_set_from_slices(g, m, cuts),
+                    ),
+                    Rule.POWER_DOMINATION: (
+                        power_set_from_slice(g, m),
+                        slices._power_set(replay, m),
+                    ),
+                }
+                for rule, sets in built.items():
+                    for b in sets:
+                        assert b.achieved == propagate(rule, g, b.base).pt
+                        assert tables[rule][mask_of(b.base)] - 2 == b.achieved
+        assert sizes == {False, True}  # replays from both scan engines
 
     def test_interval_checks(self):
         rng = Random(71)
@@ -274,8 +285,8 @@ def _propagated_rounds(rule, g, base) -> int:
 
 
 class TestRoundsEdgeCases:
-    """``slices._rounds``, walked and read from a lent table, against
-    ``propagate(...).pt``."""
+    """``slices._rounds``, the walk, and the rule's own rounds table
+    (r + 2 for r rounds, 1 for a stall), against ``propagate(...).pt``."""
 
     @pytest.mark.parametrize(
         "g, base, expected",
@@ -283,25 +294,21 @@ class TestRoundsEdgeCases:
         ids=["full-base", "empty-base-stalls", "K0"],
     )
     def test_power_domination(self, g, base, expected):
-        lent = solvers._Scan(g, Rule.STANDARD, None)
+        table = sliced.rounds_table(Rule.POWER_DOMINATION, g.adj, g.n)
         assert _propagated_rounds(Rule.POWER_DOMINATION, g, base) == expected
-        for scan in (None, lent):
-            assert slices._rounds(Rule.POWER_DOMINATION, g, base, scan) == expected
+        assert slices._rounds(Rule.POWER_DOMINATION, g, base) == expected
+        assert table[mask_of(base)] - 2 == expected
 
     def test_table_and_walk_agree_on_every_mask(self):
-        # power domination is lent the standard table, as in the sweep
-        lent_rule = {Rule.STANDARD: Rule.STANDARD, Rule.PSD: Rule.PSD,
-                     Rule.POWER_DOMINATION: Rule.STANDARD}
         rng = Random(239)
         for n in [n for n in range(1, 10) for _ in range(2)]:
             g = random_graph(rng, n, rng.uniform(0.15, 0.6))
-            for rule, lent in lent_rule.items():
-                scan = solvers._Scan(g, lent, None)
-                assert scan.table is not None
+            for rule in (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION):
+                table = sliced.rounds_table(rule, g.adj, g.n)
                 for mask in range(1 << n):
                     base = set_of(mask)
                     walked = slices._rounds(rule, g, base)
-                    assert slices._rounds(rule, g, base, scan) == walked
+                    assert table[mask] - 2 == walked
                     assert walked == _propagated_rounds(rule, g, base)
 
 
@@ -341,9 +348,8 @@ class TestOracleIndependence:
 
 
 class TestNoTablePerCall:
-    """Without a scan's table, rounds are walked one step at a time,
-    keeping only the current mask, so a check's memory does not grow with
-    2^n."""
+    """Rounds are walked one step at a time, keeping only the current
+    mask, so a check's memory does not grow with 2^n."""
 
     @pytest.mark.parametrize("n", [40, 70])
     def test_full_window_of_a_long_path(self, n):
@@ -363,6 +369,20 @@ class TestNoTablePerCall:
             tracemalloc.stop()
         assert built.achieved == propagate(Rule.PSD, g, built.base).pt
         assert peak < 256 * 1024  # a 2^20-byte table would exceed this
+
+
+def test_public_functions_take_no_private_parameters():
+    """The sweep hands its replay to the module-private ``_psd_set`` and
+    ``_power_set``, not to underscore keywords of the public functions."""
+    public = {
+        name: func
+        for name, func in inspect.getmembers(slices, inspect.isfunction)
+        if not name.startswith("_") and func.__module__ == slices.__name__
+    }
+    assert {"psd_set_from_slices", "power_set_from_slice", "time_slice"} <= set(public)
+    for name, func in public.items():
+        params = inspect.signature(func).parameters
+        assert not [p for p in params if p.startswith("_")], name
 
 
 def test_bounds_rows_propagate_once_per_m_row(monkeypatch):

@@ -629,9 +629,9 @@ class TestOneRoundsMemoPerRulePerCall:
     the table, from it on they run sliced. Per-mask steps are recorded
     through PROCESSES; calls that pass a ``forces`` list come from propagate
     and replay, not from the scans, and are not counted. The only steps
-    left are the power slice checks' neighborhood steps, which run before
-    the standard table is read. The bounds sweep reads its scans directly
-    and unranks one witness set per m row, the efficient set it replays."""
+    left are the slice checks' walks (``slices._rounds``). The bounds sweep
+    reads its scans directly and unranks one witness set per m row, the
+    efficient set it replays."""
 
     @staticmethod
     def record_scan_steps(monkeypatch) -> Counter:
@@ -735,16 +735,31 @@ class TestOneRoundsMemoPerRulePerCall:
             return out
 
         monkeypatch.setattr(sliced, "subsets", counted)
+        walked = Counter()
+        walk = slices._rounds
+
+        def counted_walk(*args):
+            before = sum(seen.values())
+            rounds = walk(*args)
+            walked["walks"] += 1
+            walked["steps"] += sum(seen.values()) - before
+            return rounds
+
+        monkeypatch.setattr(slices, "_rounds", counted_walk)
         for graph_id, g in atlas_stream(max_n=6):
             seen.clear()
             builds.clear()
             witness_sets.clear()
+            walked.clear()
             rows = bounds_rows_for_graph(graph_id, g)
             m_rows = [row for row in rows if row.m.isdigit()]
-            # one power slice check per m row with pt > 0; m = n checks none
+            # one PSD slice check per m row, and one power slice check per
+            # m row with pt > 0; m = n checks no power set
             checked = sum(1 for row in m_rows if row.pt != "0")
-            assert {step for step, _ in seen} <= {forcing._power_step}, graph_id
-            assert sum(seen.values()) == len(seen) == checked, graph_id
+            assert walked["walks"] == len(m_rows) + checked, graph_id
+            # every per-mask step is a slice check's, none a scan's, and a
+            # check of a set short of V takes at least one
+            assert sum(seen.values()) == walked["steps"] >= 2 * checked, graph_id
             assert builds == {Rule.STANDARD: 1, Rule.PSD: 1}, graph_id
             # the one witness set read per m row: the efficient set replayed
             assert witness_sets["built"] == len(m_rows), graph_id
