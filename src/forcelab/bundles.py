@@ -4,9 +4,12 @@ the PSD analog of schedule reversal, and rigid-linkage certificates.
 A path bundle picks one path inside each PSD forcing tree so that the
 restricted schedule is valid standard forcing on the picked vertices.
 The bundle induced by a target vertex x follows the forces entering x's
-white component; reversing its in-bundle forces relocates the PSD
-forcing set onto x while preserving the forcing trees, and replaying the
-bundle forces one at a time certifies the bundle as a rigid linkage.
+white component, read off one blue bitmask as the host's steps replay.
+Reversing its in-bundle forces relocates the PSD forcing set onto x while
+preserving the forcing trees (``relocate_psd_set``, the one body of the
+PSD reversal), and replaying the bundle forces one at a time certifies
+the bundle as a rigid linkage. Each schedule these derive is replayed as
+a guaranteed one (``Replay.guaranteed``).
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from .forcing import (
     Rule,
     _fire,
     _legal_forces,
-    validate_chronology,
 )
-from .graphs import Graph, component_masks, induced_subgraph, is_path_sequence, mask_of
+from .graphs import Graph, component_masks, induced_subgraph, is_path_sequence, mask_of, set_of
 
 
 @dataclass(frozen=True)
@@ -116,32 +118,25 @@ class PathBundle:
         }
 
 
-def _bundle_from_paths(
-    host: Replay, paths: list[tuple[int, ...]], error
-) -> PathBundle:
+def _bundle_from_paths(host: Replay, paths: list[tuple[int, ...]]) -> PathBundle:
     """Shared construction: restrict to the path vertices, demand standard
     validity, and demand the restricted chain set equal the paths."""
     keep = frozenset(v for p in paths for v in p)
     try:
         r, sub, sub_replay = _restriction(host, keep, Rule.STANDARD)
     except ChronologyError as exc:
-        raise error(f"restricted schedule is not standard-valid: {exc}") from exc
+        raise BundleError(f"restricted schedule is not standard-valid: {exc}") from exc
     chains = {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}
-    wanted = set()
     oriented: list[tuple[int, ...]] = []
     for p in paths:
-        if p in chains:
-            oriented.append(p)
-            wanted.add(p)
-        elif p[::-1] in chains:
-            oriented.append(p[::-1])
-            wanted.add(p[::-1])
-        else:
-            raise error(
+        o = p if p in chains else p[::-1]
+        if o not in chains:
+            raise BundleError(
                 f"chain set mismatch: path {list(p)} is not a restricted chain"
             )
-    if chains != wanted:
-        raise error("chain set mismatch: restriction has extra chains")
+        oriented.append(o)
+    if chains != set(oriented):
+        raise BundleError("chain set mismatch: restriction has extra chains")
     return PathBundle(tuple(oriented), r)
 
 
@@ -178,7 +173,7 @@ def validate_path_bundle(
             )
         by_tree[homes[0]] = p
     ordered = [by_tree[i] for i in range(len(cover.trees))]
-    return _bundle_from_paths(host, ordered, BundleError)
+    return _bundle_from_paths(host, ordered)
 
 
 def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundle:
@@ -200,48 +195,50 @@ def _psd_replay(g: Graph, chron: RelaxedChronology, x: int) -> Replay:
 
 
 def _induced_bundle(host: Replay, x: int) -> PathBundle:
-    g, chron, expansion, cover = host.graph, host.chron, host.expansion, host.cover
+    """Walk the host's steps on one blue mask until x is blue, flooding x's
+    white component once per step; the flood's ``once`` mask gives each
+    tree's blue vertices next to the component."""
+    g, chron, trees = host.graph, host.chron, host.cover.trees
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    tree_of = {}
-    for i, t in enumerate(cover.trees):
-        for v in t.vertices:
-            tree_of[v] = i
-    rd = next(k for k, blue in enumerate(expansion) if x in blue)
-    paths = [[t.root] for t in cover.trees]
-    ends = [t.root for t in cover.trees]
-    for k in range(rd):
-        white = full & ~mask_of(expansion[k])
-        comp = next(c for c, _, _ in component_masks(adj, white) if c >> x & 1)
+    tree_masks = [mask_of(t.vertices) for t in trees]
+    paths = [[t.root] for t in trees]
+    blue = mask_of(chron.base)
+    for k, step in enumerate(chron.steps):
+        if blue >> x & 1:
+            break
+        comp, once, _ = next(
+            c for c in component_masks(adj, full & ~blue) if c[0] >> x & 1
+        )
         # At most one vertex per tree may see white vertices in x's
         # component; anything else means the schedule is corrupt.
-        for t in cover.trees:
-            lookers = [u for u in t.vertices & expansion[k] if adj[u] & comp]
-            if len(lookers) > 1:
+        for t, tree in zip(trees, tree_masks):
+            lookers = tree & blue & once
+            if lookers & (lookers - 1):
                 raise InvariantViolation(
-                    f"tree {t.root}: several vertices {sorted(lookers)} see "
+                    f"tree {t.root}: several vertices {sorted(set_of(lookers))} see "
                     f"the target component at step {k}"
                 )
-        grown: set[int] = set()
-        for f in chron.steps[k]:
+        grown = 0
+        for f in step:
+            blue |= 1 << f.dst
             if not comp >> f.dst & 1:
                 continue
-            i = tree_of[f.src]
-            if i in grown:
+            i = next(i for i, tree in enumerate(tree_masks) if tree >> f.src & 1)
+            if grown >> i & 1:
                 raise InvariantViolation(
-                    f"tree {cover.trees[i].root} forces twice into the target "
+                    f"tree {trees[i].root} forces twice into the target "
                     f"component at step {k + 1}"
                 )
-            if f.src != ends[i]:
+            if f.src != paths[i][-1]:
                 raise InvariantViolation(
                     f"force {f.src}->{f.dst} does not extend the bundle path "
-                    f"ending at {ends[i]}"
+                    f"ending at {paths[i][-1]}"
                 )
             paths[i].append(f.dst)
-            ends[i] = f.dst
-            grown.add(i)
+            grown |= 1 << i
     try:
-        bundle = _bundle_from_paths(host, [tuple(p) for p in paths], BundleError)
+        bundle = _bundle_from_paths(host, [tuple(p) for p in paths])
     except BundleError as exc:
         raise InvariantViolation(f"induced bundle failed validation: {exc}") from exc
     if x not in bundle.sub_vertices or not chron.base <= bundle.sub_vertices:
@@ -249,24 +246,21 @@ def _induced_bundle(host: Replay, x: int) -> PathBundle:
     return bundle
 
 
-def psd_reversal(
-    g: Graph, chron: RelaxedChronology, x: int
+def relocate_psd_set(
+    g: Graph, chron: RelaxedChronology, v: int
 ) -> tuple[frozenset[int], RelaxedChronology]:
-    """Relocate a PSD forcing set onto ``x``.
+    """Relocate a PSD forcing set onto ``v``, preserving its forcing trees.
 
-    Take the bundle induced by x, reverse its forces (one per step, newest
+    Take the bundle induced by v, reverse its forces (one per step, newest
     first), then fire the remaining host forces round by round, each as
     soon as it is legal (``forcing._fire`` with them as its pool). The new
     base is the bundle terminus: same size as the original and containing
-    x. The rebuilt schedule is validated before being returned.
+    v. The rebuilt schedule is replayed, and its forcing trees must equal
+    the host's (same vertex sets, same edges; roots move). All of this is
+    guaranteed for valid inputs, so a failure is an InvariantViolation.
     """
-    new_base, rebuilt = _psd_reversal(_psd_replay(g, chron, x), x)
-    return new_base, rebuilt.chron
-
-
-def _psd_reversal(host: Replay, x: int) -> tuple[frozenset[int], Replay]:
-    g, chron = host.graph, host.chron
-    bundle = _induced_bundle(host, x)
+    host = _psd_replay(g, chron, v)
+    bundle = _induced_bundle(host, v)
     new_base = bundle.terminus()
     in_bundle = [f for step in bundle.restriction.steps for f in step]
     new_steps = [(Force(f.dst, f.src),) for f in reversed(in_bundle)]
@@ -281,26 +275,23 @@ def _psd_reversal(host: Replay, x: int) -> tuple[frozenset[int], Replay]:
         raise InvariantViolation(
             "preserved forces stalled while rebuilding the schedule"
         )
-    new_chron = RelaxedChronology(Rule.PSD, new_base, new_steps + fired)
-    try:
-        rebuilt = Replay(g, new_chron)
-    except ChronologyError as exc:
-        raise InvariantViolation(f"rebuilt schedule failed to validate: {exc}") from exc
-    if len(new_base) != len(chron.base) or x not in new_base:
+    rebuilt = Replay.guaranteed(
+        g,
+        RelaxedChronology(Rule.PSD, new_base, new_steps + fired),
+        "rebuilt schedule failed to validate",
+    )
+    if len(new_base) != len(chron.base) or v not in new_base:
         raise InvariantViolation("relocated base must keep its size and contain x")
-    return new_base, rebuilt
-
-
-def relocate_psd_set(
-    g: Graph, chron: RelaxedChronology, v: int
-) -> tuple[frozenset[int], RelaxedChronology]:
-    """PSD reversal plus a check that the forcing trees are unchanged
-    (same vertex sets, same edges; roots move)."""
-    host = _psd_replay(g, chron, v)
-    new_base, rebuilt = _psd_reversal(host, v)
     if _unrooted_trees(host) != _unrooted_trees(rebuilt):
         raise InvariantViolation("relocation changed the forcing trees")
     return new_base, rebuilt.chron
+
+
+def psd_reversal(
+    g: Graph, chron: RelaxedChronology, x: int
+) -> tuple[frozenset[int], RelaxedChronology]:
+    """The PSD analog of reversing a schedule: :func:`relocate_psd_set`."""
+    return relocate_psd_set(g, chron, x)
 
 
 def _unrooted_trees(r: Replay):
@@ -346,12 +337,7 @@ def certify_rigid_linkage(g: Graph, chron: RelaxedChronology, x: int) -> RlCerti
     reordered = RelaxedChronology(
         Rule.PSD, chron.base, [(f,) for f in in_bundle + rest]
     )
-    try:
-        validate_chronology(g, reordered)
-    except ChronologyError as exc:
-        raise InvariantViolation(
-            f"bundle-first reordering is not PSD-valid: {exc}"
-        ) from exc
+    Replay.guaranteed(g, reordered, "bundle-first reordering is not PSD-valid")
     adj = g.adjacency_masks()
     blue, idle = mask_of(chron.base), 0
     for idx, f in enumerate(in_bundle, start=1):

@@ -370,16 +370,29 @@ class ForcingCover:
 class Replay:
     """A schedule replayed once on its graph (package-internal).
 
-    Construction makes the one :func:`validate_chronology` call. The parent
-    map, activity spans, cover, terminus and reversal are read off the
-    validated steps on first use, so the functions that consume a schedule
-    share a single replay of it.
+    Construction makes the one :func:`validate_chronology` call and keeps
+    none of its result. The parent map, activity spans, cover, terminus and
+    reversal are read off the validated steps on first use, so the
+    functions that consume a schedule share a single replay of it. A
+    schedule the library derives itself is replayed through
+    :meth:`guaranteed`, the one place where a failed replay of such a
+    schedule becomes an InvariantViolation.
     """
 
     def __init__(self, g: Graph, chron: RelaxedChronology):
         self.graph = g
         self.chron = chron
-        self.expansion = validate_chronology(g, chron)
+        validate_chronology(g, chron)
+
+    @classmethod
+    def guaranteed(cls, g: Graph, chron: RelaxedChronology, what: str) -> "Replay":
+        """Replay a schedule the library derived, whose validity is a
+        guaranteed property: a ChronologyError is a bug, raised as an
+        InvariantViolation that ``what`` prefixes."""
+        try:
+            return cls(g, chron)
+        except ChronologyError as exc:
+            raise InvariantViolation(f"{what}: {exc}") from exc
 
     @classmethod
     def standard(
@@ -469,18 +482,14 @@ class Replay:
 
     @cached_property
     def reversal(self) -> "Replay":
-        """The reversed schedule, replayed on its own: its validity is a
-        guaranteed property, so a failure is an InvariantViolation."""
+        """The reversed schedule, replayed on its own as a guaranteed one."""
         steps = reversed(self.chron.steps)
         rev = RelaxedChronology(
             Rule.STANDARD,
             self.terminus,
             [tuple(Force(f.dst, f.src) for f in step) for step in steps],
         )
-        try:
-            return Replay(self.graph, rev)
-        except ChronologyError as exc:
-            raise InvariantViolation(f"reversal failed to validate: {exc}") from exc
+        return Replay.guaranteed(self.graph, rev, "reversal failed to validate")
 
     def initials(self, h: frozenset[int]) -> frozenset[int]:
         """See :func:`restriction_initials`."""

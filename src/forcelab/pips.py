@@ -153,12 +153,7 @@ def witness_to_chronology(g: Graph, witness: PipWitness) -> RelaxedChronology:
             lo = part.blocks[j][0]
             steps[lo - 1].append(Force(path[j - 1], path[j]))
     chron = RelaxedChronology(Rule.STANDARD, witness.base(), steps)
-    try:
-        r = Replay(g, chron)
-    except Exception as exc:
-        raise InvariantViolation(
-            f"witness produced an invalid schedule: {exc}"
-        ) from exc
+    r = Replay.guaranteed(g, chron, "witness produced an invalid schedule")
     if _witness_of(r) != _canonical(witness):
         raise InvariantViolation("schedule does not reproduce the witness blocks")
     return chron

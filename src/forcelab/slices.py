@@ -194,13 +194,13 @@ def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
     """Replay of the canonical m-efficient schedule, propagated from the
     lexicographically least size-m set of minimum propagation time, read
     from a standard-rule ``solvers._Scan`` of ``g`` (``scan``, or a new one
-    under ``cap``)."""
+    under ``cap``), and replayed as a guaranteed schedule."""
     scan = scan or solvers._Scan(g, Rule.STANDARD, cap)
     best = sorted(scan.first(scan.time(m)[1]))
     result = propagate(Rule.STANDARD, g, best)
     if not result.ok:
         raise InvariantViolation("efficient set failed to replay")
-    return Replay.standard(g, result.chronology)
+    return Replay.guaranteed(g, result.chronology, "efficient schedule failed to validate")
 
 
 def psd_set_from_slices(

@@ -62,15 +62,6 @@ def effective_cap(cap: int | None, default: int = DEFAULT_CAP) -> int:
     return default
 
 
-def _require_within_cap(g: Graph, cap: int | None, default: int = DEFAULT_CAP) -> None:
-    limit = effective_cap(cap, default)
-    if g.n > limit:
-        raise CapExceeded(
-            f"graph has {g.n} vertices, above the exhaustive cap {limit}; "
-            f"pass a larger cap or set {_ENV_CAP} to override"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Parameter searches
 
@@ -122,7 +113,12 @@ class _Scan:
     holds; ``sets`` and ``first`` turn them into vertex sets."""
 
     def __init__(self, g: Graph, rule: Rule, cap: int | None):
-        _require_within_cap(g, cap)
+        limit = effective_cap(cap)
+        if g.n > limit:
+            raise CapExceeded(
+                f"graph has {g.n} vertices, above the exhaustive cap {limit}; "
+                f"pass a larger cap or set {_ENV_CAP} to override"
+            )
         self.n = g.n
         self.finished: dict[int, list[tuple[int, list[int]]]] = {}
         if g.n >= SLICED_MIN_N:

@@ -4,7 +4,10 @@
 every name a forcelab module holds for it counts replays. A function that
 takes a schedule replays it once; each derived schedule whose validity is
 a guaranteed property (a reversal, a restriction, a rebuilt schedule, a
-witness round trip) gets one independent replay of its own.
+bundle-first reordering, a witness round trip) gets one independent
+replay of its own, through ``Replay.guaranteed`` or, for a restriction,
+its own handler. The bundle counts are exact, so a lost or an extra
+replay both fail.
 """
 
 import sys
@@ -68,9 +71,17 @@ def test_bounds_rows_replay_each_efficient_schedule_once(replays, grid34):
         assert replays(solvers.bounds_rows_for_graph, "g", g) == expected
 
 
-@pytest.mark.parametrize(
-    "func", [bundles.relocate_psd_set, bundles.certify_rigid_linkage]
-)
+# The host and the bundle's standard restriction, plus the rebuilt schedule
+# (relocation) or the bundle-first reordering (certificate).
+BUNDLE_REPLAYS = {
+    bundles.relocate_psd_set: 3,
+    bundles.psd_reversal: 3,
+    bundles.certify_rigid_linkage: 3,
+    bundles.induced_path_bundle: 2,
+}
+
+
+@pytest.mark.parametrize("func", list(BUNDLE_REPLAYS))
 def test_bundle_operations(replays, grid34, psd_chron, func):
     for x in range(grid34.n):
-        assert replays(func, grid34, psd_chron, x) <= 3
+        assert replays(func, grid34, psd_chron, x) == BUNDLE_REPLAYS[func]

@@ -271,6 +271,19 @@ class TestSweeps:
         with pytest.raises(ValueError):
             bounds_rows_for_graph("p3", path_graph(3), checks=("nope",))
 
+    @pytest.mark.slow
+    def test_every_grid_up_to_24_vertices_passes(self, monkeypatch):
+        # The halving bounds past the atlas: all 43 s x t grids with
+        # 2 <= st <= 24, paths included, under a cap raised to 24.
+        monkeypatch.setenv("FORCELAB_CAP", "24")
+        grids = [(s, t) for s in range(1, 25) for t in range(s, 25) if 2 <= s * t <= 24]
+        assert len(grids) == 43
+        for s, t in grids:
+            g = grid_graph(s, t)
+            rows = bounds_rows_for_graph(f"grid_{s}x{t}", g)
+            failed = [r for r in rows if not r.ok]
+            assert rows and not failed, (graph6_encode(g), failed)
+
     @pytest.mark.parametrize(
         "jobs, cpus, workers", [(20000, 2, 2), (20000, 64, 3), (2, 64, 2), (2, None, 1)]
     )
