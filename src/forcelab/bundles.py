@@ -71,27 +71,22 @@ def restrict(
     if chron.rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("restriction is defined for standard and PSD schedules")
     keep = g.check_set(sub_vertices)
-    host = Replay(g, chron)
-    try:
-        r, _, _ = _restriction(host, keep, chron.rule)
-    except ChronologyError as exc:
-        raise InvariantViolation(
-            f"restriction failed to replay on its subgraph: {exc}"
-        ) from exc
+    r, sub, sub_chron = _restriction(Replay(g, chron), keep, chron.rule)
+    what = "restriction failed to replay on its subgraph"
+    Replay.guaranteed(sub.graph, sub_chron, what)
     return r
 
 
 def _restriction(host: Replay, keep: frozenset[int], rule: Rule):
     """The restriction of a replayed schedule to ``keep``, replaying under
-    ``rule``, with its induced subgraph and that subgraph schedule's own,
-    independent replay."""
+    ``rule``, with its induced subgraph and its schedule on that subgraph,
+    not yet replayed."""
     steps = tuple(
         tuple(f for f in step if f.src in keep and f.dst in keep)
         for step in host.chron.steps
     )
     r = Restriction(rule, keep, steps, host.initials(keep))
-    sub, sub_chron = r.subgraph_chronology(host.graph)
-    return r, sub, Replay(sub.graph, sub_chron)
+    return (r, *r.subgraph_chronology(host.graph))
 
 
 @dataclass(frozen=True)
@@ -122,8 +117,9 @@ def _bundle_from_paths(host: Replay, paths: list[tuple[int, ...]]) -> PathBundle
     """Shared construction: restrict to the path vertices, demand standard
     validity, and demand the restricted chain set equal the paths."""
     keep = frozenset(v for p in paths for v in p)
+    r, sub, sub_chron = _restriction(host, keep, Rule.STANDARD)
     try:
-        r, sub, sub_replay = _restriction(host, keep, Rule.STANDARD)
+        sub_replay = Replay(sub.graph, sub_chron)
     except ChronologyError as exc:
         raise BundleError(f"restricted schedule is not standard-valid: {exc}") from exc
     chains = {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}

@@ -242,11 +242,10 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
     if rule not in (Rule.STANDARD, Rule.PSD, Rule.RIGID_LINKAGE):
         raise ValueError(f"cannot validate schedules for rule {rule.value}")
     adj = g.adjacency_masks()
-    blue_set = set(g.check_set(chron.base))
-    blue = mask_of(blue_set)
+    expansion = [g.check_set(chron.base)]
+    blue = mask_of(expansion[0])
     idle = 0
     linkage = rule is Rule.RIGID_LINKAGE
-    expansion = [frozenset(blue_set)]
     for k, step in enumerate(chron.steps, start=1):
         if linkage and len(step) > 1:
             raise ChronologyError(
@@ -266,14 +265,12 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
                     force=f,
                 )
             dsts.add(f.dst)
-        for f in step:
-            blue_set.add(f.dst)
             blue |= 1 << f.dst
             if linkage:
                 idle |= 1 << f.src
-        expansion.append(frozenset(blue_set))
-    if len(blue_set) != g.n:
-        white = sorted(set(range(g.n)) - blue_set)
+        expansion.append(expansion[-1] | dsts)
+    if len(expansion[-1]) != g.n:
+        white = sorted(set(range(g.n)) - expansion[-1])
         raise ChronologyError(
             f"white vertices remain after the last step: {white}", step=chron.ct
         )
@@ -372,9 +369,10 @@ class Replay:
 
     Construction makes the one :func:`validate_chronology` call and keeps
     none of its result. The parent map, activity spans, cover, terminus and
-    reversal are read off the validated steps on first use, so the
-    functions that consume a schedule share a single replay of it. A
-    schedule the library derives itself is replayed through
+    the boundary sets of a vertex subset (:meth:`initials`, :meth:`finals`)
+    are read off the validated steps, so the functions that consume a
+    schedule share a single replay of it; none of them builds another
+    schedule. A schedule the library derives itself is replayed through
     :meth:`guaranteed`, the one place where a failed replay of such a
     schedule becomes an InvariantViolation.
     """
@@ -480,21 +478,16 @@ class Replay:
             raise InvariantViolation("terminus size differs from the base size")
         return term
 
-    @cached_property
-    def reversal(self) -> "Replay":
-        """The reversed schedule, replayed on its own as a guaranteed one."""
-        steps = reversed(self.chron.steps)
-        rev = RelaxedChronology(
-            Rule.STANDARD,
-            self.terminus,
-            [tuple(Force(f.dst, f.src) for f in step) for step in steps],
-        )
-        return Replay.guaranteed(self.graph, rev, "reversal failed to validate")
-
     def initials(self, h: frozenset[int]) -> frozenset[int]:
         """See :func:`restriction_initials`."""
         base, parent = self.chron.base, self.parent
         return frozenset(u for u in h if u in base or parent[u] not in h)
+
+    def finals(self, h: frozenset[int]) -> frozenset[int]:
+        """Vertices of ``h`` that never force or force out of ``h``: the
+        :meth:`initials` of ``h`` in the reversed schedule."""
+        child = {f.src: f.dst for f in self.chron.all_forces()}
+        return frozenset(u for u in h if child.get(u) not in h)
 
 
 def activity_spans(g: Graph, chron: RelaxedChronology) -> list[tuple[int, int]]:
@@ -527,7 +520,10 @@ def terminus(g: Graph, chron: RelaxedChronology) -> frozenset[int]:
 def reversal(g: Graph, chron: RelaxedChronology) -> RelaxedChronology:
     """Reverse all forces and time-steps; the result is a valid schedule
     for the terminus, with the same completion time."""
-    return Replay.standard(g, chron, "terminus is").reversal.chron
+    term = Replay.standard(g, chron, "terminus is").terminus
+    steps = [tuple(Force(f.dst, f.src) for f in step) for step in reversed(chron.steps)]
+    rev = RelaxedChronology(Rule.STANDARD, term, steps)
+    return Replay.guaranteed(g, rev, "reversal failed to validate").chron
 
 
 def restriction_initials(

@@ -47,12 +47,13 @@ def _split(spans: list[tuple[int, int]], step: int) -> tuple[frozenset[int], ...
 def _window(r: Replay, m_step: int, n_step: int) -> tuple[frozenset[int], ...]:
     """The window of steps ``m_step`` to ``n_step``: its active vertices,
     its end slices, the vertices done forcing before its end and not yet
-    blue at its start, and the boundary sets of those two."""
+    blue at its start, and the boundary sets of those two: where a chain
+    leaves the first (:meth:`Replay.finals`) and where one enters the
+    second (:meth:`Replay.initials`), both read off ``r``."""
     minus_m, at_m, after = _split(r.spans, m_step)
     before, at_n, plus_n = _split(r.spans, n_step)
     closed = frozenset(range(r.graph.n)) - minus_m - plus_n
-    bd_n_minus = r.reversal.initials(before) if before else frozenset()
-    return closed, at_m, at_n, before, after, bd_n_minus, r.initials(after)
+    return closed, at_m, at_n, before, after, r.finals(before), r.initials(after)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class IntervalSlice:
     right_open: frozenset[int]  # closed minus the slice at n
     open: frozenset[int]        # closed minus both end slices
     bd_m_plus: frozenset[int]   # chain starts strictly after m
-    bd_n_minus: frozenset[int]  # chain ends strictly before n (reversed view)
+    bd_n_minus: frozenset[int]  # chain ends strictly before n (Replay.finals)
 
 
 def interval_slice(
@@ -270,8 +271,7 @@ def _power_set(r: Replay, m: int) -> PowerConstruction:
             f"slice at {n_cut} has {len(base)} vertices, expected one per chain"
         )
     hood = closed_neighborhood(g, base)
-    bd_n_minus = r.reversal.initials(before) if before else frozenset()
-    if not (bd_n_minus <= hood and r.initials(after) <= hood):
+    if not (r.finals(before) <= hood and r.initials(after) <= hood):
         raise InvariantViolation(
             "slice neighborhood misses a boundary set it must dominate"
         )

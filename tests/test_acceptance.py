@@ -40,17 +40,36 @@ def instances():
     return [random_instance(rng, max_n=12, connected=True) for _ in range(1000)]
 
 
-@pytest.fixture(scope="module")
-def psd_cases():
-    """Every connected graph on up to 6 vertices with every minimum PSD
-    forcing set and its canonical propagating schedule."""
+def _psd_cases(max_n: int, min_n: int = 0):
+    """Every connected graph with ``min_n`` to ``max_n`` vertices with every
+    minimum PSD forcing set and its canonical propagating schedule."""
     cases = []
-    for gid, g in solvers.atlas_stream(max_n=6, connected_only=True):
+    for gid, g in solvers.atlas_stream(max_n=max_n, connected_only=True):
+        if g.n < min_n:
+            continue
         report = solvers.forcing_number(g, Rule.PSD)
         for base in report.witnesses:
             chron = propagate(Rule.PSD, g, base).chronology
             cases.append((gid, g, report.value, chron))
     return cases
+
+
+@pytest.fixture(scope="module")
+def psd_cases():
+    """Every connected graph on up to 6 vertices with every minimum PSD
+    forcing set and its canonical propagating schedule."""
+    return _psd_cases(6)
+
+
+# Target vertices summed over every minimum PSD set of every connected
+# 7-vertex graph: 15,456 sets on 7 vertices each.
+CASES_7 = 108_192
+
+
+@pytest.fixture(scope="module")
+def psd_cases_7():
+    """The same on the 853 connected graphs with 7 vertices."""
+    return _psd_cases(7, min_n=7)
 
 
 def test_criterion_01_psd_halving_bound(atlas_rows):
@@ -178,10 +197,8 @@ def test_criterion_07_slices_cut(instances):
     )
 
 
-def test_criterion_08_psd_relocation(psd_cases):
-    """For every connected graph (n <= 6), minimum PSD set, canonical
-    schedule, and target vertex: relocation keeps the size, contains the
-    target, revalidates, and preserves the forcing trees."""
+def _relocate_everywhere(psd_cases) -> int:
+    """Relocate every case onto each of its vertices; returns the count."""
     relocations = 0
     for gid, g, z_plus, chron in psd_cases:
         for x in range(g.n):
@@ -190,12 +207,29 @@ def test_criterion_08_psd_relocation(psd_cases):
             assert x in new_base, gid
             validate_chronology(g, new_chron)
             relocations += 1
+    return relocations
+
+
+def test_criterion_08_psd_relocation(psd_cases):
+    """For every connected graph (n <= 6), minimum PSD set, canonical
+    schedule, and target vertex: relocation keeps the size, contains the
+    target, revalidates, and preserves the forcing trees."""
+    relocations = _relocate_everywhere(psd_cases)
     print(f"ACCEPTANCE 8 PASS: {relocations} relocations preserved trees and size")
 
 
-def test_criterion_09_rigid_linkage_certificates(psd_cases):
-    """Every vertex-induced bundle certifies as a rigid-linkage process and
-    the exhaustive oracle finds exactly one matching linkage."""
+@pytest.mark.slow
+def test_criterion_08_on_every_connected_7_vertex_graph(psd_cases_7):
+    """Criterion 8 on the connected graphs with 7 vertices (opt-in:
+    ``--runslow``)."""
+    relocations = _relocate_everywhere(psd_cases_7)
+    assert relocations == CASES_7
+    print(f"ACCEPTANCE 8 PASS: {relocations} relocations on connected n = 7")
+
+
+def _certify_everywhere(psd_cases) -> int:
+    """Certify every case's bundle at each of its vertices against the
+    linkage oracle; returns the count."""
     certified = 0
     for gid, g, _, chron in psd_cases:
         for x in range(g.n):
@@ -210,7 +244,23 @@ def test_criterion_09_rigid_linkage_certificates(psd_cases):
             )
             assert search.linkages[0] == expected, gid
             certified += 1
+    return certified
+
+
+def test_criterion_09_rigid_linkage_certificates(psd_cases):
+    """Every vertex-induced bundle certifies as a rigid-linkage process and
+    the exhaustive oracle finds exactly one matching linkage."""
+    certified = _certify_everywhere(psd_cases)
     print(f"ACCEPTANCE 9 PASS: {certified} bundles certified rigid, oracle-confirmed")
+
+
+@pytest.mark.slow
+def test_criterion_09_on_every_connected_7_vertex_graph(psd_cases_7):
+    """Criterion 9 on the connected graphs with 7 vertices (opt-in:
+    ``--runslow``)."""
+    certified = _certify_everywhere(psd_cases_7)
+    assert certified == CASES_7
+    print(f"ACCEPTANCE 9 PASS: {certified} bundles certified on connected n = 7")
 
 
 def test_criterion_10_shipped_worked_examples(inputs_dir, capsys):

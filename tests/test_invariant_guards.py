@@ -198,6 +198,17 @@ def test_reversal_replays_independently(validation):
     )
 
 
+def test_restriction_replays_on_its_subgraph(validation):
+    g = path_graph(4)
+    chron = propagate(Rule.STANDARD, g, {0}).chronology
+    validation(lambda h, c: CHECKED(h, c) if c is chron else rejecting(h, c))
+    with pytest.raises(InvariantViolation) as exc:
+        bundles.restrict(g, chron, {1, 2})
+    assert str(exc.value) == (
+        "restriction failed to replay on its subgraph: step 1: rejected"
+    )
+
+
 def test_witness_schedule_replays_independently(validation):
     g = path_graph(4)
     witness = pips.chronology_to_witness(g, propagate(Rule.STANDARD, g, {0}).chronology)

@@ -5,9 +5,10 @@ every name a forcelab module holds for it counts replays. A function that
 takes a schedule replays it once; each derived schedule whose validity is
 a guaranteed property (a reversal, a restriction, a rebuilt schedule, a
 bundle-first reordering, a witness round trip) gets one independent
-replay of its own, through ``Replay.guaranteed`` or, for a restriction,
-its own handler. The bundle counts are exact, so a lost or an extra
-replay both fail.
+replay of its own, through ``Replay.guaranteed`` or, for a path bundle's
+restriction, the bundle's own handler. The slices read both boundary
+sets of a vertex subset off the one replay they hold and replay no
+reversal. Every count is exact, so a lost or an extra replay both fail.
 """
 
 import sys
@@ -57,17 +58,28 @@ def test_reversal_replays_input_and_result(replays, grid34_chords, demo_chron):
     assert replays(forcing.reversal, grid34_chords, demo_chron) == 2
 
 
-def test_power_set_from_slice(replays, grid34):
-    assert replays(slices.power_set_from_slice, grid34, 3) <= 2
+@pytest.mark.parametrize(
+    "func", [slices.power_set_from_slice, slices.psd_set_from_slices]
+)
+def test_slice_constructions_replay_once(replays, grid34, func):
+    for m in range(3, grid34.n + 1):
+        assert replays(func, grid34, m) == 1
+
+
+@pytest.mark.parametrize(
+    "func", [slices.interval_slice, slices.check_interval_forcing]
+)
+def test_slice_windows_replay_once(replays, grid34_chords, demo_chron, func):
+    for m_step in range(demo_chron.ct):
+        assert replays(func, grid34_chords, demo_chron, m_step, demo_chron.ct) == 1
 
 
 def test_bounds_rows_replay_each_efficient_schedule_once(replays, grid34):
     # Both slice constructions of an m row read one replay of the
-    # m-efficient schedule; a row with pt > 0 adds the reversal behind the
-    # power construction's boundary check.
+    # m-efficient schedule, boundary sets included.
     for g in [g for _, g in solvers.atlas_stream(5)] + [grid34]:
         rows = solvers.bounds_rows_for_graph("g", g)
-        expected = sum(1 + (int(r.pt) > 0) for r in rows if r.m.isdigit())
+        expected = sum(r.m.isdigit() for r in rows)
         assert replays(solvers.bounds_rows_for_graph, "g", g) == expected
 
 

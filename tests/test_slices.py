@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from forcelab.errors import InfeasibleError, InvariantViolation
-from forcelab.forcing import Rule, propagate
+from forcelab.forcing import Replay, Rule, propagate
 from forcelab.graphs import (
     Graph,
     grid_graph,
@@ -26,7 +26,7 @@ from forcelab.slices import (
     time_slice,
 )
 from forcelab import forcing, sliced, slices, solvers
-from randgen import random_chronology, random_forcing_set, random_graph
+from randgen import random_chronology, random_forcing_set, random_graph, random_instance
 
 
 class TestTimeSlice:
@@ -436,3 +436,35 @@ class TestChecksStillRaise:
 _P5_CHRON = forcing.RelaxedChronology(
     Rule.STANDARD, [0], [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]
 )
+
+
+def _finals_against_the_reversal(g, r: Replay) -> int:
+    """Replay the reversal of ``r``'s schedule (it must validate) and check
+    ``r.finals`` against its ``initials`` on every step's done-before set;
+    returns the number of sets checked."""
+    rev = Replay(g, forcing.reversal(g, r.chron))
+    for step in range(r.chron.ct + 1):
+        before = slices._split(r.spans, step)[0]
+        assert r.finals(before) == rev.initials(before), step
+    return r.chron.ct + 1
+
+
+class TestFinalsAreTheReversalsInitials:
+    """The slices read where chains leave a vertex set off ``Replay.finals``
+    instead of replaying the reversal; this oracle still replays it, on
+    every schedule the bounds sweep used to reverse and on random ones."""
+
+    def test_every_atlas_efficient_schedule(self):
+        schedules = sets = 0
+        for _, g in solvers.atlas_stream(max_n=7):
+            std = solvers._Scan(g, Rule.STANDARD, None)
+            for m in range(std.forcing()[0], g.n + 1):
+                sets += _finals_against_the_reversal(g, _efficient_replay(g, m, None, std))
+                schedules += 1
+        assert (schedules, sets) == (5557, 12411)
+
+    def test_random_schedules(self):
+        rng = Random(83)
+        for _ in range(400):
+            g, _, chron = random_instance(rng, max_n=12)
+            _finals_against_the_reversal(g, Replay(g, chron))
