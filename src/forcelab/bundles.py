@@ -148,28 +148,23 @@ def validate_path_bundle(
     if chron.rule is not Rule.PSD:
         raise ValueError("path bundles are defined over PSD schedules")
     host = Replay(g, chron)
-    cover = host.cover
+    root, trees = host.forest.root, sorted(chron.base)
     paths = [tuple(p) for p in candidate_paths]
-    if len(paths) != len(cover.trees):
-        raise BundleError(
-            f"need exactly one path per tree ({len(cover.trees)}), got {len(paths)}"
-        )
+    if len(paths) != len(trees):
+        raise BundleError(f"need exactly one path per tree ({len(trees)}), got {len(paths)}")
     by_tree: dict[int, tuple[int, ...]] = {}
     for p in paths:
         if not p:
             raise BundleError("empty candidate path")
         if not is_path_sequence(g, p):
             raise BundleError(f"candidate {list(p)} is not a path")
-        homes = [i for i, t in enumerate(cover.trees) if set(p) <= t.vertices]
-        if not homes:
+        home, *others = {root[v] for v in p}
+        if others:
             raise BundleError(f"candidate {list(p)} is not inside a single tree")
-        if homes[0] in by_tree:
-            raise BundleError(
-                f"two candidates inside the tree rooted at {cover.trees[homes[0]].root}"
-            )
-        by_tree[homes[0]] = p
-    ordered = [by_tree[i] for i in range(len(cover.trees))]
-    return _bundle_from_paths(host, ordered)
+        if home in by_tree:
+            raise BundleError(f"two candidates inside the tree rooted at {home}")
+        by_tree[home] = p
+    return _bundle_from_paths(host, [by_tree[b] for b in trees])
 
 
 def induced_path_bundle(g: Graph, chron: RelaxedChronology, x: int) -> PathBundle:
@@ -192,13 +187,13 @@ def _psd_replay(g: Graph, chron: RelaxedChronology, x: int) -> Replay:
 
 def _induced_bundle(host: Replay, x: int) -> PathBundle:
     """Walk the host's steps on one blue mask until x is blue, flooding x's
-    white component once per step; the flood's ``once`` mask gives each
-    tree's blue vertices next to the component."""
-    g, chron, trees = host.graph, host.chron, host.cover.trees
+    white component once per step; the flood's ``once`` mask gives the
+    blue vertices next to the component, and the forest's roots name the
+    tree (and bundle path) of each vertex."""
+    g, chron, root = host.graph, host.chron, host.forest.root
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    tree_masks = [mask_of(t.vertices) for t in trees]
-    paths = [[t.root] for t in trees]
+    paths = {b: [b] for b in sorted(chron.base)}
     blue = mask_of(chron.base)
     for k, step in enumerate(chron.steps):
         if blue >> x & 1:
@@ -208,11 +203,13 @@ def _induced_bundle(host: Replay, x: int) -> PathBundle:
         )
         # At most one vertex per tree may see white vertices in x's
         # component; anything else means the schedule is corrupt.
-        for t, tree in zip(trees, tree_masks):
-            lookers = tree & blue & once
-            if lookers & (lookers - 1):
+        lookers: dict[int, list[int]] = {}
+        for v in sorted(set_of(blue & once)):
+            lookers.setdefault(root[v], []).append(v)
+        for b, seen in sorted(lookers.items()):
+            if len(seen) > 1:
                 raise InvariantViolation(
-                    f"tree {t.root}: several vertices {sorted(set_of(lookers))} see "
+                    f"tree {b}: several vertices {seen} see "
                     f"the target component at step {k}"
                 )
         grown = 0
@@ -220,21 +217,20 @@ def _induced_bundle(host: Replay, x: int) -> PathBundle:
             blue |= 1 << f.dst
             if not comp >> f.dst & 1:
                 continue
-            i = next(i for i, tree in enumerate(tree_masks) if tree >> f.src & 1)
-            if grown >> i & 1:
+            b = root[f.src]
+            if grown >> b & 1:
                 raise InvariantViolation(
-                    f"tree {trees[i].root} forces twice into the target "
-                    f"component at step {k + 1}"
+                    f"tree {b} forces twice into the target component at step {k + 1}"
                 )
-            if f.src != paths[i][-1]:
+            if f.src != paths[b][-1]:
                 raise InvariantViolation(
                     f"force {f.src}->{f.dst} does not extend the bundle path "
-                    f"ending at {paths[i][-1]}"
+                    f"ending at {paths[b][-1]}"
                 )
-            paths[i].append(f.dst)
-            grown |= 1 << i
+            paths[b].append(f.dst)
+            grown |= 1 << b
     try:
-        bundle = _bundle_from_paths(host, [tuple(p) for p in paths])
+        bundle = _bundle_from_paths(host, [tuple(p) for p in paths.values()])
     except BundleError as exc:
         raise InvariantViolation(f"induced bundle failed validation: {exc}") from exc
     if x not in bundle.sub_vertices or not chron.base <= bundle.sub_vertices:
@@ -278,7 +274,9 @@ def relocate_psd_set(
     )
     if len(new_base) != len(chron.base) or v not in new_base:
         raise InvariantViolation("relocated base must keep its size and contain x")
-    if _unrooted_trees(host) != _unrooted_trees(rebuilt):
+    # Both forests have one edge per non-base vertex, so containment is equality.
+    moved = rebuilt.forest.parent
+    if any(moved.get(w) != u and moved.get(u) != w for w, u in host.forest.parent.items()):
         raise InvariantViolation("relocation changed the forcing trees")
     return new_base, rebuilt.chron
 
@@ -288,14 +286,6 @@ def psd_reversal(
 ) -> tuple[frozenset[int], RelaxedChronology]:
     """The PSD analog of reversing a schedule: :func:`relocate_psd_set`."""
     return relocate_psd_set(g, chron, x)
-
-
-def _unrooted_trees(r: Replay):
-    shapes = set()
-    for t in r.cover.trees:
-        edges = frozenset(frozenset(e) for e in t.parent_edges)
-        shapes.add((t.vertices, edges))
-    return shapes
 
 
 @dataclass(frozen=True)

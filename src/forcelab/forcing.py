@@ -364,17 +364,26 @@ class ForcingCover:
     trees: tuple[ForcingTree, ...] | None
 
 
+class _Forest(NamedTuple):
+    """The chains (standard, rigid linkage) or trees (PSD) that a schedule's
+    forces trace, read off its steps once per replay (:attr:`Replay.forest`)."""
+
+    root: dict[int, int]  # vertex -> the base vertex whose chain or tree holds it
+    parent: dict[int, int]  # forced vertex -> its forcer
+    children: dict[int, list[int]]  # forcer -> the vertices it forces, in force order
+
+
 class Replay:
     """A schedule replayed once on its graph (package-internal).
 
     Construction makes the one :func:`validate_chronology` call and keeps
-    none of its result. The parent map, activity spans, cover, terminus and
-    the boundary sets of a vertex subset (:meth:`initials`, :meth:`finals`)
-    are read off the validated steps, so the functions that consume a
-    schedule share a single replay of it; none of them builds another
-    schedule. A schedule the library derives itself is replayed through
-    :meth:`guaranteed`, the one place where a failed replay of such a
-    schedule becomes an InvariantViolation.
+    none of its result. The forcing forest (:attr:`forest`, the one place
+    chain and tree membership is derived), activity spans, cover, terminus
+    and the boundary sets of a vertex subset (:meth:`initials`,
+    :meth:`finals`) are read off the validated steps, so the functions that
+    consume a schedule share a single replay of it. A schedule the library
+    derives itself is replayed through :meth:`guaranteed`, the one place
+    where a failed replay of such a schedule becomes an InvariantViolation.
     """
 
     def __init__(self, g: Graph, chron: RelaxedChronology):
@@ -403,9 +412,35 @@ class Replay:
         return cls(g, chron)
 
     @cached_property
-    def parent(self) -> dict[int, int]:
-        """Forced vertex -> its forcer."""
-        return {f.dst: f.src for f in self.chron.all_forces()}
+    def forest(self) -> _Forest:
+        """Roots, parent and child maps, read off the forces in order (a
+        forced vertex takes its forcer's root), and the guards: a chain
+        vertex forces at most once; PSD trees are trees and partition."""
+        chron, psd = self.chron, self.chron.rule is Rule.PSD
+        root = {b: b for b in sorted(chron.base)}
+        parent: dict[int, int] = {}
+        children: dict[int, list[int]] = {}
+        for src, dst in chron.all_forces():
+            if src not in children:
+                children[src] = [dst]
+            elif psd:
+                children[src].append(dst)
+            else:
+                raise InvariantViolation(f"vertex {src} forces twice")
+            parent[dst] = src
+            if src in root:
+                root.setdefault(dst, root[src])
+        if psd:
+            # A tree has one edge fewer than vertices; count both per root.
+            excess = dict.fromkeys(root.values(), 1)
+            for v, b in root.items():
+                excess[b] += len(children.get(v, ())) - 1
+            for b, extra in excess.items():
+                if extra:
+                    raise InvariantViolation(f"forcing tree at {b} is not a tree")
+            if len(root) != self.graph.n:
+                raise InvariantViolation("forcing trees do not partition the vertices")
+        return _Forest(root, parent, children)
 
     @cached_property
     def spans(self) -> list[tuple[int, int]]:
@@ -424,70 +459,44 @@ class Replay:
 
     @cached_property
     def cover(self) -> ForcingCover:
-        chron = self.chron
-        forces = chron.all_forces()
-        if chron.rule in (Rule.STANDARD, Rule.RIGID_LINKAGE):
-            nxt: dict[int, int] = {}
-            for f in forces:
-                if f.src in nxt:
-                    raise InvariantViolation(f"vertex {f.src} forces twice")
-                nxt[f.src] = f.dst
-            chains = []
-            for b in sorted(chron.base):
-                chain = [b]
-                while chain[-1] in nxt:
-                    chain.append(nxt[chain[-1]])
-                chains.append(tuple(chain))
-            check = validate_path_cover(self.graph, chains)
-            if not check.ok:
-                raise InvariantViolation(
-                    f"forcing chains are not an induced path cover: {check.violation}"
-                )
-            return ForcingCover(chron.rule, tuple(chains), None)
-        children: dict[int, list[int]] = {}
-        for f in forces:
-            children.setdefault(f.src, []).append(f.dst)
-        trees = []
-        covered: set[int] = set()
-        for b in sorted(chron.base):
-            verts = {b}
-            stack = [b]
-            edges = []
-            while stack:
-                u = stack.pop()
-                for w in children.get(u, ()):
-                    verts.add(w)
-                    edges.append((w, u))
-                    stack.append(w)
-            if len(edges) != len(verts) - 1:
-                raise InvariantViolation(f"forcing tree at {b} is not a tree")
-            trees.append(ForcingTree(b, frozenset(verts), tuple(sorted(edges))))
-            covered |= verts
-        n = self.graph.n
-        if len(covered) != n or sum(len(t.vertices) for t in trees) != n:
-            raise InvariantViolation("forcing trees do not partition the vertices")
-        return ForcingCover(chron.rule, None, tuple(trees))
+        chron, (root, parent, _) = self.chron, self.forest
+        # Every force extends its forcer's chain: a vertex forced twice fails the check.
+        members = {b: [b] for b in sorted(chron.base)}
+        for src, dst in chron.all_forces():
+            if src in root:
+                members[root[src]].append(dst)
+        if chron.rule is Rule.PSD:
+            trees = tuple(
+                ForcingTree(b, frozenset(vs), tuple(sorted((v, parent[v]) for v in vs[1:])))
+                for b, vs in members.items()
+            )
+            return ForcingCover(chron.rule, None, trees)
+        chains = tuple(tuple(vs) for vs in members.values())
+        check = validate_path_cover(self.graph, chains)
+        if not check.ok:
+            raise InvariantViolation(
+                f"forcing chains are not an induced path cover: {check.violation}"
+            )
+        return ForcingCover(chron.rule, chains, None)
 
     @cached_property
     def terminus(self) -> frozenset[int]:
         if self.chron.rule is not Rule.STANDARD:
             raise ValueError("terminus is defined for the standard rule")
-        srcs = {f.src for f in self.chron.all_forces()}
-        term = frozenset(v for v in range(self.graph.n) if v not in srcs)
+        term = frozenset(range(self.graph.n)).difference(self.forest.children)
         if len(term) != len(self.chron.base):
             raise InvariantViolation("terminus size differs from the base size")
         return term
 
     def initials(self, h: frozenset[int]) -> frozenset[int]:
         """See :func:`restriction_initials`."""
-        base, parent = self.chron.base, self.parent
+        base, parent = self.chron.base, self.forest.parent
         return frozenset(u for u in h if u in base or parent[u] not in h)
 
     def finals(self, h: frozenset[int]) -> frozenset[int]:
-        """Vertices of ``h`` that never force or force out of ``h``: the
+        """Vertices of ``h`` that force no vertex of ``h``: the
         :meth:`initials` of ``h`` in the reversed schedule."""
-        child = {f.src: f.dst for f in self.chron.all_forces()}
-        return frozenset(u for u in h if child.get(u) not in h)
+        return h.difference(map(self.forest.parent.get, h))
 
 
 def activity_spans(g: Graph, chron: RelaxedChronology) -> list[tuple[int, int]]:

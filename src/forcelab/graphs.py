@@ -227,8 +227,8 @@ def validate_path_cover(g: Graph, paths: Iterable[Iterable[int]]) -> CoverCheck:
 
 
 def is_path_sequence(g: Graph, seq: tuple[int, ...]) -> bool:
-    """True iff ``seq`` lists distinct vertices with consecutive ones adjacent."""
-    if not seq or len(set(seq)) != len(seq):
+    """True iff ``seq`` lists distinct vertices of ``g``, consecutive ones adjacent."""
+    if not seq or len(set(seq)) != len(seq) or not all(0 <= v < g.n for v in seq):
         return False
     return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
 

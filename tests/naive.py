@@ -101,3 +101,43 @@ def is_induced_path_partition(g, paths) -> bool:
                 if (p[j] in g.adj[u]) != (j == i + 1):
                     return False
     return True
+
+
+def forcing_forest(chron) -> dict[int, tuple[list[int], list[tuple[int, int]]]]:
+    """base vertex -> (vertices, sorted (child, parent) edges) of the chain
+    or tree a valid schedule traces from it. A chain (standard, rigid
+    linkage) follows its base vertex's forces one at a time, so its
+    vertices come in chain order; a PSD tree holds whatever a depth-first
+    search over the forced vertices reaches."""
+    children = {}
+    for step in chron.steps:
+        for f in step:
+            children.setdefault(f.src, []).append(f.dst)
+    out = {}
+    for b in sorted(chron.base):
+        verts, edges = [b], []
+        if chron.rule == "psd":
+            stack = [b]
+            while stack:
+                u = stack.pop()
+                for w in children.get(u, []):
+                    verts.append(w)
+                    edges.append((w, u))
+                    stack.append(w)
+        else:
+            while verts[-1] in children:
+                (w,) = children[verts[-1]]
+                edges.append((w, verts[-1]))
+                verts.append(w)
+        out[b] = (verts, sorted(edges))
+    return out
+
+
+def piece_ends(forest, h) -> tuple[set[int], set[int]]:
+    """The first and the last vertices of the forest's pieces inside the
+    vertex set ``h``: those whose forcer is not in ``h`` (base vertices
+    have none), and those that force no vertex of ``h``."""
+    parent = {w: u for _, edges in forest.values() for w, u in edges}
+    firsts = {u for u in h if parent.get(u) not in h}
+    lasts = {u for u in h if not any(parent.get(w) == u for w in h)}
+    return firsts, lasts

@@ -52,12 +52,20 @@ PSD_TREE = {
     "steps": [[[0, 1]], [[1, 2], [1, 3]], [[3, 4]], [[4, 5], [4, 7]],
               [[7, 6], [7, 8]], [[8, 9]]],
 }
+# The rigid-linkage schedule that ``propagate`` gives from {0, 4, 8} on grid_3x4.
+RL_GRID = {
+    "rule": "rigid_linkage",
+    "base": [0, 4, 8],
+    "steps": [[[0, 1]], [[4, 5]], [[1, 2]], [[8, 9]], [[5, 6]], [[2, 3]], [[3, 7]],
+              [[6, 10]], [[7, 11]]],
+}
 
 FILES = {
     "k3.edges": "3 3\n0 1\n0 2\n1 2\n",
     "p3.edges": "3 2\n0 1\n1 2\n",
     "psd_grid.json": json.dumps(PSD_GRID),
     "psd_tree.json": json.dumps(PSD_TREE),
+    "rl_grid.json": json.dumps(RL_GRID),
     "graphs.g6": "DQo\nEQjO\nCF\n",
     "bad_line.g6": "DQo\n!!\n",
     # a 4-vertex graph, then the 3x5 grid: 15 vertices, above the sweep cap
@@ -129,6 +137,9 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("witness-verify-wrong-graph", "witness", "verify", "--graph", edges("p9"),
         "--witness", witness)
     add("witness-extract-no-chronology", "witness", "extract", "--graph", grid)
+    for rule in ("psd", "rl"):
+        add(f"witness-extract-{rule}", "witness", "extract", "--graph", grid,
+            "--chronology", f"{{tmp}}/{rule}_grid.json")
     add("witness-apply-no-witness", "witness", "apply", "--graph", grid)
     add("witness-verify-no-witness", "witness", "verify", "--graph", grid)
 

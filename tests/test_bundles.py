@@ -133,6 +133,24 @@ class TestValidatePathBundle:
         with pytest.raises(BundleError):
             validate_path_bundle(g, chron, [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "candidates, message",
+        [
+            ([(99,)], "candidate [99] is not a path"),
+            ([(-1,)], "candidate [-1] is not a path"),
+            ([(0, 99)], "candidate [0, 99] is not a path"),
+            ([(1, 2), (3,)], "candidate [1, 2] is not inside a single tree"),
+            ([(0,), (1,)], "two candidates inside the tree rooted at 0"),
+        ],
+    )
+    def test_rejection_messages(self, candidates, message):
+        # Out-of-range vertices are no path, whatever the candidate's length.
+        g = path_graph(4)
+        chron = psd_chronology(g, {0} if len(candidates) == 1 else {0, 3})
+        with pytest.raises(BundleError) as exc:
+            validate_path_bundle(g, chron, candidates)
+        assert str(exc.value) == message
+
     def test_reversed_candidates_accepted(self):
         g = path_graph(4)
         chron = psd_chronology(g, {0, 3})

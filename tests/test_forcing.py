@@ -8,6 +8,7 @@ from forcelab.errors import ChronologyError, InfeasibleError
 from forcelab.forcing import (
     Force,
     RelaxedChronology,
+    Replay,
     Rule,
     _psd_step,
     active_times,
@@ -16,6 +17,7 @@ from forcelab.forcing import (
     possible_forces,
     propagate,
     propagation_time_of_forces,
+    restriction_initials,
     reversal,
     terminus,
     validate_chronology,
@@ -28,7 +30,7 @@ from forcelab.graphs import (
     star_graph,
 )
 import naive
-from randgen import random_chronology, random_forcing_set, random_graph
+from randgen import random_chronology, random_forcing_set, random_graph, random_instance
 from strategies import graphs
 
 
@@ -327,6 +329,43 @@ class TestForcingCover:
             cover = forcing_cover(g, chron)
             assert len(cover.chains) == len(base)
             assert naive.is_induced_path_partition(g, cover.chains)
+
+    def test_forest_readers_match_the_naive_forest(self):
+        """Covers, terminus and both boundary sets of the one forest record
+        against tests/naive.py, which builds chains and trees from the
+        definitions: random standard schedules with idle steps, greedy
+        rigid-linkage schedules and maximal PSD schedules."""
+        rng = Random(29)
+        checked = {rule: 0 for rule in (Rule.STANDARD, Rule.RIGID_LINKAGE, Rule.PSD)}
+        for _ in range(40):
+            g, base, chron = random_instance(rng, max_n=10, connected=rng.random() < 0.7)
+            schedules = [chron]
+            for rule in (Rule.RIGID_LINKAGE, Rule.PSD):
+                small = set(rng.sample(range(g.n), max(1, g.n // 4)))
+                for start in (small, base):
+                    result = propagate(rule, g, start)
+                    if result.ok:
+                        schedules.append(result.chronology)
+                        break
+            for chron in schedules:
+                checked[chron.rule] += 1
+                forest = naive.forcing_forest(chron)
+                cover = forcing_cover(g, chron)
+                if chron.rule is Rule.PSD:
+                    got = [(t.root, set(t.vertices), list(t.parent_edges))
+                           for t in cover.trees]
+                    assert got == [(b, set(vs), es) for b, (vs, es) in forest.items()]
+                else:
+                    assert cover.chains == tuple(tuple(vs) for vs, _ in forest.values())
+                if chron.rule is Rule.STANDARD:
+                    forcers = {u for _, es in forest.values() for _, u in es}
+                    assert terminus(g, chron) == set(range(g.n)) - forcers
+                for _ in range(3):
+                    h = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+                    firsts, lasts = naive.piece_ends(forest, h)
+                    assert restriction_initials(g, chron, h) == firsts
+                    assert Replay(g, chron).finals(h) == lasts
+        assert min(checked.values()) >= 10, checked
 
 
 class TestTerminusAndReversal:

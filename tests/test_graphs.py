@@ -17,6 +17,7 @@ from forcelab.graphs import (
     graph6_encode,
     grid_graph,
     induced_subgraph,
+    is_path_sequence,
     is_vertex_cut,
     mask_of,
     parse_edge_list,
@@ -205,6 +206,14 @@ class TestPathCover:
     def test_duplicate_vertex(self):
         check = validate_path_cover(path_graph(3), [(0, 1), (1, 2)])
         assert not check.ok and "more than once" in check.violation
+
+    @pytest.mark.parametrize(
+        "seq, ok",
+        [((0, 1, 2), True), ((1,), True), ((), False), ((0, 2), False), ((0, 1, 0), False),
+         ((99,), False), ((-1,), False), ((0, 99), False), ((2, 3), False)],
+    )
+    def test_path_sequence(self, seq, ok):
+        assert is_path_sequence(path_graph(3), seq) is ok
 
 
 class TestEdgeListFormat:

@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private module-level name is read somewhere in the package.
 
-A refactor that stops calling a function tends to leave its import
-behind; this check parses each module under ``src/forcelab`` (the
-package's ``__init__``, which re-exports, aside) and lists the imported
-names that the module never reads.
+A refactor that stops calling a function tends to leave its import, or
+the private helper itself, behind; these checks parse each module under
+``src/forcelab`` (the package's ``__init__``, which re-exports, aside
+for imports) and list the imported names that a module never reads and
+the ``_name`` functions, classes and assignments at module level that no
+module reads.
 """
 
 import ast
@@ -37,3 +40,42 @@ def test_module_uses_every_import(path):
 def test_check_flags_an_unused_import():
     source = "from os import path, sep\nimport sys\nprint(sep)\n"
     assert unused_imports(source) == ["path (line 1)", "sys (line 2)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``file: name (line)`` for each module-level ``_name`` (not a dunder)
+    defined in one of ``sources`` (file name -> source) and read nowhere in
+    them, as a name or as an attribute."""
+    defined, read = [], set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(file, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{file}: {name} (line {line})"
+            for file, name, line in defined if name not in read]
+
+
+def test_package_reads_every_private_name():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_check_flags_an_unread_private_name():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _left():\n    pass\n_LIMIT = 3\n__all__ = []\n",
+        "b.py": "from a import _used\nimport a\n_used()\nprint(a._LIMIT)\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _left (line 3)"]

@@ -20,7 +20,7 @@ from forcelab.bundles import (
 )
 from forcelab.errors import ChronologyError, InvariantViolation
 from forcelab.forcing import RelaxedChronology, Rule, propagate
-from forcelab.graphs import Graph, path_graph
+from forcelab.graphs import Graph, path_graph, star_graph
 
 CHECKED = forcing.validate_chronology
 
@@ -226,3 +226,38 @@ def test_efficient_schedule_replays_as_guaranteed(validation, build):
     with pytest.raises(InvariantViolation) as exc:
         build(path_graph(5), 1)
     assert str(exc.value) == "efficient schedule failed to validate: step 1: rejected"
+
+
+# The forest guards behind forcing_cover and terminus, one corrupt schedule
+# each. [[(1, 2)]] names a source that is never blue, so its target has no
+# root at all; on the edge 0-1 from {0, 1}, 0 forces a vertex of another chain.
+@pytest.mark.parametrize(
+    "g, rule, base, steps, message",
+    [
+        (star_graph(2), Rule.STANDARD, {0}, [[(0, 1)], [(0, 2)]], "vertex 0 forces twice"),
+        (Graph(3, TRIANGLE), Rule.STANDARD, {0}, [[(0, 1)], [(1, 2)]],
+         "forcing chains are not an induced path cover: path 0 is not induced: chord 0-2"),
+        (path_graph(2), Rule.STANDARD, {0, 1}, [[(0, 1)]],
+         "forcing chains are not an induced path cover: vertex 1 appears more than once"),
+        (Graph(3, TRIANGLE), Rule.PSD, {0}, [[(0, 1), (0, 2)], [(1, 2)]],
+         "forcing tree at 0 is not a tree"),
+        (path_graph(3), Rule.PSD, {0}, [[(0, 1)]],
+         "forcing trees do not partition the vertices"),
+        (path_graph(3), Rule.PSD, {0}, [[(1, 2)]],
+         "forcing trees do not partition the vertices"),
+    ],
+)
+def test_corrupt_forcing_covers(validation, g, rule, base, steps, message):
+    chron = RelaxedChronology(rule, base, steps)
+    validation(trusting(chron))
+    with pytest.raises(InvariantViolation) as exc:
+        forcing.forcing_cover(g, chron)
+    assert str(exc.value) == message
+
+
+def test_corrupt_terminus(validation):
+    chron = RelaxedChronology(Rule.STANDARD, {0}, [[(0, 1)]])
+    validation(trusting(chron))
+    with pytest.raises(InvariantViolation) as exc:
+        forcing.terminus(path_graph(3), chron)
+    assert str(exc.value) == "terminus size differs from the base size"
