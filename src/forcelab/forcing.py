@@ -231,48 +231,87 @@ def possible_forces(
     return frozenset(_legal_forces(rule, g.adjacency_masks(), mask_of(b), idle))
 
 
+def _flood(adj: tuple[int, ...], white: int, v: int) -> tuple[int, int]:
+    """The component of the white vertex ``v`` inside the bitmask ``white``,
+    and the union of its members' neighbor masks."""
+    comp = front = 1 << v
+    hood = 0
+    while front:
+        rem = front
+        while rem:
+            bit = rem & -rem
+            rem ^= bit
+            hood |= adj[bit.bit_length() - 1]
+        front = hood & white & ~comp
+        comp |= front
+    return comp, hood
+
+
 def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[int]]:
     """Replay ``chron`` on ``g`` and return its expansion sequence.
 
-    Checks, step by step: every force is legal for the current blue set,
-    no two forces in a step share a target, and every vertex ends up blue.
-    Raises :class:`ChronologyError` naming the first offending step/force.
+    Checks, step by step and force by force: no two forces in a step share
+    a target, each force is legal for the blue set at the start of its
+    step, and every vertex ends up blue. Each force is checked on its own,
+    on bitmasks: both ends are vertices, the source is blue and the target
+    white, and then the rule holds. Standard: the target is the source's
+    one white neighbor. PSD: it is the source's one neighbor in the
+    target's white component, flooded once per step for every force of
+    the step into it. Rigid linkage: the PSD condition, no idle vertex (one
+    that has forced) next to that component, and at most one force per
+    step. No legal-force set is built, and the check shares no code with
+    the rule engine it is the oracle of. Raises :class:`ChronologyError`
+    naming the first offending step/force.
     """
     rule = chron.rule
     if rule not in (Rule.STANDARD, Rule.PSD, Rule.RIGID_LINKAGE):
         raise ValueError(f"cannot validate schedules for rule {rule.value}")
-    adj = g.adjacency_masks()
+    adj, n = g.adjacency_masks(), g.n
+    full = (1 << n) - 1
     expansion = [g.check_set(chron.base)]
     blue = mask_of(expansion[0])
     idle = 0
-    linkage = rule is Rule.RIGID_LINKAGE
+    standard, linkage = rule is Rule.STANDARD, rule is Rule.RIGID_LINKAGE
     for k, step in enumerate(chron.steps, start=1):
         if linkage and len(step) > 1:
             raise ChronologyError(
                 f"step {k}: rigid-linkage steps carry at most one force", step=k
             )
-        legal = set(_legal_forces(rule, adj, blue, idle)) if step else set()
+        white = full & ~blue
+        floods: list[tuple[int, int]] = []  # (component, neighbor mask) per target's flood
         dsts = set()
         for f in step:
-            if f.dst in dsts:
+            src, dst = f
+            if dst in dsts:
                 raise ChronologyError(
-                    f"step {k}: two forces target vertex {f.dst}", step=k, force=f
+                    f"step {k}: two forces target vertex {dst}", step=k, force=f
                 )
-            if f not in legal:
+            legal = 0 <= src < n and 0 <= dst < n and not white >> src & 1 and white >> dst & 1
+            if legal and standard:
+                legal = adj[src] & white == 1 << dst
+            elif legal:
+                for comp, hood in floods:
+                    if comp >> dst & 1:
+                        break
+                else:
+                    comp, hood = _flood(adj, white, dst)
+                    floods.append((comp, hood))
+                legal = adj[src] & comp == 1 << dst and not idle & hood
+            if not legal:
                 raise ChronologyError(
-                    f"step {k}: force {f.src}->{f.dst} is not legal there",
+                    f"step {k}: force {src}->{dst} is not legal there",
                     step=k,
                     force=f,
                 )
-            dsts.add(f.dst)
-            blue |= 1 << f.dst
+            dsts.add(dst)
+            blue |= 1 << dst
             if linkage:
-                idle |= 1 << f.src
+                idle |= 1 << src
         expansion.append(expansion[-1] | dsts)
-    if len(expansion[-1]) != g.n:
-        white = sorted(set(range(g.n)) - expansion[-1])
+    if len(expansion[-1]) != n:
+        left = sorted(set(range(n)) - expansion[-1])
         raise ChronologyError(
-            f"white vertices remain after the last step: {white}", step=chron.ct
+            f"white vertices remain after the last step: {left}", step=chron.ct
         )
     return expansion
 

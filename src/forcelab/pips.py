@@ -161,8 +161,9 @@ def witness_to_chronology(g: Graph, witness: PipWitness) -> RelaxedChronology:
 
 def chronology_to_witness(g: Graph, chron: RelaxedChronology) -> PipWitness:
     """Read a witness off a valid standard schedule: paths are its chains,
-    blocks are the active-time intervals along each chain."""
-    witness = _witness_of(Replay(g, chron))
+    blocks are the active-time intervals along each chain. Any other rule
+    raises ValueError before the replay."""
+    witness = _witness_of(Replay.standard(g, chron))
     check = verify_witness(g, witness)
     if not check.ok:
         raise InvariantViolation(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import cache
 from itertools import combinations, compress
 from math import comb
 from typing import Iterator
@@ -262,10 +263,13 @@ _BIT_OF = [bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8)]
 _AFTER = bytes(k + 1 if k > 1 else 1 for k in range(255)) + b"\xff"
 
 
-def _lattice_vectors(n: int) -> list[int]:
+@cache
+def _lattice_vectors(n: int) -> tuple[int, ...]:
     """``X[v]`` has bit B set when v is in the bitmask B, for all 2^n masks
     B, built by doubling shifts: bits 2^v..2^(v+1)-1 set, then repeated
-    every 2^(v+1) bits."""
+    every 2^(v+1) bits. Built once per n in a process, on first use: the
+    solvers build tables only below ``solvers.SLICED_MIN_N`` vertices,
+    where these vectors are small."""
     out = []
     for v in range(n):
         half = 1 << v
@@ -274,7 +278,7 @@ def _lattice_vectors(n: int) -> list[int]:
             x |= x << width
             width <<= 1
         out.append(x)
-    return out
+    return tuple(out)
 
 
 def _successors(blue: list[int], n: int):

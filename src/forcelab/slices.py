@@ -218,21 +218,22 @@ def psd_set_from_slices(
     return _psd_set(_efficient_replay(g, m, cap), m, cut_times)
 
 
-def _psd_set(r: Replay, m: int, cut_times) -> SliceConstruction:
+def _psd_set(r: Replay, m: int, cut_times, halves=None) -> SliceConstruction:
     """:func:`psd_set_from_slices` on the replay ``r`` of the m-efficient
-    schedule."""
+    schedule; ``halves``, if given, is the :func:`_split` at the auto cut."""
     k_total = r.chron.ct
     if cut_times == "auto":
         cuts = ((k_total + 1) // 2,)
+        ats = [(halves or _split(r.spans, cuts[0]))[1]]
     else:
         cuts = tuple(sorted(set(int(c) for c in cut_times)))
         if not cuts:
             raise ValueError("at least one cut time is required")
         if cuts[0] < 0 or cuts[-1] > k_total:
             raise ValueError(f"cut times must lie in 0..{k_total}")
+        ats = [_split(r.spans, c)[1] for c in cuts]
     base: set[int] = set()
-    for c in cuts:
-        at = _split(r.spans, c)[1]
+    for c, at in zip(cuts, ats):
         if len(at) != m:
             raise InvariantViolation(
                 f"slice at {c} has {len(at)} vertices, expected one per chain"
@@ -258,14 +259,14 @@ def power_set_from_slice(g: Graph, m: int, cap: int | None = None) -> PowerConst
     return _power_set(_efficient_replay(g, m, cap), m)
 
 
-def _power_set(r: Replay, m: int) -> PowerConstruction:
+def _power_set(r: Replay, m: int, halves=None) -> PowerConstruction:
     """:func:`power_set_from_slice` on the replay ``r`` of the m-efficient
-    schedule."""
+    schedule; ``halves``, if given, is the :func:`_split` at its cut."""
     g, k_total = r.graph, r.chron.ct
     if k_total == 0:
         return PowerConstruction(frozenset(range(g.n)), 0, 0, 0, 0)
     n_cut = (k_total + 1) // 2
-    before, base, after = _split(r.spans, n_cut)
+    before, base, after = halves or _split(r.spans, n_cut)
     if len(base) != m:
         raise InvariantViolation(
             f"slice at {n_cut} has {len(base)} vertices, expected one per chain"

@@ -16,17 +16,20 @@ pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), thr+, Z+ and pt+ in
 vectors that each scan derives size after size from one generator. Either way one result loop, ``_Scan.best``,
 reads a size's candidates as index lists by the round they finish in, and
 the scans of one call share those lists for every size that one of them
-ran to the end. All of it dies when the public call returns: nothing is
-cached between calls. The per-mask engine of :mod:`forcelab.forcing` runs
-no scan; it replays schedules, and its step-by-step walk in
-``slices._rounds``, the one way the slice checks count their sets' rounds,
-is the tables' oracle in the tests.
+ran to the end. All of it dies when the public call returns: nothing
+found about a graph is cached between calls. What depends on n alone is
+kept for the process: the lattice vectors a table is built from and the
+k-subset masks it is read at (``_subset_masks``). The per-mask engine of
+:mod:`forcelab.forcing` runs no scan; it replays schedules, and its
+step-by-step walk in ``slices._rounds``, the one way the slice checks
+count their sets' rounds, is the tables' oracle in the tests.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import combinations, compress
 from typing import Iterable, Iterator
@@ -127,7 +130,6 @@ class _Scan:
             self.table = None
             self.size = g.n + 1  # the last size taken from ``vectors``: none yet, so above all
         else:
-            self.bits = [1 << v for v in range(g.n)]
             self.table = sliced.rounds_table(rule, g.adj, g.n)
 
     def forcing(self) -> tuple[int | None, list]:
@@ -197,7 +199,7 @@ class _Scan:
         if self.table is None:
             rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self._vectors(size)))
         else:
-            found = bytes(map(self.table.__getitem__, map(sum, combinations(self.bits, size))))
+            found = bytes(map(self.table.__getitem__, _subset_masks(self.n, size)))
             index = range(len(found))
             rounds = (
                 (k - 2, list(compress(index, found.translate(flags))))
@@ -223,6 +225,15 @@ class _Scan:
             self.last = next(self.vectors)
             self.size += 1
         return self.last
+
+
+@cache
+def _subset_masks(n: int, k: int) -> tuple[int, ...]:
+    """The bitmasks of the k-subsets of range(n) in combinations order, the
+    table indices of a size's candidates. Built once per (n, k) in a
+    process, on first use; only scans below ``SLICED_MIN_N`` read them, and
+    those hold 1,023 masks in all."""
+    return tuple(map(sum, combinations([1 << v for v in range(n)], k)))
 
 
 def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:
@@ -362,7 +373,8 @@ def bounds_rows_for_graph(
     and the first efficient witness are read from them, not from the
     public reports, so the only witness set unranked is the efficient set
     each m replays (``_Scan.first``). Both constructions of an m row share
-    that one replay, and each counts its set's rounds by walking its
+    that one replay and its one split at the cut ceil(pt(G, m)/2)
+    (``slices._split``), and each counts its set's rounds by walking its
     process one step at a time (``slices._rounds``), at every n.
     """
     from . import slices  # local import: slices builds on these solvers
@@ -381,8 +393,9 @@ def bounds_rows_for_graph(
         if "bounds" not in wanted:
             continue
         bound = (pt_m + 1) // 2
-        psd = slices._psd_set(replay, m, "auto")
-        power = slices._power_set(replay, m)
+        halves = slices._split(replay.spans, bound)  # both constructions cut at the bound
+        psd = slices._psd_set(replay, m, "auto", halves)
+        power = slices._power_set(replay, m, halves)
         ok = psd.achieved <= bound and power.achieved <= bound
         rows.append(
             BoundsRow(

@@ -2,10 +2,15 @@
 
 Blue sets are Python sets and white components come from a plain
 depth-first search. Nothing here shares code with the bitmask engine in
-``forcelab.forcing``, which the tests check against these functions.
+``forcelab.forcing``, which the tests check against these functions, but
+:func:`legal_set_replay`: the schedule check that builds each step's whole
+legal-force set with that engine, kept as a second oracle for the
+per-force check of ``validate_chronology``.
 """
 
-from forcelab.forcing import Force
+from forcelab.errors import ChronologyError
+from forcelab.forcing import Force, Rule, _legal_forces
+from forcelab.graphs import mask_of
 
 
 def white_components(g, blue) -> list[set[int]]:
@@ -56,6 +61,50 @@ def forces(rule: str, g, blue, inactive=frozenset()) -> set[Force]:
             if len(inside) == 1:
                 out.add(Force(u, inside[0]))
     return out
+
+
+def legal_set_replay(g, chron) -> list[frozenset[int]]:
+    """``validate_chronology`` by legal-force sets: each nonempty step
+    builds every force its rule allows from the blue set at its start
+    (``_legal_forces``) and looks its forces up there. Same checks, order,
+    messages and expansion."""
+    rule = chron.rule
+    if rule not in (Rule.STANDARD, Rule.PSD, Rule.RIGID_LINKAGE):
+        raise ValueError(f"cannot validate schedules for rule {rule.value}")
+    adj = g.adjacency_masks()
+    expansion = [g.check_set(chron.base)]
+    blue = mask_of(expansion[0])
+    idle = 0
+    linkage = rule is Rule.RIGID_LINKAGE
+    for k, step in enumerate(chron.steps, start=1):
+        if linkage and len(step) > 1:
+            raise ChronologyError(
+                f"step {k}: rigid-linkage steps carry at most one force", step=k
+            )
+        legal = set(_legal_forces(rule, adj, blue, idle)) if step else set()
+        dsts = set()
+        for f in step:
+            if f.dst in dsts:
+                raise ChronologyError(
+                    f"step {k}: two forces target vertex {f.dst}", step=k, force=f
+                )
+            if f not in legal:
+                raise ChronologyError(
+                    f"step {k}: force {f.src}->{f.dst} is not legal there",
+                    step=k,
+                    force=f,
+                )
+            dsts.add(f.dst)
+            blue |= 1 << f.dst
+            if linkage:
+                idle |= 1 << f.src
+        expansion.append(expansion[-1] | dsts)
+    if len(expansion[-1]) != g.n:
+        white = sorted(set(range(g.n)) - expansion[-1])
+        raise ChronologyError(
+            f"white vertices remain after the last step: {white}", step=chron.ct
+        )
+    return expansion
 
 
 def maximal_steps(rule: str, g, blue) -> list[list[Force]] | None:

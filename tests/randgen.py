@@ -100,3 +100,29 @@ def random_psd_chronology(
     chron = RelaxedChronology(Rule.PSD, base, steps)
     validate_chronology(g, chron)
     return chron
+
+
+def random_linkage_chronology(
+    rng: Random, g: Graph, base: frozenset[int], empty_prob: float = 0.12
+) -> RelaxedChronology | None:
+    """A random rigid-linkage schedule: per step, one random legal force,
+    with occasional idle steps. None when the random choices stall before
+    every vertex is blue."""
+    blue, idle = set(base), set()
+    steps = []
+    idle_budget = 2
+    while len(blue) < g.n:
+        if idle_budget and rng.random() < empty_prob:
+            steps.append([])
+            idle_budget -= 1
+            continue
+        legal = sorted(possible_forces(Rule.RIGID_LINKAGE, g, blue, idle))
+        if not legal:
+            return None
+        f = rng.choice(legal)
+        steps.append([f])
+        blue.add(f.dst)
+        idle.add(f.src)
+    chron = RelaxedChronology(Rule.RIGID_LINKAGE, base, steps)
+    validate_chronology(g, chron)
+    return chron

@@ -30,7 +30,14 @@ from forcelab.graphs import (
     star_graph,
 )
 import naive
-from randgen import random_chronology, random_forcing_set, random_graph, random_instance
+from randgen import (
+    random_chronology,
+    random_forcing_set,
+    random_graph,
+    random_instance,
+    random_linkage_chronology,
+    random_psd_chronology,
+)
 from strategies import graphs
 
 
@@ -211,6 +218,73 @@ class TestValidateChronology:
             for k, step in enumerate(chron.steps, start=1):
                 assert expansion[k - 1] <= expansion[k]
                 assert len(expansion[k]) - len(expansion[k - 1]) == len(step)
+
+    @pytest.mark.parametrize("make", [random_chronology, random_psd_chronology,
+                                      random_linkage_chronology])
+    def test_per_force_check_matches_legal_sets(self, make):
+        # Every single-force mutation of random valid schedules gets the same
+        # expansion, or the same exception with the same message, step and
+        # force, from the per-force check and from whole legal-force sets.
+        rng = Random(19)
+        schedules = mutations = 0
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.6), connected=True)
+            chron = make(rng, g, random_forcing_set(rng, g))
+            if chron is None:
+                continue
+            schedules += 1
+            for bad in single_force_mutations(chron, g.n):
+                mutations += 1
+                assert outcome(validate_chronology, g, bad) == outcome(
+                    naive.legal_set_replay, g, bad
+                ), bad
+            if schedules == 100:
+                break
+        assert schedules == 100 and mutations > 12000
+
+
+def single_force_mutations(chron, n):
+    """Every schedule one force edit away from ``chron``: a force's source
+    or target set to another value in -1..n, a force dropped or moved to
+    another step (or a new last one), a force of range(n) added to a step
+    (a second force into a target among them), a step emptied, and an
+    empty step inserted anywhere."""
+    steps = [list(step) for step in chron.steps]
+
+    def edited(i, step):
+        return RelaxedChronology(chron.rule, chron.base, steps[:i] + [step] + steps[i + 1 :])
+
+    for i, step in enumerate(steps):
+        for j, f in enumerate(step):
+            rest = step[:j] + step[j + 1 :]
+            for v in range(-1, n + 1):
+                if v != f.src:
+                    yield edited(i, rest + [Force(v, f.dst)])
+                if v != f.dst:
+                    yield edited(i, rest + [Force(f.src, v)])
+            yield edited(i, rest)
+            for t in range(len(steps) + 1):
+                if t != i:
+                    moved = steps[:i] + [rest] + steps[i + 1 :] + [[]]
+                    moved[t] = moved[t] + [f]
+                    yield RelaxedChronology(chron.rule, chron.base, moved)
+        for src in range(n):
+            for dst in range(n):
+                if Force(src, dst) not in step:
+                    yield edited(i, step + [Force(src, dst)])
+        if step:
+            yield edited(i, [])
+    for i in range(len(steps) + 1):
+        yield RelaxedChronology(chron.rule, chron.base, steps[:i] + [[]] + steps[i:])
+
+
+def outcome(check, g, chron):
+    """What ``check`` makes of the schedule: its result, or the type,
+    message, step and force of what it raises."""
+    try:
+        return check(g, chron)
+    except (ChronologyError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "force", None)
 
 
 class TestPropagate:

@@ -1,0 +1,47 @@
+"""The schedule check is an oracle of the rule engine, so it must not run
+the engine: ``validate_chronology``, and every module-level function of
+``forcing`` that it reaches by name, names none of the engine's step
+functions, their table or the firing loop. The check parses
+``src/forcelab/forcing.py`` with stdlib ``ast``, as ``test_imports`` does.
+"""
+
+import ast
+from pathlib import Path
+
+FORCING = Path(__file__).resolve().parent.parent / "src" / "forcelab" / "forcing.py"
+ENGINE = {"_legal_forces", "_standard_step", "_psd_step", "_power_step", "PROCESSES", "_fire"}
+
+
+def names_reached(source: str, entry: str) -> set[str]:
+    """Every name or attribute read in the module-level function ``entry``
+    and in the module-level functions it names, transitively."""
+    functions = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+    seen, todo, names = set(), [entry], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo += [n for n in names if n in functions]
+    return names
+
+
+def test_schedule_check_does_not_run_the_engine():
+    assert names_reached(FORCING.read_text(), "validate_chronology") & ENGINE == set()
+
+
+def test_check_follows_helpers():
+    source = (
+        "def _legal_forces():\n    pass\n"
+        "def _helper():\n    return _legal_forces()\n"
+        "def validate_chronology():\n    return _helper()\n"
+        "def unrelated():\n    return PROCESSES\n"
+    )
+    assert names_reached(source, "validate_chronology") & ENGINE == {"_legal_forces"}

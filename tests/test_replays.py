@@ -39,6 +39,7 @@ def replays(monkeypatch):
         func(*args)
         return len(calls)
 
+    count.calls = calls
     return count
 
 
@@ -52,6 +53,12 @@ def test_witness_conversions_replay_once(replays, grid34_chords, demo_chron):
     assert replays(pips.chronology_to_witness, grid34_chords, demo_chron) == 1
     witness = pips.chronology_to_witness(grid34_chords, demo_chron)
     assert replays(pips.witness_to_chronology, grid34_chords, witness) == 1
+
+
+def test_witness_extraction_checks_the_rule_before_replaying(replays, grid34, psd_chron):
+    with pytest.raises(ValueError, match="active times are defined for the standard rule"):
+        replays(pips.chronology_to_witness, grid34, psd_chron)
+    assert replays.calls == []
 
 
 def test_reversal_replays_input_and_result(replays, grid34_chords, demo_chron):
@@ -81,6 +88,18 @@ def test_bounds_rows_replay_each_efficient_schedule_once(replays, grid34):
         rows = solvers.bounds_rows_for_graph("g", g)
         expected = sum(r.m.isdigit() for r in rows)
         assert replays(solvers.bounds_rows_for_graph, "g", g) == expected
+
+
+def test_bounds_rows_split_each_efficient_schedule_once(monkeypatch):
+    # Both slice constructions of an m row take one split at their shared
+    # cut: one per m row, 5,557 over the graphs with n <= 7.
+    calls = []
+    split = slices._split
+    monkeypatch.setattr(slices, "_split", lambda *args: calls.append(1) or split(*args))
+    rows = 0
+    for graph_id, g in solvers.atlas_stream(7):
+        rows += sum(r.m.isdigit() for r in solvers.bounds_rows_for_graph(graph_id, g))
+    assert len(calls) == rows == 5557
 
 
 # The host and the bundle's standard restriction, plus the rebuilt schedule

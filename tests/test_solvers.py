@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from forcelab import forcing, sliced, slices
+from forcelab import forcing, sliced, slices, solvers
 from forcelab.errors import CapExceeded, InfeasibleError
 from forcelab.forcing import Rule, propagate
 from forcelab.graphs import (
@@ -634,6 +634,21 @@ class TestSlicedHelpers:
             for picked in {1, 2, max(1, count // 128 - 1), count // 128 + 1, count}:
                 indices = sorted(rng.sample(range(count), min(picked, count)))
                 assert sliced.subsets(indices, n, k) == [combos[i] for i in indices]
+
+
+def test_per_n_constants_match_a_fresh_computation():
+    # The lattice vectors and the k-subset masks a table scan reads are
+    # kept per n (and k) for the process, as tuples.
+    for n in range(SLICED_MIN_N):
+        vectors = sliced._lattice_vectors(n)
+        assert isinstance(vectors, tuple)
+        assert vectors == tuple(
+            sum(1 << b for b in range(1 << n) if b >> v & 1) for v in range(n)
+        )
+        for k in range(n + 1):
+            masks = solvers._subset_masks(n, k)
+            assert isinstance(masks, tuple)
+            assert masks == tuple(sum(1 << v for v in c) for c in combinations(range(n), k))
 
 
 class TestOneRoundsMemoPerRulePerCall:
