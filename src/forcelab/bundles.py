@@ -85,7 +85,9 @@ def _restriction(host: Replay, keep: frozenset[int], rule: Rule):
         tuple(f for f in step if f.src in keep and f.dst in keep)
         for step in host.chron.steps
     )
-    r = Restriction(rule, keep, steps, host.initials(keep))
+    # A kept vertex is initial unless its forcer is kept: unless a kept force enters it.
+    initials = keep.difference(f.dst for step in steps for f in step)
+    r = Restriction(rule, keep, steps, initials)
     return (r, *r.subgraph_chronology(host.graph))
 
 

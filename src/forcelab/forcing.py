@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ChronologyError, InfeasibleError, InvariantViolation
-from .graphs import Graph, component_masks, mask_of, set_of, validate_path_cover
+from .graphs import Graph, component_masks, mask_of, set_of, union_of, validate_path_cover
 
 
 class Rule(str, Enum):
@@ -98,6 +98,19 @@ class RelaxedChronology:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelaxedChronology":
         return cls(Rule(data["rule"]), data["base"], data["steps"])
+
+    @classmethod
+    def _normalized(
+        cls, rule: Rule, base: frozenset[int], steps: list[tuple[Force, ...]]
+    ) -> "RelaxedChronology":
+        """A schedule whose steps are already in normal form, each a tuple
+        of ``Force`` pairs of ints sorted by (src, dst), as :func:`_fire`
+        records them: stored as given, with no second normalizing pass."""
+        chron = object.__new__(cls)
+        object.__setattr__(chron, "rule", rule)
+        object.__setattr__(chron, "base", base)
+        object.__setattr__(chron, "steps", tuple(steps))
+        return chron
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +269,16 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
     on bitmasks: both ends are vertices, the source is blue and the target
     white, and then the rule holds. Standard: the target is the source's
     one white neighbor. PSD: it is the source's one neighbor in the
-    target's white component, flooded once per step for every force of
-    the step into it. Rigid linkage: the PSD condition, no idle vertex (one
-    that has forced) next to that component, and at most one force per
-    step. No legal-force set is built, and the check shares no code with
-    the rule engine it is the oracle of. Raises :class:`ChronologyError`
-    naming the first offending step/force.
+    target's white component, flooded once for every force into it. The
+    flood carries over to later steps, less their targets, while each
+    target had at most one white neighbor in it: a path between two of
+    its other vertices then passes no target, so what is left stays
+    connected. A component that a target may have cut is flooded again.
+    Rigid linkage: the PSD condition, no idle vertex (one that has forced)
+    next to that component, flooded anew at every step, and at most one
+    force per step. No legal-force set is built, and the check shares no
+    code with the rule engine it is the oracle of. Raises
+    :class:`ChronologyError` naming the first offending step/force.
     """
     rule = chron.rule
     if rule not in (Rule.STANDARD, Rule.PSD, Rule.RIGID_LINKAGE):
@@ -272,13 +289,16 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
     blue = mask_of(expansion[0])
     idle = 0
     standard, linkage = rule is Rule.STANDARD, rule is Rule.RIGID_LINKAGE
+    # (component, neighbor mask) per flood; PSD reads neither its vertices
+    # that have turned blue since nor the neighbor mask, which goes stale.
+    floods: list[tuple[int, int]] = []
     for k, step in enumerate(chron.steps, start=1):
         if linkage and len(step) > 1:
             raise ChronologyError(
                 f"step {k}: rigid-linkage steps carry at most one force", step=k
             )
         white = full & ~blue
-        floods: list[tuple[int, int]] = []  # (component, neighbor mask) per target's flood
+        cut = 0  # the components a target of this step may cut
         dsts = set()
         for f in step:
             src, dst = f
@@ -292,11 +312,15 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
             elif legal:
                 for comp, hood in floods:
                     if comp >> dst & 1:
+                        comp &= white  # less the targets of the steps since its flood
                         break
                 else:
                     comp, hood = _flood(adj, white, dst)
                     floods.append((comp, hood))
                 legal = adj[src] & comp == 1 << dst and not idle & hood
+                inside = adj[dst] & comp
+                if inside & (inside - 1):
+                    cut |= comp
             if not legal:
                 raise ChronologyError(
                     f"step {k}: force {src}->{dst} is not legal there",
@@ -307,6 +331,13 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
             blue |= 1 << dst
             if linkage:
                 idle |= 1 << src
+        if linkage:
+            # The forcer, idle now, had the target as its one neighbor in
+            # the component: the neighbor mask the idle check reads would
+            # keep it though it borders none of what is left. Flood again.
+            floods = []
+        elif cut:
+            floods = [flood for flood in floods if not flood[0] & cut]
         expansion.append(expansion[-1] | dsts)
     if len(expansion[-1]) != n:
         left = sorted(set(range(n)) - expansion[-1])
@@ -356,8 +387,8 @@ def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
         steps, blue = _fire(rule, adj, blue, full)
     if blue != full:
         return PropagationResult(False, None, None, set_of(blue))
-    chron = RelaxedChronology(rule, b, steps)
-    return PropagationResult(True, chron, len(steps), set_of(blue))
+    chron = RelaxedChronology._normalized(rule, b, steps)
+    return PropagationResult(True, chron, len(steps), frozenset(g.vertices))
 
 
 def propagation_time_of_forces(
@@ -420,9 +451,10 @@ class Replay:
     chain and tree membership is derived), activity spans, cover, terminus
     and the boundary sets of a vertex subset (:meth:`initials`,
     :meth:`finals`) are read off the validated steps, so the functions that
-    consume a schedule share a single replay of it. A schedule the library
-    derives itself is replayed through :meth:`guaranteed`, the one place
-    where a failed replay of such a schedule becomes an InvariantViolation.
+    consume a schedule share a single replay of it; the boundary sets take
+    and give vertex masks. A schedule the library derives itself is
+    replayed through :meth:`guaranteed`, the one place where a failed
+    replay of such a schedule becomes an InvariantViolation.
     """
 
     def __init__(self, g: Graph, chron: RelaxedChronology):
@@ -527,15 +559,27 @@ class Replay:
             raise InvariantViolation("terminus size differs from the base size")
         return term
 
-    def initials(self, h: frozenset[int]) -> frozenset[int]:
-        """See :func:`restriction_initials`."""
-        base, parent = self.chron.base, self.forest.parent
-        return frozenset(u for u in h if u in base or parent[u] not in h)
+    @cached_property
+    def _links(self) -> tuple[list[int], list[int]]:
+        """Per vertex, the bit of its forcer (0 for a base vertex) and the
+        mask of the vertices it forces, read off the validated forces."""
+        up, down = [0] * self.graph.n, [0] * self.graph.n
+        for step in self.chron.steps:
+            for src, dst in step:
+                up[dst] = 1 << src
+                down[src] |= 1 << dst
+        return up, down
 
-    def finals(self, h: frozenset[int]) -> frozenset[int]:
-        """Vertices of ``h`` that force no vertex of ``h``: the
-        :meth:`initials` of ``h`` in the reversed schedule."""
-        return h.difference(map(self.forest.parent.get, h))
+    def initials(self, h: int) -> int:
+        """The vertices of the mask ``h`` that no vertex of ``h`` forces,
+        base vertices among them, as a mask: see
+        :func:`restriction_initials`."""
+        return h & ~union_of(self._links[1], h)
+
+    def finals(self, h: int) -> int:
+        """The vertices of the mask ``h`` that force no vertex of ``h``, as
+        a mask: the :meth:`initials` of ``h`` in the reversed schedule."""
+        return h & ~union_of(self._links[0], h)
 
 
 def activity_spans(g: Graph, chron: RelaxedChronology) -> list[tuple[int, int]]:
@@ -584,4 +628,4 @@ def restriction_initials(
     "outside the piece" and "outside the subset" coincide.)
     """
     h = g.check_set(sub_vertices)
-    return Replay(g, chron).initials(h)
+    return set_of(Replay(g, chron).initials(mask_of(h)))

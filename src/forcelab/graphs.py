@@ -74,8 +74,10 @@ class Graph:
 
     def check_set(self, verts: Iterable[int]) -> frozenset[int]:
         s = frozenset(verts)
+        n = self.n
         for v in s:
-            self.check_vertex(v)
+            if not 0 <= v < n:
+                self.check_vertex(v)
         return s
 
     def __eq__(self, other) -> bool:
@@ -127,6 +129,17 @@ def set_of(mask: int) -> frozenset[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return frozenset(out)
+
+
+def union_of(masks: tuple[int, ...], mask: int) -> int:
+    """The OR of ``masks[v]`` over the bits v set in ``mask``; over
+    :meth:`Graph.adjacency_masks`, the vertices next to a member of it."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
 
 
 def component_masks(adj: tuple[int, ...], mask: int):

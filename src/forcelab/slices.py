@@ -6,6 +6,15 @@ separates the other two. These slice sets are the raw material for the
 constructive halving of PSD and power-domination propagation times.
 A built set is checked by the rounds of its process, walked through the
 steps of :data:`forcelab.forcing.PROCESSES`, not by building its schedule.
+
+Inside the module every slice, boundary set, neighborhood and built set
+is a bitmask over :meth:`Graph.adjacency_masks`: :func:`_split` reads the
+three slices off the activity spans, :meth:`Replay.finals` and
+:meth:`Replay.initials` the boundary sets, and :func:`_rounds` walks a
+process from a mask, on a window of the graph if asked. The bounds sweep
+(``solvers.bounds_rows_for_graph``) calls :func:`_psd_set` and
+:func:`_power_set` on those masks directly; the public functions turn
+masks into frozensets only in what they return.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from . import solvers
 from .errors import InvariantViolation
 from .forcing import PROCESSES, RelaxedChronology, Replay, Rule
 from .forcing import propagate
-from .graphs import Graph, closed_neighborhood, induced_subgraph, mask_of
+from .graphs import Graph, set_of, union_of
 
 
 @dataclass(frozen=True)
@@ -32,27 +41,34 @@ def time_slice(g: Graph, chron: RelaxedChronology, n_step: int) -> SliceReport:
     r = Replay.standard(g, chron)
     if not 0 <= n_step <= r.chron.ct:
         raise ValueError(f"step {n_step} outside 0..{r.chron.ct}")
-    return SliceReport(n_step, *_split(r.spans, n_step))
+    return SliceReport(n_step, *map(set_of, _split(r.spans, n_step)))
 
 
-def _split(spans: list[tuple[int, int]], step: int) -> tuple[frozenset[int], ...]:
-    """The vertices done forcing before ``step``, active at it, and not yet
-    blue at it, read off activity spans."""
-    minus, at, plus = [], [], []
-    for v, (lo, hi) in enumerate(spans):
-        (minus if hi < step else plus if lo > step else at).append(v)
-    return frozenset(minus), frozenset(at), frozenset(plus)
+def _split(spans: list[tuple[int, int]], step: int) -> tuple[int, int, int]:
+    """The masks of the vertices done forcing before ``step``, active at
+    it, and not yet blue at it, read off activity spans."""
+    minus = at = plus = 0
+    bit = 1
+    for lo, hi in spans:
+        if hi < step:
+            minus |= bit
+        elif lo > step:
+            plus |= bit
+        else:
+            at |= bit
+        bit <<= 1
+    return minus, at, plus
 
 
-def _window(r: Replay, m_step: int, n_step: int) -> tuple[frozenset[int], ...]:
-    """The window of steps ``m_step`` to ``n_step``: its active vertices,
-    its end slices, the vertices done forcing before its end and not yet
-    blue at its start, and the boundary sets of those two: where a chain
-    leaves the first (:meth:`Replay.finals`) and where one enters the
-    second (:meth:`Replay.initials`), both read off ``r``."""
+def _window(r: Replay, m_step: int, n_step: int) -> tuple[int, ...]:
+    """The masks of the window of steps ``m_step`` to ``n_step``: its
+    active vertices, its end slices, the vertices done forcing before its
+    end and not yet blue at its start, and the boundary sets of those two:
+    where a chain leaves the first (:meth:`Replay.finals`) and where one
+    enters the second (:meth:`Replay.initials`), both read off ``r``."""
     minus_m, at_m, after = _split(r.spans, m_step)
     before, at_n, plus_n = _split(r.spans, n_step)
-    closed = frozenset(range(r.graph.n)) - minus_m - plus_n
+    closed = (1 << r.graph.n) - 1 & ~minus_m & ~plus_n
     return closed, at_m, at_n, before, after, r.finals(before), r.initials(after)
 
 
@@ -79,16 +95,15 @@ def interval_slice(
     closed, at_m, at_n, _, _, bd_n_minus, bd_m_plus = _window(
         Replay.standard(g, chron), m_step, n_step
     )
-    return IntervalSlice(
-        m_step,
-        n_step,
+    masks = (
         closed,
-        closed - at_m,
-        closed - at_n,
-        closed - at_m - at_n,
+        closed & ~at_m,
+        closed & ~at_n,
+        closed & ~at_m & ~at_n,
         bd_m_plus,
         bd_n_minus,
     )
+    return IntervalSlice(m_step, n_step, *map(set_of, masks))
 
 
 @dataclass(frozen=True)
@@ -107,16 +122,21 @@ class IntervalForcingReport:
     assertions: tuple[ForcingAssertion, ...]
 
 
-def _rounds(rule: Rule, g: Graph, base) -> int:
-    """Rounds the maximal ``rule`` process takes to color ``g`` from
-    ``base``, -1 if it stalls, walked one step of
+def _rounds(rule: Rule, g: Graph, blue: int, window: int | None = None) -> int:
+    """Rounds the maximal ``rule`` process takes to color ``g`` from the
+    mask ``blue``, -1 if it stalls, walked one step of
     :data:`forcelab.forcing.PROCESSES` at a time, keeping only the current
-    mask. Power domination's neighborhood step runs first; where it adds
+    mask. Given a ``window`` mask holding ``blue``, the walk colors the
+    subgraph induced on it instead, on ``g``'s masks cut to the window.
+    Power domination's neighborhood step runs first; where it adds
     nothing, no blue vertex has a white neighbor, so the later steps stall
     too."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
+    if window is not None:
+        adj = tuple(a & window if window >> v & 1 else 0 for v, a in enumerate(adj))
+        full = window
     first, step = PROCESSES[rule]
-    blue, rounds = mask_of(base), 0
+    rounds = 0
     if first is not step and blue != full:
         blue, rounds = blue | first(adj, blue), 1
     while blue != full:
@@ -127,19 +147,17 @@ def _rounds(rule: Rule, g: Graph, base) -> int:
     return rounds
 
 
-def _rounds_on(g: Graph, verts, base, bound: int, name: str) -> ForcingAssertion:
-    verts = frozenset(verts)
-    base = frozenset(base) & verts
-    sub = induced_subgraph(g, verts)
-    local = {old: new for new, old in enumerate(sub.vertices)}
-    rounds = _rounds(Rule.STANDARD, sub.graph, {local[v] for v in base})
+def _rounds_on(g: Graph, verts: int, base: int, bound: int, name: str) -> ForcingAssertion:
+    """Check the standard rounds from the mask ``base`` on the subgraph
+    induced on the mask ``verts``, which holds it, against ``bound``."""
+    rounds = _rounds(Rule.STANDARD, g, base, verts)
     if rounds < 0:
         raise InvariantViolation(f"{name}: slice set fails to force its subgraph")
     if rounds > bound:
         raise InvariantViolation(
             f"{name}: took {rounds} steps, guaranteed at most {bound}"
         )
-    return ForcingAssertion(name, base, verts, bound, rounds)
+    return ForcingAssertion(name, set_of(base), set_of(verts), bound, rounds)
 
 
 def check_interval_forcing(
@@ -197,8 +215,7 @@ def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
     from a standard-rule ``solvers._Scan`` of ``g`` (``scan``, or a new one
     under ``cap``), and replayed as a guaranteed schedule."""
     scan = scan or solvers._Scan(g, Rule.STANDARD, cap)
-    best = sorted(scan.first(scan.time(m)[1]))
-    result = propagate(Rule.STANDARD, g, best)
+    result = propagate(Rule.STANDARD, g, scan.first(scan.time(m)[1]))
     if not result.ok:
         raise InvariantViolation("efficient set failed to replay")
     return Replay.guaranteed(g, result.chronology, "efficient schedule failed to validate")
@@ -215,12 +232,17 @@ def psd_set_from_slices(
     the guarantee max(first gap, gaps between cuts, last gap); achieved
     time (often better for several cuts) is counted in PSD rounds.
     """
-    return _psd_set(_efficient_replay(g, m, cap), m, cut_times)
+    r = _efficient_replay(g, m, cap)
+    base, bound, rounds, cuts = _psd_set(r, m, cut_times)
+    return SliceConstruction(set_of(base), bound, rounds, cuts, r.chron.ct)
 
 
-def _psd_set(r: Replay, m: int, cut_times, halves=None) -> SliceConstruction:
+def _psd_set(
+    r: Replay, m: int, cut_times, halves=None
+) -> tuple[int, int, int, tuple[int, ...]]:
     """:func:`psd_set_from_slices` on the replay ``r`` of the m-efficient
-    schedule; ``halves``, if given, is the :func:`_split` at the auto cut."""
+    schedule; ``halves``, if given, is the :func:`_split` at the auto cut.
+    Returns the set's mask, its bound, its rounds and the cut times."""
     k_total = r.chron.ct
     if cut_times == "auto":
         cuts = ((k_total + 1) // 2,)
@@ -232,11 +254,11 @@ def _psd_set(r: Replay, m: int, cut_times, halves=None) -> SliceConstruction:
         if cuts[0] < 0 or cuts[-1] > k_total:
             raise ValueError(f"cut times must lie in 0..{k_total}")
         ats = [_split(r.spans, c)[1] for c in cuts]
-    base: set[int] = set()
+    base = 0
     for c, at in zip(cuts, ats):
-        if len(at) != m:
+        if at.bit_count() != m:
             raise InvariantViolation(
-                f"slice at {c} has {len(at)} vertices, expected one per chain"
+                f"slice at {c} has {at.bit_count()} vertices, expected one per chain"
             )
         base |= at
     gaps = [cuts[0], k_total - cuts[-1]]
@@ -249,30 +271,33 @@ def _psd_set(r: Replay, m: int, cut_times, halves=None) -> SliceConstruction:
         raise InvariantViolation(
             f"slice set took {rounds} PSD steps, guaranteed at most {bound}"
         )
-    return SliceConstruction(frozenset(base), bound, rounds, cuts, k_total)
+    return base, bound, rounds, cuts
 
 
 def power_set_from_slice(g: Graph, m: int, cap: int | None = None) -> PowerConstruction:
     """Build a size-m power dominating set: the slice at ceil(K/2) of an
     m-efficient standard schedule, guaranteeing power propagation time at
     most ceil(pt(G, m)/2); achieved time is counted in rounds."""
-    return _power_set(_efficient_replay(g, m, cap), m)
+    r = _efficient_replay(g, m, cap)
+    base, n_cut, rounds = _power_set(r, m)
+    return PowerConstruction(set_of(base), n_cut, rounds, n_cut, r.chron.ct)
 
 
-def _power_set(r: Replay, m: int, halves=None) -> PowerConstruction:
+def _power_set(r: Replay, m: int, halves=None) -> tuple[int, int, int]:
     """:func:`power_set_from_slice` on the replay ``r`` of the m-efficient
-    schedule; ``halves``, if given, is the :func:`_split` at its cut."""
+    schedule; ``halves``, if given, is the :func:`_split` at its cut.
+    Returns the set's mask, its cut time (the bound) and its rounds; the
+    neighborhood and the boundary sets it must dominate are masks too."""
     g, k_total = r.graph, r.chron.ct
     if k_total == 0:
-        return PowerConstruction(frozenset(range(g.n)), 0, 0, 0, 0)
+        return (1 << g.n) - 1, 0, 0
     n_cut = (k_total + 1) // 2
     before, base, after = halves or _split(r.spans, n_cut)
-    if len(base) != m:
+    if base.bit_count() != m:
         raise InvariantViolation(
-            f"slice at {n_cut} has {len(base)} vertices, expected one per chain"
+            f"slice at {n_cut} has {base.bit_count()} vertices, expected one per chain"
         )
-    hood = closed_neighborhood(g, base)
-    if not (r.finals(before) <= hood and r.initials(after) <= hood):
+    if (r.finals(before) | r.initials(after)) & ~_closed_hood(g, base):
         raise InvariantViolation(
             "slice neighborhood misses a boundary set it must dominate"
         )
@@ -283,4 +308,9 @@ def _power_set(r: Replay, m: int, halves=None) -> PowerConstruction:
         raise InvariantViolation(
             f"power propagation took {rounds} steps, guaranteed at most {n_cut}"
         )
-    return PowerConstruction(base, n_cut, rounds, n_cut, k_total)
+    return base, n_cut, rounds
+
+
+def _closed_hood(g: Graph, mask: int) -> int:
+    """The closed neighborhood of the vertex mask ``mask``."""
+    return mask | union_of(g.adjacency_masks(), mask)

@@ -190,8 +190,8 @@ class _Scan:
         candidates that color every vertex in exactly r rounds, kept once a
         scan has run the size to the end. A table gives the rounds that some
         candidate takes, from the size's rounds bytes, read once, with one
-        translate per distinct byte; a sliced scan gives every r of
-        :func:`forcelab.sliced.finished_by_round`."""
+        translate per distinct byte through its ``_FLAGS`` table; a sliced
+        scan gives every r of :func:`forcelab.sliced.finished_by_round`."""
         known = self.finished.get(size)
         if known is not None:
             yield from known
@@ -202,10 +202,9 @@ class _Scan:
             found = bytes(map(self.table.__getitem__, _subset_masks(self.n, size)))
             index = range(len(found))
             rounds = (
-                (k - 2, list(compress(index, found.translate(flags))))
+                (k - 2, list(compress(index, found.translate(_FLAGS[k]))))
                 for k in sorted(set(found))
                 if k > 1
-                for flags in [bytes(k) + b"\x01" + bytes(255 - k)]  # 1 where the byte is k
             )
         known = []
         for pair in rounds:
@@ -225,6 +224,11 @@ class _Scan:
             self.last = next(self.vectors)
             self.size += 1
         return self.last
+
+
+# Per byte value k, the translate table that maps k to 1 and every other
+# byte to 0: it flags a size's candidates that finish in k - 2 rounds.
+_FLAGS = [bytes(k) + b"\x01" + bytes(255 - k) for k in range(256)]
 
 
 @cache
@@ -375,7 +379,8 @@ def bounds_rows_for_graph(
     each m replays (``_Scan.first``). Both constructions of an m row share
     that one replay and its one split at the cut ceil(pt(G, m)/2)
     (``slices._split``), and each counts its set's rounds by walking its
-    process one step at a time (``slices._rounds``), at every n.
+    process one step at a time (``slices._rounds``), at every n. Slices,
+    boundary sets, neighborhoods and built sets stay bitmasks throughout.
     """
     from . import slices  # local import: slices builds on these solvers
 
@@ -394,9 +399,9 @@ def bounds_rows_for_graph(
             continue
         bound = (pt_m + 1) // 2
         halves = slices._split(replay.spans, bound)  # both constructions cut at the bound
-        psd = slices._psd_set(replay, m, "auto", halves)
-        power = slices._power_set(replay, m, halves)
-        ok = psd.achieved <= bound and power.achieved <= bound
+        psd_rounds = slices._psd_set(replay, m, "auto", halves)[2]
+        power_rounds = slices._power_set(replay, m, halves)[2]
+        ok = psd_rounds <= bound and power_rounds <= bound
         rows.append(
             BoundsRow(
                 graph_id,
@@ -405,8 +410,8 @@ def bounds_rows_for_graph(
                 z,
                 str(pt_m),
                 bound,
-                str(psd.achieved),
-                str(power.achieved),
+                str(psd_rounds),
+                str(power_rounds),
                 ok,
             )
         )

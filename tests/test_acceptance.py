@@ -7,6 +7,9 @@ plus 1,000 seeded random instances, and every check runs at zero
 tolerance: a single failing case fails the criterion.
 """
 
+import csv
+import hashlib
+import io
 import json
 from random import Random
 
@@ -88,6 +91,18 @@ def test_criterion_01_psd_halving_bound(atlas_rows):
         f"\nACCEPTANCE 1 PASS: PSD halving bound held on {len(m_rows)} "
         f"(graph, m) pairs over {len(graphs_seen)} graphs"
     )
+
+
+def test_full_atlas_sweep_is_pinned(atlas_rows):
+    """The whole n <= 7 sweep, as ``verify bounds --graphs all-n:7`` prints
+    it: 7,824 rows under the header, pinned by the digest (16 hex digits of
+    SHA-256) of the CSV text."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(solvers.BOUNDS_HEADER)
+    writer.writerows(row.as_csv_fields() for row in atlas_rows)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    assert (len(atlas_rows), digest) == (7824, "8d699a21ad072b2d")
 
 
 def test_criterion_02_power_halving_bound(atlas_rows):

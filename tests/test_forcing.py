@@ -3,7 +3,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from forcelab import sliced, slices
+from forcelab import forcing, sliced, slices
+from forcelab.bundles import restrict
 from forcelab.errors import ChronologyError, InfeasibleError
 from forcelab.forcing import (
     Force,
@@ -27,6 +28,7 @@ from forcelab.graphs import (
     cycle_graph,
     mask_of,
     path_graph,
+    set_of,
     star_graph,
 )
 import naive
@@ -105,7 +107,7 @@ class TestEngineAgreesWithNaiveReference:
                 if res.ok:
                     assert [list(s) for s in res.chronology.steps] == steps
                 table = sliced.rounds_table(rule, g.adj, g.n)
-                assert slices._rounds(rule, g, blue) == rounds
+                assert slices._rounds(rule, g, mask_of(blue)) == rounds
                 assert table[mask_of(blue)] - 2 == rounds
                 if rule is Rule.POWER_DOMINATION:
                     continue
@@ -113,7 +115,7 @@ class TestEngineAgreesWithNaiveReference:
                 for k, step in enumerate(steps or ()):
                     colored |= {f.dst for f in step}
                     left = rounds - k - 1
-                    assert slices._rounds(rule, g, colored) == left
+                    assert slices._rounds(rule, g, mask_of(colored)) == left
                     assert table[mask_of(colored)] - 2 == left
 
 
@@ -241,6 +243,30 @@ class TestValidateChronology:
             if schedules == 100:
                 break
         assert schedules == 100 and mutations > 12000
+
+    @pytest.mark.parametrize(
+        "rule, g, base, floods",
+        [
+            # From the middle of P2000 each step forces the near end of both
+            # white paths, each of which stays a path: two floods in all,
+            # where flooding at every step takes 1,999.
+            (Rule.PSD, path_graph(2000), {1000}, 2),
+            # Forced from a leaf, the centre of K1,3 had two white neighbors,
+            # so its component splits and each leaf is flooded again.
+            (Rule.PSD, star_graph(3), {1}, 3),
+            # Rigid linkage floods anew at every step.
+            (Rule.RIGID_LINKAGE, path_graph(6), {0}, 5),
+        ],
+        ids=["psd-P2000-middle", "psd-star-split", "rl-P6"],
+    )
+    def test_floods_carry_over_steps(self, monkeypatch, rule, g, base, floods):
+        chron = propagate(rule, g, base).chronology
+        calls = []
+        flood = forcing._flood
+        monkeypatch.setattr(forcing, "_flood", lambda *args: calls.append(1) or flood(*args))
+        expansion = validate_chronology(g, chron)
+        assert len(calls) == floods
+        assert len(expansion) == chron.ct + 1 and len(expansion[-1]) == g.n
 
 
 def single_force_mutations(chron, n):
@@ -438,7 +464,9 @@ class TestForcingCover:
                     h = frozenset(v for v in range(g.n) if rng.random() < 0.5)
                     firsts, lasts = naive.piece_ends(forest, h)
                     assert restriction_initials(g, chron, h) == firsts
-                    assert Replay(g, chron).finals(h) == lasts
+                    assert set_of(Replay(g, chron).finals(mask_of(h))) == lasts
+                    if chron.rule is not Rule.RIGID_LINKAGE:
+                        assert restrict(g, chron, h).initial_vertices == firsts
         assert min(checked.values()) >= 10, checked
 
 

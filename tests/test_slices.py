@@ -10,6 +10,7 @@ from forcelab.errors import InfeasibleError, InvariantViolation
 from forcelab.forcing import Replay, Rule, propagate
 from forcelab.graphs import (
     Graph,
+    closed_neighborhood,
     grid_graph,
     induced_subgraph,
     is_vertex_cut,
@@ -241,22 +242,22 @@ class TestAchievedTimesMatchPropagate:
                 replay = _efficient_replay(g, m, None, std)
                 k_total = replay.chron.ct
                 cuts = sorted(rng.sample(range(k_total + 1), min(2, k_total + 1)))
-                built = {
+                built = {  # (base mask, achieved rounds)
                     Rule.PSD: (
-                        psd_set_from_slices(g, m),
-                        slices._psd_set(replay, m, "auto"),
-                        slices._psd_set(replay, m, cuts),
-                        psd_set_from_slices(g, m, cuts),
+                        _public(psd_set_from_slices(g, m)),
+                        slices._psd_set(replay, m, "auto")[::2],
+                        slices._psd_set(replay, m, cuts)[::2],
+                        _public(psd_set_from_slices(g, m, cuts)),
                     ),
                     Rule.POWER_DOMINATION: (
-                        power_set_from_slice(g, m),
-                        slices._power_set(replay, m),
+                        _public(power_set_from_slice(g, m)),
+                        slices._power_set(replay, m)[::2],
                     ),
                 }
                 for rule, sets in built.items():
-                    for b in sets:
-                        assert b.achieved == propagate(rule, g, b.base).pt
-                        assert tables[rule][mask_of(b.base)] - 2 == b.achieved
+                    for base, achieved in sets:
+                        assert achieved == propagate(rule, g, set_of(base)).pt
+                        assert tables[rule][base] - 2 == achieved
         assert sizes == {False, True}  # replays from both scan engines
 
     def test_interval_checks(self):
@@ -279,6 +280,10 @@ class TestAchievedTimesMatchPropagate:
         assert done == 200, attempts
 
 
+def _public(built) -> tuple[int, int]:
+    return mask_of(built.base), built.achieved
+
+
 def _propagated_rounds(rule, g, base) -> int:
     res = propagate(rule, g, base)
     return res.pt if res.ok else -1
@@ -296,7 +301,7 @@ class TestRoundsEdgeCases:
     def test_power_domination(self, g, base, expected):
         table = sliced.rounds_table(Rule.POWER_DOMINATION, g.adj, g.n)
         assert _propagated_rounds(Rule.POWER_DOMINATION, g, base) == expected
-        assert slices._rounds(Rule.POWER_DOMINATION, g, base) == expected
+        assert slices._rounds(Rule.POWER_DOMINATION, g, mask_of(base)) == expected
         assert table[mask_of(base)] - 2 == expected
 
     def test_table_and_walk_agree_on_every_mask(self):
@@ -307,9 +312,20 @@ class TestRoundsEdgeCases:
                 table = sliced.rounds_table(rule, g.adj, g.n)
                 for mask in range(1 << n):
                     base = set_of(mask)
-                    walked = slices._rounds(rule, g, base)
+                    walked = slices._rounds(rule, g, mask)
                     assert table[mask] - 2 == walked
                     assert walked == _propagated_rounds(rule, g, base)
+
+    def test_a_window_walks_its_induced_subgraph(self):
+        rng = Random(241)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.6))
+            window = rng.randrange(1 << g.n)
+            blue = window & rng.randrange(1 << g.n)
+            sub = induced_subgraph(g, set_of(window))
+            local = mask_of(sub.vertices.index(v) for v in set_of(blue))
+            for rule in (Rule.STANDARD, Rule.PSD, Rule.POWER_DOMINATION):
+                assert slices._rounds(rule, g, blue, window) == slices._rounds(rule, sub.graph, local)
 
 
 class TestOracleIndependence:
@@ -447,6 +463,28 @@ def _finals_against_the_reversal(g, r: Replay) -> int:
         before = slices._split(r.spans, step)[0]
         assert r.finals(before) == rev.initials(before), step
     return r.chron.ct + 1
+
+
+def test_mask_helpers_match_the_public_slices():
+    """The sweep's constructions read slices, boundary sets and
+    neighborhoods as masks; on every atlas efficient schedule, at every
+    cut, they equal what the public frozenset functions give."""
+    schedules = cuts = 0
+    for _, g in solvers.atlas_stream(max_n=7):
+        std = solvers._Scan(g, Rule.STANDARD, None)
+        for m in range(std.forcing()[0], g.n + 1):
+            r = _efficient_replay(g, m, None, std)
+            schedules += 1
+            for step in range(r.chron.ct + 1):
+                minus, at, plus = slices._split(r.spans, step)
+                rep = time_slice(g, r.chron, step)
+                assert (set_of(minus), set_of(at), set_of(plus)) == (rep.minus, rep.at, rep.plus)
+                window = interval_slice(g, r.chron, step, step)
+                assert set_of(r.finals(minus)) == window.bd_n_minus
+                assert set_of(r.initials(plus)) == window.bd_m_plus
+                assert set_of(slices._closed_hood(g, at)) == closed_neighborhood(g, rep.at)
+                cuts += 1
+    assert (schedules, cuts) == (5557, 12411)
 
 
 class TestFinalsAreTheReversalsInitials:
