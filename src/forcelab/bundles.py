@@ -3,6 +3,8 @@ the PSD analog of schedule reversal, and rigid-linkage certificates.
 
 A path bundle picks one path inside each PSD forcing tree so that the
 restricted schedule is valid standard forcing on the picked vertices.
+That is checked on the host's masks cut to those vertices; only a
+rejected bundle is replayed, on its induced subgraph, for the error text.
 The bundle induced by a target vertex x follows the forces entering x's
 white component, read off one blue bitmask as the host's steps replay.
 Reversing its in-bundle forces relocates the PSD forcing set onto x while
@@ -78,17 +80,21 @@ def restrict(
 
 
 def _restriction(host: Replay, keep: frozenset[int], rule: Rule):
-    """The restriction of a replayed schedule to ``keep``, replaying under
-    ``rule``, with its induced subgraph and its schedule on that subgraph,
-    not yet replayed."""
+    """:func:`_kept`, with its induced subgraph and its schedule on that
+    subgraph, not yet replayed."""
+    r = _kept(host, keep, rule)
+    return (r, *r.subgraph_chronology(host.graph))
+
+
+def _kept(host: Replay, keep: frozenset[int], rule: Rule) -> Restriction:
+    """The restriction of a replayed schedule to ``keep``, replaying under ``rule``."""
     steps = tuple(
         tuple(f for f in step if f.src in keep and f.dst in keep)
         for step in host.chron.steps
     )
     # A kept vertex is initial unless its forcer is kept: unless a kept force enters it.
     initials = keep.difference(f.dst for step in steps for f in step)
-    r = Restriction(rule, keep, steps, initials)
-    return (r, *r.subgraph_chronology(host.graph))
+    return Restriction(rule, keep, steps, initials)
 
 
 @dataclass(frozen=True)
@@ -117,25 +123,58 @@ class PathBundle:
 
 def _bundle_from_paths(host: Replay, paths: list[tuple[int, ...]]) -> PathBundle:
     """Shared construction: restrict to the path vertices, demand standard
-    validity, and demand the restricted chain set equal the paths."""
+    validity, and demand the restricted chain set equal the paths.
+
+    The check runs on the host's masks cut to the path vertices
+    (:func:`_window_chains`). A rejected bundle is checked again by
+    replaying its restriction on the induced subgraph, whose BundleError
+    names the subgraph's vertices; that replay must reject it too."""
     keep = frozenset(v for p in paths for v in p)
-    r, sub, sub_chron = _restriction(host, keep, Rule.STANDARD)
+    r = _kept(host, keep, Rule.STANDARD)
+    chains = _window_chains(host.graph.adjacency_masks(), r, mask_of(keep))
+    if chains is not None:
+        oriented = [p if p in chains else p[::-1] for p in paths]
+        if chains == set(oriented):
+            return PathBundle(tuple(oriented), r)
+    sub, sub_chron = r.subgraph_chronology(host.graph)
     try:
         sub_replay = Replay(sub.graph, sub_chron)
     except ChronologyError as exc:
         raise BundleError(f"restricted schedule is not standard-valid: {exc}") from exc
     chains = {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}
-    oriented: list[tuple[int, ...]] = []
+    oriented = []
     for p in paths:
         o = p if p in chains else p[::-1]
         if o not in chains:
-            raise BundleError(
-                f"chain set mismatch: path {list(p)} is not a restricted chain"
-            )
+            raise BundleError(f"chain set mismatch: path {list(p)} is not a restricted chain")
         oriented.append(o)
     if chains != set(oriented):
         raise BundleError("chain set mismatch: restriction has extra chains")
-    return PathBundle(tuple(oriented), r)
+    raise InvariantViolation("the window check rejected a bundle its subgraph replay accepts")
+
+
+def _window_chains(adj: tuple[int, ...], r: Restriction, keep: int):
+    """The chains of a restriction replayed under the standard rule on the
+    host's masks cut to ``keep``, or None if a check fails. Each force
+    needs a blue source that ends a chain, a white target that is the
+    source's one white neighbor in ``keep``, and no other force on its
+    target in its step; it extends its source's chain. Each chain must be
+    an induced path: a member's neighbors in it are its chain neighbors."""
+    blue = mask_of(r.initial_vertices)
+    ends = {b: [b] for b in r.initial_vertices}  # chain end -> its chain
+    for step in r.steps:
+        white, hit = keep & ~blue, 0
+        for src, dst in step:
+            if src not in ends or (white >> src | hit >> dst) & 1 or adj[src] & white != 1 << dst:
+                return None
+            hit |= 1 << dst
+            ends[dst] = [*ends.pop(src), dst]
+        blue |= hit
+    for chain in ends.values():
+        inside, links = mask_of(chain), [0, *(1 << v for v in chain), 0]
+        if any(adj[v] & inside != links[i] | links[i + 2] for i, v in enumerate(chain)):
+            return None
+    return {tuple(chain) for chain in ends.values()}
 
 
 def validate_path_bundle(

@@ -14,13 +14,15 @@ from forcelab.bundles import (
 from forcelab.errors import BundleError
 from forcelab.forcing import (
     Force,
+    RelaxedChronology,
+    Replay,
     Rule,
     possible_forces,
     propagate,
     validate_chronology,
 )
 from forcelab.graphs import Graph, cycle_graph, path_graph, star_graph
-from forcelab import solvers
+from forcelab import bundles, solvers
 from randgen import random_chronology, random_forcing_set, random_graph
 
 
@@ -150,6 +152,25 @@ class TestValidatePathBundle:
         with pytest.raises(BundleError) as exc:
             validate_path_bundle(g, chron, candidates)
         assert str(exc.value) == message
+
+    def test_restricted_rejection_messages(self):
+        # 1 forces 4 while 2, kept, is white too. The text names the
+        # induced subgraph's vertices 1, 2, 3, 4 as 0, 1, 2, 3.
+        g = Graph(5, [(0, 1), (1, 2), (1, 4), (2, 3)])
+        chron = RelaxedChronology(Rule.PSD, {1, 3}, [[(1, 0), (1, 4), (3, 2)]])
+        with pytest.raises(BundleError) as exc:
+            validate_path_bundle(g, chron, [(1, 4), (3, 2)])
+        assert str(exc.value) == (
+            "restricted schedule is not standard-valid: step 1: force 0->3 is not legal there"
+        )
+        # One candidate per tree makes every candidate a restricted chain
+        # once the restriction is standard-valid, so a chain mismatch takes
+        # a path list that is no bundle: here two paths on one chain.
+        g = path_graph(3)
+        host = Replay(g, psd_chronology(g, {0}))
+        with pytest.raises(BundleError) as exc:
+            bundles._bundle_from_paths(host, [(0, 1), (2,)])
+        assert str(exc.value) == "chain set mismatch: path [0, 1] is not a restricted chain"
 
     def test_reversed_candidates_accepted(self):
         g = path_graph(4)

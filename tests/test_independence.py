@@ -1,14 +1,18 @@
 """The schedule check is an oracle of the rule engine, so it must not run
 the engine: ``validate_chronology``, and every module-level function of
 ``forcing`` that it reaches by name, names none of the engine's step
-functions, their table or the firing loop. The check parses
-``src/forcelab/forcing.py`` with stdlib ``ast``, as ``test_imports`` does.
+functions, their table or the firing loop. The path-bundle check on the
+host's masks, ``bundles._window_chains``, is a check of its own: it
+reaches neither the engine nor ``validate_chronology``. The checks parse
+``src/forcelab/forcing.py`` and ``src/forcelab/bundles.py`` with stdlib
+``ast``, as ``test_imports`` does.
 """
 
 import ast
 from pathlib import Path
 
-FORCING = Path(__file__).resolve().parent.parent / "src" / "forcelab" / "forcing.py"
+SRC = Path(__file__).resolve().parent.parent / "src" / "forcelab"
+FORCING = SRC / "forcing.py"
 ENGINE = {"_legal_forces", "_standard_step", "_psd_step", "_power_step", "PROCESSES", "_fire"}
 
 
@@ -35,6 +39,11 @@ def names_reached(source: str, entry: str) -> set[str]:
 
 def test_schedule_check_does_not_run_the_engine():
     assert names_reached(FORCING.read_text(), "validate_chronology") & ENGINE == set()
+
+
+def test_bundle_window_check_runs_neither_engine_nor_replay():
+    reached = names_reached((SRC / "bundles.py").read_text(), "_window_chains")
+    assert reached & (ENGINE | {"validate_chronology"}) == set()
 
 
 def test_check_follows_helpers():

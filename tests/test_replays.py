@@ -5,10 +5,12 @@ every name a forcelab module holds for it counts replays. A function that
 takes a schedule replays it once; each derived schedule whose validity is
 a guaranteed property (a reversal, a restriction, a rebuilt schedule, a
 bundle-first reordering, a witness round trip) gets one independent
-replay of its own, through ``Replay.guaranteed`` or, for a path bundle's
-restriction, the bundle's own handler. The slices read both boundary
-sets of a vertex subset off the one replay they hold and replay no
-reversal. Every count is exact, so a lost or an extra replay both fail.
+replay of its own, through ``Replay.guaranteed``. A path bundle's
+restriction is no such schedule: it is checked once, on the host's masks
+cut to the bundle's vertices, and replayed on its induced subgraph only
+when that check rejects it. The slices read both boundary sets of a
+vertex subset off the one replay they hold and replay no reversal. Every
+count is exact, so a lost or an extra replay both fail.
 """
 
 import sys
@@ -17,6 +19,7 @@ import pytest
 
 from forcelab import bundles, forcing, pips, slices, solvers
 from forcelab.forcing import Rule, propagate
+from forcelab.graphs import path_graph
 
 
 @pytest.fixture
@@ -102,13 +105,14 @@ def test_bounds_rows_split_each_efficient_schedule_once(monkeypatch):
     assert len(calls) == rows == 5557
 
 
-# The host and the bundle's standard restriction, plus the rebuilt schedule
-# (relocation) or the bundle-first reordering (certificate).
+# The host, plus the rebuilt schedule (relocation) or the bundle-first
+# reordering (certificate). The bundle's standard restriction is checked on
+# the host's masks, not replayed.
 BUNDLE_REPLAYS = {
-    bundles.relocate_psd_set: 3,
-    bundles.psd_reversal: 3,
-    bundles.certify_rigid_linkage: 3,
-    bundles.induced_path_bundle: 2,
+    bundles.relocate_psd_set: 2,
+    bundles.psd_reversal: 2,
+    bundles.certify_rigid_linkage: 2,
+    bundles.induced_path_bundle: 1,
 }
 
 
@@ -116,3 +120,30 @@ BUNDLE_REPLAYS = {
 def test_bundle_operations(replays, grid34, psd_chron, func):
     for x in range(grid34.n):
         assert replays(func, grid34, psd_chron, x) == BUNDLE_REPLAYS[func]
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The calls of the bundle check on the host's masks."""
+    calls = []
+    window = bundles._window_chains
+    monkeypatch.setattr(
+        bundles, "_window_chains", lambda *args: calls.append(1) or window(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("func", list(BUNDLE_REPLAYS))
+def test_bundle_operations_check_one_window(windows, grid34, psd_chron, func):
+    # Each operation builds one bundle and checks it once on the host's masks.
+    for x in range(grid34.n):
+        windows.clear()
+        func(grid34, psd_chron, x)
+        assert len(windows) == 1
+
+
+def test_a_candidate_bundle_checks_one_window(windows, replays):
+    g = path_graph(4)
+    chron = propagate(Rule.PSD, g, {0, 3}).chronology
+    assert replays(bundles.validate_path_bundle, g, chron, [(1, 0), (2, 3)]) == 1
+    assert len(windows) == 1
