@@ -3,8 +3,8 @@ the PSD analog of schedule reversal, and rigid-linkage certificates.
 
 A path bundle picks one path inside each PSD forcing tree so that the
 restricted schedule is valid standard forcing on the picked vertices.
-That is checked on the host's masks cut to those vertices; only a
-rejected bundle is replayed, on its induced subgraph, for the error text.
+That is checked once, on the host's masks cut to those vertices, and a
+rejection names the vertices by their ids in the induced subgraph.
 The bundle induced by a target vertex x follows the forces entering x's
 white component, read off one blue bitmask as the host's steps replay.
 Reversing its in-bundle forces relocates the PSD forcing set onto x while
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import BundleError, ChronologyError, InvariantViolation
+from .errors import BundleError, InvariantViolation
 from .forcing import (
     Force,
     RelaxedChronology,
@@ -73,17 +73,10 @@ def restrict(
     if chron.rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("restriction is defined for standard and PSD schedules")
     keep = g.check_set(sub_vertices)
-    r, sub, sub_chron = _restriction(Replay(g, chron), keep, chron.rule)
-    what = "restriction failed to replay on its subgraph"
-    Replay.guaranteed(sub.graph, sub_chron, what)
+    r = _kept(Replay(g, chron), keep, chron.rule)
+    sub, sub_chron = r.subgraph_chronology(g)
+    Replay.guaranteed(sub.graph, sub_chron, "restriction failed to replay on its subgraph")
     return r
-
-
-def _restriction(host: Replay, keep: frozenset[int], rule: Rule):
-    """:func:`_kept`, with its induced subgraph and its schedule on that
-    subgraph, not yet replayed."""
-    r = _kept(host, keep, rule)
-    return (r, *r.subgraph_chronology(host.graph))
 
 
 def _kept(host: Replay, keep: frozenset[int], rule: Rule) -> Restriction:
@@ -123,57 +116,45 @@ class PathBundle:
 
 def _bundle_from_paths(host: Replay, paths: list[tuple[int, ...]]) -> PathBundle:
     """Shared construction: restrict to the path vertices, demand standard
-    validity, and demand the restricted chain set equal the paths.
-
-    The check runs on the host's masks cut to the path vertices
-    (:func:`_window_chains`). A rejected bundle is checked again by
-    replaying its restriction on the induced subgraph, whose BundleError
-    names the subgraph's vertices; that replay must reject it too."""
+    validity (:func:`_window_chains`), and demand each path be a restricted
+    chain. The chains partition the path vertices, so they then equal the
+    paths."""
     keep = frozenset(v for p in paths for v in p)
     r = _kept(host, keep, Rule.STANDARD)
     chains = _window_chains(host.graph.adjacency_masks(), r, mask_of(keep))
-    if chains is not None:
-        oriented = [p if p in chains else p[::-1] for p in paths]
-        if chains == set(oriented):
-            return PathBundle(tuple(oriented), r)
-    sub, sub_chron = r.subgraph_chronology(host.graph)
-    try:
-        sub_replay = Replay(sub.graph, sub_chron)
-    except ChronologyError as exc:
-        raise BundleError(f"restricted schedule is not standard-valid: {exc}") from exc
-    chains = {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}
     oriented = []
     for p in paths:
         o = p if p in chains else p[::-1]
         if o not in chains:
             raise BundleError(f"chain set mismatch: path {list(p)} is not a restricted chain")
         oriented.append(o)
-    if chains != set(oriented):
-        raise BundleError("chain set mismatch: restriction has extra chains")
-    raise InvariantViolation("the window check rejected a bundle its subgraph replay accepts")
+    return PathBundle(tuple(oriented), r)
 
 
-def _window_chains(adj: tuple[int, ...], r: Restriction, keep: int):
+def _window_chains(adj: tuple[int, ...], r: Restriction, keep: int) -> set[tuple[int, ...]]:
     """The chains of a restriction replayed under the standard rule on the
-    host's masks cut to ``keep``, or None if a check fails. Each force
-    needs a blue source that ends a chain, a white target that is the
-    source's one white neighbor in ``keep``, and no other force on its
-    target in its step; it extends its source's chain. Each chain must be
-    an induced path: a member's neighbors in it are its chain neighbors."""
+    host's masks cut to ``keep``. Each force needs a blue source, a white
+    target that is the source's one white neighbor in ``keep``, and no
+    other force on its target in its step; it extends its source's chain.
+    The first force that fails raises BundleError in the words of
+    :func:`~forcelab.forcing.validate_chronology`, naming each vertex by
+    its rank in ``keep``: its id in the induced subgraph. A source's one
+    white neighbor is its target, so a blue source ends its chain and no
+    later member of its chain is its neighbor: chains are induced paths."""
     blue = mask_of(r.initial_vertices)
     ends = {b: [b] for b in r.initial_vertices}  # chain end -> its chain
-    for step in r.steps:
+    for k, step in enumerate(r.steps, start=1):
         white, hit = keep & ~blue, 0
         for src, dst in step:
-            if src not in ends or (white >> src | hit >> dst) & 1 or adj[src] & white != 1 << dst:
-                return None
+            if hit >> dst & 1 or not blue >> src & 1 or adj[src] & white != 1 << dst:
+                s, d = ((keep & ((1 << v) - 1)).bit_count() for v in (src, dst))
+                why = f"force {s}->{d} is not legal there"
+                if hit >> dst & 1:
+                    why = f"two forces target vertex {d}"
+                raise BundleError(f"restricted schedule is not standard-valid: step {k}: {why}")
             hit |= 1 << dst
             ends[dst] = [*ends.pop(src), dst]
         blue |= hit
-    for chain in ends.values():
-        inside, links = mask_of(chain), [0, *(1 << v for v in chain), 0]
-        if any(adj[v] & inside != links[i] | links[i + 2] for i, v in enumerate(chain)):
-            return None
     return {tuple(chain) for chain in ends.values()}
 
 
@@ -316,8 +297,8 @@ def relocate_psd_set(
     if len(new_base) != len(chron.base) or v not in new_base:
         raise InvariantViolation("relocated base must keep its size and contain x")
     # Both forests have one edge per non-base vertex, so containment is equality.
-    moved = rebuilt.forest.parent
-    if any(moved.get(w) != u and moved.get(u) != w for w, u in host.forest.parent.items()):
+    up, moved = host.forest.up, rebuilt.forest.up
+    if any(u != moved[w] and moved[u.bit_length() - 1] != 1 << w for w, u in enumerate(up) if u):
         raise InvariantViolation("relocation changed the forcing trees")
     return new_base, rebuilt.chron
 
@@ -399,8 +380,11 @@ def find_linkages(
     Paths are plain paths, not necessarily induced. Each linkage is
     returned as a canonically ordered tuple of paths (each path oriented
     with its smaller endpoint first, paths sorted); enumeration stops with
-    ``truncated=True`` once ``limit`` linkages are found.
+    ``truncated=True`` once ``limit`` linkages are found. A ``limit``
+    below 1 raises ValueError.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     a_set = g.check_set(alpha)
     b_set = g.check_set(beta)
     if len(a_set) != len(b_set):

@@ -436,25 +436,25 @@ class ForcingCover:
 
 class _Forest(NamedTuple):
     """The chains (standard, rigid linkage) or trees (PSD) that a schedule's
-    forces trace, read off its steps once per replay (:attr:`Replay.forest`)."""
+    forces trace, one entry per vertex, read off its steps once per replay."""
 
-    root: dict[int, int]  # vertex -> the base vertex whose chain or tree holds it
-    parent: dict[int, int]  # forced vertex -> its forcer
-    children: dict[int, list[int]]  # forcer -> the vertices it forces, in force order
+    root: list[int]  # the base vertex whose chain or tree holds it, or -1
+    up: list[int]  # the bit of its forcer, 0 if no force enters it
+    down: list[int]  # the mask of the vertices it forces
 
 
 class Replay:
     """A schedule replayed once on its graph (package-internal).
 
     Construction makes the one :func:`validate_chronology` call and keeps
-    none of its result. The forcing forest (:attr:`forest`, the one place
-    chain and tree membership is derived), activity spans, cover, terminus
-    and the boundary sets of a vertex subset (:meth:`initials`,
-    :meth:`finals`) are read off the validated steps, so the functions that
-    consume a schedule share a single replay of it; the boundary sets take
-    and give vertex masks. A schedule the library derives itself is
-    replayed through :meth:`guaranteed`, the one place where a failed
-    replay of such a schedule becomes an InvariantViolation.
+    none of its result. The forcing forest (:attr:`forest`, the one
+    per-vertex record of the forces), activity spans, cover, terminus and
+    the boundary sets of a vertex subset (:meth:`initials`, :meth:`finals`,
+    on masks) are read off the validated steps, so the functions that
+    consume a schedule share a single replay of it. Spans and terminus
+    trust the rule that :meth:`standard` checked. A schedule the library
+    derives itself is replayed through :meth:`guaranteed`, the one place
+    where a failed replay of such a schedule becomes an InvariantViolation.
     """
 
     def __init__(self, g: Graph, chron: RelaxedChronology):
@@ -484,40 +484,38 @@ class Replay:
 
     @cached_property
     def forest(self) -> _Forest:
-        """Roots, parent and child maps, read off the forces in order (a
-        forced vertex takes its forcer's root), and the guards: a chain
+        """Roots, forcer bits and forced masks, read off the forces in order
+        (a forced vertex takes its forcer's root), and the guards: a chain
         vertex forces at most once; PSD trees are trees and partition."""
-        chron, psd = self.chron, self.chron.rule is Rule.PSD
-        root = {b: b for b in sorted(chron.base)}
-        parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
-        for src, dst in chron.all_forces():
-            if src not in children:
-                children[src] = [dst]
-            elif psd:
-                children[src].append(dst)
-            else:
-                raise InvariantViolation(f"vertex {src} forces twice")
-            parent[dst] = src
-            if src in root:
-                root.setdefault(dst, root[src])
+        chron, n = self.chron, self.graph.n
+        psd = chron.rule is Rule.PSD
+        root, up, down = [-1] * n, [0] * n, [0] * n
+        for b in chron.base:
+            root[b] = b
+        for step in chron.steps:
+            for src, dst in step:
+                if down[src] and not psd:
+                    raise InvariantViolation(f"vertex {src} forces twice")
+                up[dst] = 1 << src
+                down[src] |= 1 << dst
+                if root[dst] < 0:
+                    root[dst] = root[src]
         if psd:
             # A tree has one edge fewer than vertices; count both per root.
-            excess = dict.fromkeys(root.values(), 1)
-            for v, b in root.items():
-                excess[b] += len(children.get(v, ())) - 1
+            excess = dict.fromkeys(sorted(chron.base), 1)
+            for v, b in enumerate(root):
+                if b >= 0:
+                    excess[b] += down[v].bit_count() - 1
             for b, extra in excess.items():
                 if extra:
                     raise InvariantViolation(f"forcing tree at {b} is not a tree")
-            if len(root) != self.graph.n:
+            if -1 in root:
                 raise InvariantViolation("forcing trees do not partition the vertices")
-        return _Forest(root, parent, children)
+        return _Forest(root, up, down)
 
     @cached_property
     def spans(self) -> list[tuple[int, int]]:
         chron = self.chron
-        if chron.rule is not Rule.STANDARD:
-            raise ValueError("active times are defined for the standard rule")
         n = self.graph.n
         first = [0 if v in chron.base else -1 for v in range(n)]
         last = [chron.ct] * n
@@ -530,13 +528,14 @@ class Replay:
 
     @cached_property
     def cover(self) -> ForcingCover:
-        chron, (root, parent, _) = self.chron, self.forest
+        chron, (root, up, _) = self.chron, self.forest
         # Every force extends its forcer's chain: a vertex forced twice fails the check.
         members = {b: [b] for b in sorted(chron.base)}
         for src, dst in chron.all_forces():
-            if src in root:
+            if root[src] >= 0:
                 members[root[src]].append(dst)
         if chron.rule is Rule.PSD:
+            parent = [u.bit_length() - 1 for u in up]
             trees = tuple(
                 ForcingTree(b, frozenset(vs), tuple(sorted((v, parent[v]) for v in vs[1:])))
                 for b, vs in members.items()
@@ -552,34 +551,21 @@ class Replay:
 
     @cached_property
     def terminus(self) -> frozenset[int]:
-        if self.chron.rule is not Rule.STANDARD:
-            raise ValueError("terminus is defined for the standard rule")
-        term = frozenset(range(self.graph.n)).difference(self.forest.children)
+        term = frozenset(v for v, forced in enumerate(self.forest.down) if not forced)
         if len(term) != len(self.chron.base):
             raise InvariantViolation("terminus size differs from the base size")
         return term
-
-    @cached_property
-    def _links(self) -> tuple[list[int], list[int]]:
-        """Per vertex, the bit of its forcer (0 for a base vertex) and the
-        mask of the vertices it forces, read off the validated forces."""
-        up, down = [0] * self.graph.n, [0] * self.graph.n
-        for step in self.chron.steps:
-            for src, dst in step:
-                up[dst] = 1 << src
-                down[src] |= 1 << dst
-        return up, down
 
     def initials(self, h: int) -> int:
         """The vertices of the mask ``h`` that no vertex of ``h`` forces,
         base vertices among them, as a mask: see
         :func:`restriction_initials`."""
-        return h & ~union_of(self._links[1], h)
+        return h & ~union_of(self.forest.down, h)
 
     def finals(self, h: int) -> int:
         """The vertices of the mask ``h`` that force no vertex of ``h``, as
         a mask: the :meth:`initials` of ``h`` in the reversed schedule."""
-        return h & ~union_of(self._links[0], h)
+        return h & ~union_of(self.forest.up, h)
 
 
 def activity_spans(g: Graph, chron: RelaxedChronology) -> list[tuple[int, int]]:

@@ -58,7 +58,7 @@ class BlockPartition:
     def from_sets(cls, k: int, sets: Iterable[Iterable[int]]) -> "BlockPartition":
         blocks = []
         for s in sets:
-            vals = sorted(s)
+            vals = sorted(s) or [0, -1]  # the empty interval, which the constructor rejects
             blocks.append((vals[0], vals[-1]))
         return cls(k, blocks)
 

@@ -1,9 +1,10 @@
-"""A path bundle is checked on the host's masks cut to its vertices. The
-oracle here is the check on the bundle's induced subgraph: the restriction
-re-indexed to it, replayed, and its chain cover compared with the paths.
-Both must give the same bundle, or the same exception with the same text,
-on every bundle of every minimum PSD set's schedule of every connected
-graph with n <= 6, and on seeded random candidate lists.
+"""A path bundle is checked once, on the host's masks cut to its vertices,
+and that check words its own rejections. The oracle here is the check on
+the bundle's induced subgraph: the restriction re-indexed to it,
+replayed, and its chain cover compared with the paths. Both must give the
+same bundle, or the same exception with the same text, on every bundle of
+every minimum PSD set's schedule of every connected graph with n <= 6,
+on seeded random candidate lists, and on hand-built corrupt steps.
 """
 
 from random import Random
@@ -16,15 +17,20 @@ from forcelab.forcing import Force, Replay, Rule, propagate
 from forcelab.graphs import mask_of, path_graph
 
 
-def subgraph_bundle(host, paths):
-    """The bundle check on the induced subgraph of the path vertices."""
-    keep = frozenset(v for p in paths for v in p)
-    r, sub, sub_chron = bundles._restriction(host, keep, Rule.STANDARD)
+def subgraph_chains(g, r):
+    """The chains of a restriction replayed on its induced subgraph."""
+    sub, sub_chron = r.subgraph_chronology(g)
     try:
         sub_replay = Replay(sub.graph, sub_chron)
     except ChronologyError as exc:
         raise BundleError(f"restricted schedule is not standard-valid: {exc}") from exc
-    chains = {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}
+    return {tuple(sub.vertices[v] for v in c) for c in sub_replay.cover.chains}
+
+
+def subgraph_bundle(host, paths):
+    """The bundle check on the induced subgraph of the path vertices."""
+    r = bundles._kept(host, frozenset(v for p in paths for v in p), Rule.STANDARD)
+    chains = subgraph_chains(host.graph, r)
     oriented = []
     for p in paths:
         o = p if p in chains else p[::-1]
@@ -102,17 +108,30 @@ def test_random_candidates_match_the_subgraph_check(monkeypatch, hosts):
 
 
 # Steps a replayed host never holds, so only a hand-built restriction on the
-# path 0-1-2 reaches these guards of the window check.
+# path 0-1-2 reaches these guards of the window check. The last force's
+# source lies outside the kept vertices, so the induced subgraph has no id
+# for it: the window check names it by its rank among them, 0.
 @pytest.mark.parametrize(
-    "keep, initials, step",
+    "keep, initials, step, why",
     [
-        ({0, 1, 2}, {0, 2}, [(0, 1), (2, 1)]),  # two forces on one target
-        ({0, 1, 2}, {0}, [(0, 1), (1, 2)]),  # a source forced in the same step
-        ({1, 2}, {2}, [(0, 1)]),  # a source that ends no chain
+        # two forces on one target
+        ({0, 1, 2}, {0, 2}, [(0, 1), (2, 1)], "two forces target vertex 1"),
+        # a source forced in the same step
+        ({0, 1, 2}, {0}, [(0, 1), (1, 2)], "force 1->2 is not legal there"),
+        # a source that is not blue in the window
+        ({1, 2}, {2}, [(0, 1)], "force 0->0 is not legal there"),
     ],
 )
-def test_window_check_rejects_corrupt_steps(keep, initials, step):
+def test_window_check_rejects_corrupt_steps(keep, initials, step, why):
+    g = path_graph(3)
     r = bundles.Restriction(
         Rule.STANDARD, frozenset(keep), (tuple(Force(*f) for f in step),), frozenset(initials)
     )
-    assert bundles._window_chains(path_graph(3).adjacency_masks(), r, mask_of(keep)) is None
+    message = f"restricted schedule is not standard-valid: step 1: {why}"
+    with pytest.raises(BundleError) as exc:
+        bundles._window_chains(g.adjacency_masks(), r, mask_of(keep))
+    assert str(exc.value) == message
+    if all(v in keep for f in step for v in f):
+        with pytest.raises(BundleError) as oracle:
+            subgraph_chains(g, r)
+        assert str(oracle.value) == message

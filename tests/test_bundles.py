@@ -397,3 +397,8 @@ class TestFindLinkages:
         g = cycle_graph(6)
         search = find_linkages(g, [0], [3], limit=1)
         assert search.truncated and len(search.linkages) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            find_linkages(path_graph(4), [0], [3], limit=limit)

@@ -2,23 +2,28 @@
 the engine: ``validate_chronology``, and every module-level function of
 ``forcing`` that it reaches by name, names none of the engine's step
 functions, their table or the firing loop. The path-bundle check on the
-host's masks, ``bundles._window_chains``, is a check of its own: it
-reaches neither the engine nor ``validate_chronology``. The checks parse
-``src/forcelab/forcing.py`` and ``src/forcelab/bundles.py`` with stdlib
-``ast``, as ``test_imports`` does.
+host's masks, ``bundles._window_chains``, and the bundle construction
+around it, ``bundles._bundle_from_paths``, are a check of their own: they
+reach neither the engine nor a replay, and build no induced subgraph. The
+checks parse ``src/forcelab/forcing.py`` and ``src/forcelab/bundles.py``
+with stdlib ``ast``, as ``test_imports`` does.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "forcelab"
 FORCING = SRC / "forcing.py"
 ENGINE = {"_legal_forces", "_standard_step", "_psd_step", "_power_step", "PROCESSES", "_fire"}
+REPLAY = {"Replay", "validate_chronology", "subgraph_chronology", "induced_subgraph"}
 
 
 def names_reached(source: str, entry: str) -> set[str]:
-    """Every name or attribute read in the module-level function ``entry``
-    and in the module-level functions it names, transitively."""
+    """Every name or attribute read in the body of the module-level function
+    ``entry`` and of the module-level functions it names, transitively.
+    Annotations are left out: the modules never evaluate them."""
     functions = {
         node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
     }
@@ -28,7 +33,7 @@ def names_reached(source: str, entry: str) -> set[str]:
         if name in seen:
             continue
         seen.add(name)
-        for node in ast.walk(functions[name]):
+        for node in (n for stmt in functions[name].body for n in ast.walk(stmt)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -41,16 +46,17 @@ def test_schedule_check_does_not_run_the_engine():
     assert names_reached(FORCING.read_text(), "validate_chronology") & ENGINE == set()
 
 
-def test_bundle_window_check_runs_neither_engine_nor_replay():
-    reached = names_reached((SRC / "bundles.py").read_text(), "_window_chains")
-    assert reached & (ENGINE | {"validate_chronology"}) == set()
+@pytest.mark.parametrize("entry", ["_window_chains", "_bundle_from_paths"])
+def test_bundle_window_check_runs_neither_engine_nor_replay(entry):
+    reached = names_reached((SRC / "bundles.py").read_text(), entry)
+    assert reached & (ENGINE | REPLAY) == set()
 
 
 def test_check_follows_helpers():
     source = (
         "def _legal_forces():\n    pass\n"
         "def _helper():\n    return _legal_forces()\n"
-        "def validate_chronology():\n    return _helper()\n"
+        "def validate_chronology(g: _fire) -> PROCESSES:\n    return _helper()\n"
         "def unrelated():\n    return PROCESSES\n"
     )
     assert names_reached(source, "validate_chronology") & ENGINE == {"_legal_forces"}

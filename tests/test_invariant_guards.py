@@ -4,9 +4,7 @@ Each guard checks a property that holds for every valid input, so no valid
 input reaches it. These tests reach them by swapping ``validate_chronology``,
 under every name a forcelab module holds for it, for a replay that trusts
 hand-built corrupt schedules (returning their expansion without checking a
-force) or rejects every schedule, or by swapping the path-bundle check on
-the host's masks for one that rejects every bundle, and they pin each
-guard's exact message.
+force) or rejects every schedule, and they pin each guard's exact message.
 """
 
 import sys
@@ -102,18 +100,6 @@ def test_corrupt_bundle_walks(validation, func, graph, x, message):
     with pytest.raises(InvariantViolation) as exc:
         func(g, chron, x)
     assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("func", BUNDLE_OPERATIONS + [bundles.validate_path_bundle])
-def test_window_check_agrees_with_the_subgraph_replay(monkeypatch, func):
-    # A bundle check on the host's masks that rejects a valid bundle is
-    # caught by the subgraph replay that its rejection reruns.
-    g = path_graph(4)
-    chron = propagate(Rule.PSD, g, {0}).chronology
-    monkeypatch.setattr(bundles, "_window_chains", lambda adj, r, keep: None)
-    with pytest.raises(InvariantViolation) as exc:
-        func(g, chron, [(0, 1, 2)] if func is bundles.validate_path_bundle else 2)
-    assert str(exc.value) == "the window check rejected a bundle its subgraph replay accepts"
 
 
 # From {0} on the triangle, 0 forces 1 and then 2; only the first is illegal.

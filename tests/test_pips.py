@@ -43,6 +43,10 @@ class TestBlockPartition:
         part = BlockPartition.from_sets(2, [{0}, {1, 2}])
         assert part.blocks == ((0, 0), (1, 2))
 
+    def test_from_sets_rejects_an_empty_set(self):
+        with pytest.raises(ValueError, match="blocks must tile 0..2 in order"):
+            BlockPartition.from_sets(2, [set(), {0, 1, 2}])
+
 
 class TestVerifyWitness:
     def test_tree_witness(self, three_path_tree, tree_witness):

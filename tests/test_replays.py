@@ -7,35 +7,42 @@ a guaranteed property (a reversal, a restriction, a rebuilt schedule, a
 bundle-first reordering, a witness round trip) gets one independent
 replay of its own, through ``Replay.guaranteed``. A path bundle's
 restriction is no such schedule: it is checked once, on the host's masks
-cut to the bundle's vertices, and replayed on its induced subgraph only
-when that check rejects it. The slices read both boundary sets of a
-vertex subset off the one replay they hold and replay no reversal. Every
-count is exact, so a lost or an extra replay both fail.
+cut to the bundle's vertices, and is never replayed, nor is its induced
+subgraph built, even when that check rejects it. The slices read both
+boundary sets of a vertex subset off the one replay they hold and replay
+no reversal. Every count is exact, so a lost or an extra replay both fail.
 """
 
 import sys
 
 import pytest
 
-from forcelab import bundles, forcing, pips, slices, solvers
+from forcelab import bundles, forcing, graphs, pips, slices, solvers
+from forcelab.errors import BundleError
 from forcelab.forcing import Rule, propagate
-from forcelab.graphs import path_graph
+from forcelab.graphs import path_graph, star_graph
 
 
-@pytest.fixture
-def replays(monkeypatch):
+def counting(monkeypatch, original):
+    """Record the arguments of every call of ``original``, under every name
+    a forcelab module holds for it."""
     calls = []
-    original = forcing.validate_chronology
 
-    def counted(g, chron):
-        calls.append(chron)
-        return original(g, chron)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "forcelab":
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    calls = counting(monkeypatch, forcing.validate_chronology)
 
     def count(func, *args):
         calls.clear()
@@ -147,3 +154,16 @@ def test_a_candidate_bundle_checks_one_window(windows, replays):
     chron = propagate(Rule.PSD, g, {0, 3}).chronology
     assert replays(bundles.validate_path_bundle, g, chron, [(1, 0), (2, 3)]) == 1
     assert len(windows) == 1
+
+
+def test_a_rejected_candidate_replays_only_its_host(monkeypatch, replays):
+    # From the center of a star, one step forces every leaf; a candidate
+    # through the center keeps two of those forces, and the window check
+    # words the rejection itself, with no subgraph built or replayed.
+    induced = counting(monkeypatch, graphs.induced_subgraph)
+    g = star_graph(3)
+    chron = propagate(Rule.PSD, g, {0}).chronology
+    with pytest.raises(BundleError, match="step 1: force 0->1 is not legal there"):
+        replays(bundles.validate_path_bundle, g, chron, [(1, 0, 2)])
+    assert len(replays.calls) == 1
+    assert induced == []
