@@ -58,7 +58,9 @@ class BlockPartition:
     def from_sets(cls, k: int, sets: Iterable[Iterable[int]]) -> "BlockPartition":
         blocks = []
         for s in sets:
-            vals = sorted(s) or [0, -1]  # the empty interval, which the constructor rejects
+            vals = sorted(set(s)) or [0, -1]  # the empty interval, which the constructor rejects
+            if len(vals) < vals[-1] - vals[0] + 1:
+                raise ValueError(f"block {vals} is not a run of consecutive integers")
             blocks.append((vals[0], vals[-1]))
         return cls(k, blocks)
 

@@ -7,14 +7,14 @@ whose bit i is set when v is blue in the process started from the i-th
 subset, so one round of a rule is a few big-int operations per edge for
 all C(n, k) processes together (bit-slicing, as in Biham's DES). A PSD
 round forces the white vertices with no white neighbor first, then floods
-the rest in passes: each pass seeds every subset at its least white
-vertex not yet reached, so one flood gives every subset one whole white
-component, and a round takes as many passes as the most components a
-subset has. One :func:`subset_vectors` generator gives a scan the vectors of
-every size it asks for, deriving each size from the last. Once few
-candidates still change, a PSD scan packs seven vectors into one byte
-per candidate and drops the bytes of the rest (``_compact``); witnesses
-are read off set bits by one pass over the spelled-out bits (``_indices``).
+the rest in passes of sweeps: each pass seeds every subset at its least
+white vertex not yet reached, so one flood gives every subset one whole
+white component, and a round takes as many passes as the most components
+a subset has. One :func:`subset_vectors` generator gives a scan the
+vectors of every size it asks for, deriving each size from the last. Once
+few candidates still change, a PSD scan compresses its vectors to their
+bits (Warren's bit-parallel compress) and expands later finishers back;
+witnesses are read off set bits in one pass over the spelled-out bits.
 :func:`rounds_table` runs one round on 2^n-bit vectors instead,
 whose bit B stands for the bitmask B, and reads every mask's rounds off
 the successors that round gives. The rule rounds here are written out on
@@ -77,18 +77,18 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
     :func:`subset_vectors` yields them.
 
     A candidate that did not change in a round never changes again. Once at
-    most an eighth of the candidates still change, a PSD scan cuts its
-    vectors down to those bits (``_compact``), and ``index`` maps the bits
-    left to candidate indices; a standard round costs too little to repay
-    the cut."""
-    index = range(count)
+    most an eighth of the candidates still change, a PSD scan compresses
+    its vectors to those bits, and expands every later finisher back
+    through each such cut, the last cut first; a standard round costs too
+    little to repay the cut."""
     every = (1 << count) - 1
     done = every
     for x in blue:
         done &= x
-    yield _indices(done, index)
+    yield _indices(done)
     live = every ^ done
     step, later = _ROUNDS[rule]
+    cuts = []
     while live:
         new = step(nbrs, blue, every)
         moved = 0
@@ -97,10 +97,12 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
         blue, done = new, every
         for x in blue:
             done &= x
-        yield _indices(done & moved, index)
+        yield _indices(_expand(done & moved, cuts))
         live = moved & ~done
-        if rule is Rule.PSD and live and live.bit_count() * 8 <= len(index):
-            blue, index, every = _compact(blue, live, index)
+        if rule is Rule.PSD and live and live.bit_count() * 8 <= every.bit_length():
+            blue, stages = _compress(blue, live)
+            cuts.append((live, stages))
+            every = (1 << live.bit_count()) - 1
         step = later
 
 
@@ -145,13 +147,14 @@ def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
     ``unreached[u]`` marks the subsets where u is white and no flood has
     reached it yet. Each pass seeds every subset at its least unreached
     vertex: going up the vertices, ``taken`` marks the subsets already
-    seeded, so r seeds where it is unreached and not taken. One frontier
-    flood from all the seeds then gives each subset exactly one component,
-    and passes repeat until nothing is unreached: as many as the most
-    components a subset has. ``reach[u]`` collects the subsets where the
-    pass finds u. ``exact[v]`` marks where a blue v has exactly one
-    neighbor in the reach, and each reached w is forced where it is reached
-    and some neighbor's ``exact`` is set."""
+    seeded, so r seeds where it is unreached and not taken. Sweeps up and
+    down the vertices in turn flood from all the seeds: a vertex ORs its
+    neighbors' ``reach`` into its own where it is unreached, and after the
+    first sweep only a vertex with a neighbor reached since its last visit
+    (``stale``) is visited, whatever the labels. One flood gives each subset
+    one component, and passes repeat until nothing is unreached: as many as
+    the most components a subset has. A blue v with exactly one neighbor in
+    the reach (``exact``) forces it."""
     white = [every ^ x for x in blue]
     out = list(blue)
     unreached = []
@@ -167,47 +170,47 @@ def _psd_round(nbrs, blue: list[int], every: int) -> list[int]:
         unreached.append(xw)
     while True:
         taken = 0
-        front = {}
+        reach = [0] * len(blue)
         for r, x in enumerate(unreached):
             if x:
                 seed = x & ~taken
                 if seed:
-                    front[r] = seed
+                    reach[r] = seed
                     unreached[r] = x ^ seed
                 taken |= x
-        if not front:
+        if not taken:
             return out
-        reach = front.copy()
-        while front:
-            nxt = {}
-            for x, dx in front.items():
-                for y in nbrs[x]:
-                    a = dx & unreached[y]
+        stale = list(map(bool, unreached))
+        order = range(len(blue))
+        while True in stale:
+            for v in order:
+                if stale[v]:
+                    stale[v] = False
+                    nv = nbrs[v]
+                    a = 0
+                    for u in nv:
+                        a |= reach[u]
+                    a &= unreached[v]
                     if a:
-                        unreached[y] ^= a
-                        nxt[y] = nxt.get(y, 0) | a
-            for y, a in nxt.items():
-                reach[y] = reach.get(y, 0) | a
-            front = nxt
-        exact = {}
-        for w in reach:
-            for v in nbrs[w]:
-                if v in exact:
-                    continue
-                xv = blue[v]
+                        reach[v] |= a
+                        unreached[v] ^= a
+                        for u in nv:
+                            if unreached[u]:
+                                stale[u] = True
+            order = order[::-1]
+        for v, xv in enumerate(blue):
+            if xv:
+                nv = nbrs[v]
                 one = two = 0
-                if xv:
-                    for u in nbrs[v]:
-                        if u in reach:
-                            a = reach[u]
-                            two |= one & a
-                            one |= a
-                exact[v] = xv & (one ^ two)
-        for w, a in reach.items():
-            forced = 0
-            for v in nbrs[w]:
-                forced |= exact[v]
-            out[w] |= forced & a
+                for u in nv:
+                    a = reach[u]
+                    if a:
+                        two |= one & a
+                        one |= a
+                exact = xv & (one ^ two)
+                if exact:
+                    for u in nv:
+                        out[u] |= exact & reach[u]
 
 
 # The rounds of each maximal process: the first round's, then every later one's.
@@ -220,9 +223,6 @@ _ROUNDS = {
 
 _ONE = re.compile(b"1")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_UNMARKED = bytes(range(128))
-# _READ[b] spells each byte of a plane as '1' where its bit b is set, else '0'.
-_READ = [bytes(b"01"[c >> b & 1] for c in range(256)) for b in range(7)]
 
 
 def _spelled(x: int) -> bytes:
@@ -231,28 +231,40 @@ def _spelled(x: int) -> bytes:
     return bin(x)[:1:-1].encode()
 
 
-def _compact(blue: list[int], live: int, index):
-    """Keep only the bits of ``live`` in every vector, in order. Seven
-    vectors at a time share a byte plane, one byte per candidate, spelled
-    high index first so that no byte order is reversed: the '0'/'1' bytes
-    of ``format`` less ASCII '0' are 0/1, shifted to bit b for the plane's
-    b-th vector and to bit 7 for ``live``. translate() drops the bytes
-    below 128, and each vector is read back from its bit of the rest."""
-    count = len(index)
-    spell = f"0{count}b"
-    zeros = int.from_bytes(b"0" * count, "big")
-    marks = int.from_bytes(format(live, spell).encode(), "big") - zeros << 7
-    kept = []
-    for c in range(0, len(blue), 7):
-        chunk = blue[c : c + 7]
-        # each spelled vector brings '0' << b into every byte: take all off at once
-        plane = marks - zeros * ((1 << len(chunk)) - 1)
-        for b, x in enumerate(chunk):
-            plane += int.from_bytes(format(x, spell).encode(), "big") << b
-        plane = plane.to_bytes(count, "big").translate(None, _UNMARKED)
-        kept += [int(plane.translate(_READ[b]) or b"0", 2) for b in range(len(chunk))]
-    index = _indices(live, index)
-    return kept, index, (1 << len(index)) - 1
+def _compress(blue: list[int], live: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """The vectors cut down to the set bits of ``live``, in order, and the
+    stages ``(s, mv)`` that did it (Warren, Hacker's Delight, 7-4): stage j
+    moves right by s = 2^j the bits ``mv`` of ``m``, ``live`` as moved so
+    far, whose count of unset ``live`` bits below has bit j set: the prefix
+    XOR ``mp`` of marks ``mk``, thinned by each stage. O(log^2 w) operations
+    on w-bit ints, O(log w) a vector."""
+    top, m = live.bit_length(), live
+    mk = ((1 << top) - 1 ^ live) << 1
+    blue, stages, s = [x & live for x in blue], [], 1
+    while s <= top - live.bit_count():
+        mp, j = mk, 1
+        while j < top:
+            mp ^= mp << j
+            j <<= 1
+        mv = mp & m
+        if mv:
+            stages.append((s, mv))
+            blue = [x ^ (t := x & mv) | t >> s for x in blue]
+        m = m ^ mv | mv >> s
+        mk &= ~mp
+        s <<= 1
+    return blue, stages
+
+
+def _expand(x: int, cuts) -> int:
+    """Undo the cuts ``(live, stages)`` of :func:`_compress` on ``x``, the
+    last first, each stage taking its bits back from s places up (Hacker's
+    Delight, 7-5); what lands off ``live`` is dropped."""
+    for live, stages in reversed(cuts):
+        for s, mv in reversed(stages):
+            x ^= (x ^ x << s) & mv
+        x &= live
+    return x
 
 
 # _BIT_OF[b] turns a spelled vector into one byte per mask holding 1 << b
@@ -323,13 +335,13 @@ def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:
     return table
 
 
-def _indices(bits: int, index) -> list[int]:
-    """``index[i]`` for every set bit i of ``bits``, ascending, from the
-    bits spelled out one byte each: through 0/1 flags when at least one bit
-    in nine is set, else by finding each '1'."""
+def _indices(bits: int) -> list[int]:
+    """The set bits of ``bits``, ascending, from the bits spelled out one
+    byte each: through 0/1 flags when at least one bit in nine is set,
+    else by finding each '1'."""
     if bits.bit_count() * 9 >= bits.bit_length():
-        return list(compress(index, _spelled(bits).translate(_FLAGS)))
-    return [index[match.start()] for match in _ONE.finditer(_spelled(bits))]
+        return list(compress(range(bits.bit_length()), _spelled(bits).translate(_FLAGS)))
+    return [match.start() for match in _ONE.finditer(_spelled(bits))]
 
 
 def subsets(indices: list[int], n: int, k: int) -> list[frozenset[int]]:

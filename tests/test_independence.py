@@ -5,8 +5,9 @@ functions, their table or the firing loop. The path-bundle check on the
 host's masks, ``bundles._window_chains``, and the bundle construction
 around it, ``bundles._bundle_from_paths``, are a check of their own: they
 reach neither the engine nor a replay, and build no induced subgraph. The
-checks parse ``src/forcelab/forcing.py`` and ``src/forcelab/bundles.py``
-with stdlib ``ast``, as ``test_imports`` does.
+bit-sliced scans of ``sliced`` are checked against that engine, so no line
+of ``sliced.py`` names the engine or its component routine. The checks
+parse the sources with stdlib ``ast``, as ``test_imports`` does.
 """
 
 import ast
@@ -50,6 +51,20 @@ def test_schedule_check_does_not_run_the_engine():
 def test_bundle_window_check_runs_neither_engine_nor_replay(entry):
     reached = names_reached((SRC / "bundles.py").read_text(), entry)
     assert reached & (ENGINE | REPLAY) == set()
+
+
+def test_sliced_scans_name_nothing_of_the_engine():
+    tree = ast.parse((SRC / "sliced.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "_psd_round" in names
+    assert names & (ENGINE | {"component_masks"}) == set()
 
 
 def test_check_follows_helpers():

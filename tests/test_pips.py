@@ -47,6 +47,10 @@ class TestBlockPartition:
         with pytest.raises(ValueError, match="blocks must tile 0..2 in order"):
             BlockPartition.from_sets(2, [set(), {0, 1, 2}])
 
+    def test_from_sets_rejects_a_set_with_a_gap(self):
+        with pytest.raises(ValueError, match=r"block \[0, 2\] is not a run of consecutive integers"):
+            BlockPartition.from_sets(3, [{0, 2}, {3}])
+
 
 class TestVerifyWitness:
     def test_tree_witness(self, three_path_tree, tree_witness):

@@ -392,6 +392,32 @@ class TestScansAgreeWithBruteForce:
                     got += rounds
                 assert got == [r for _, r in brute_force_table(g, rule)]
 
+    def test_rounds_after_two_cuts(self, monkeypatch):
+        # Every graph here has sizes whose PSD scan cuts its vectors twice,
+        # so their later finishers are expanded back through both cuts.
+        cuts = []
+        compress = sliced._compress
+
+        def counted(blue, live):
+            cuts.append(live)
+            return compress(blue, live)
+
+        monkeypatch.setattr(sliced, "_compress", counted)
+        rng = Random(263)
+        for n in (12, 12, 13, 13):
+            g = random_graph(rng, n, rng.uniform(0.15, 0.5))
+            got, most = [], 0
+            for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
+                cuts.clear()
+                rounds = [None] * comb(n, k)
+                for r, finished in enumerate(finished_by_round(Rule.PSD, g.adj, blue, count)):
+                    for i in finished:
+                        rounds[i] = r
+                got += rounds
+                most = max(most, len(cuts))
+            assert most >= 2, graph6_encode(g)
+            assert got == [r for _, r in brute_force_table(g, Rule.PSD)], graph6_encode(g)
+
     def test_scans_sharing_rounds_match_the_per_mask_path(self, monkeypatch):
         # One call's sliced scans share every size a scan ran to the end:
         # throttling cuts sizes short that Z then needs whole.
@@ -490,12 +516,12 @@ class TestSlicedPsdRound:
         for g in white_component_graphs():
             n = g.n
             for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
-                index, every = range(count), (1 << count) - 1
+                every = (1 << count) - 1
                 before = self.sets_of(blue, count)
                 assert before == [frozenset(c) for c in combinations(range(n), k)]
                 while True:
                     new = sliced._psd_round(g.adj, blue, every)
-                    after = self.sets_of(new, len(index))
+                    after = self.sets_of(new, every.bit_length())
                     for b, a in zip(before, after):
                         step = {f.dst for f in naive.forces("psd", g, b)}
                         assert a == b | step, (g.adj, sorted(b))
@@ -506,9 +532,10 @@ class TestSlicedPsdRound:
                     if not live:
                         break
                     # Go on with the candidates still changing only, as a scan
-                    # does after _compact, so ``every`` is narrower than C(n, k).
-                    blue, index, every = sliced._compact(new, live, index)
-                    before = self.sets_of(blue, len(index))
+                    # does after a cut, so ``every`` is narrower than C(n, k).
+                    blue = sliced._compress(new, live)[0]
+                    every = (1 << live.bit_count()) - 1
+                    before = self.sets_of(blue, every.bit_length())
                     assert before == [a for i, a in enumerate(after) if live >> i & 1]
 
     def test_each_white_component_is_flooded_once(self):
@@ -527,6 +554,28 @@ class TestSlicedPsdRound:
         blue = [0] * 8 + [1] * 8
         assert sliced._psd_round(Counted(g.adj), blue, 1) == [1] * 16
         assert Counted.reads <= 4 * g.n
+
+    @pytest.mark.parametrize("length", [8, 16, 20, 40])
+    @pytest.mark.parametrize("labels", ["reversed", "shuffled"])
+    def test_each_white_component_is_flooded_once_whatever_the_labels(self, labels, length):
+        # The pendant path above, its path vertices labelled in reverse or
+        # at random. Sweeps that visit only the vertices with a newly
+        # reached neighbor read each neighbor list a few times. Sweeps over
+        # every unreached vertex take one sweep per run of rising labels
+        # along the path: on these shuffles that stays under the bound up
+        # to 20 path vertices and passes it at 40.
+        rng = Random(277 + length)
+        for _ in range(1 if labels == "reversed" else 10):
+            path = list(range(length))
+            if labels == "reversed":
+                path.reverse()
+            else:
+                rng.shuffle(path)
+            g = Graph(2 * length, list(zip(path, path[1:])) + [(v, v + length) for v in path])
+            nbrs = CountedReads(g.adj)
+            blue = [0] * length + [1] * length
+            assert sliced._psd_round(nbrs, blue, 1) == [1] * g.n
+            assert nbrs.reads <= 4 * g.n, path
 
     def test_one_flood_per_component_whatever_the_least_white_vertex(self):
         # In K10 the white vertices of every candidate of size k <= 8 form
@@ -601,28 +650,38 @@ class TestSlicedHelpers:
         rng = Random(241)
         for width in (1, 9, 64, 1000, 5000):
             bits = sum(1 << i for i in range(width) if rng.random() < density)
-            positions = bits_of(bits, width)
-            assert sliced._indices(bits, range(width)) == positions
-            index = sorted(rng.sample(range(10 * width), width))
-            assert sliced._indices(bits, index) == [index[i] for i in positions]
+            assert sliced._indices(bits) == bits_of(bits, width)
 
     def test_indices_take_both_paths(self):
         # one set bit in nine is where the flags take over from the search
         for bits in (0, 1 << 8, 1 << 9, (1 << 17) | 1, (1 << 18) | 1):
-            assert sliced._indices(bits, range(20)) == bits_of(bits, 20)
+            assert sliced._indices(bits) == bits_of(bits, 20)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 13, 14, 15, 20])
-    def test_compact_gathers_the_live_bits(self, n):
+    def test_compress_gathers_the_live_bits(self, n):
         rng = Random(251 + n)
         for count in (1, 7, 100, 3000):
             blue = [rng.getrandbits(count) for _ in range(n)]
-            index = sorted(rng.sample(range(5 * count), count))
             for density in (0.0, 0.02, 0.25, 1.0):
                 live = sum(1 << i for i in range(count) if rng.random() < density)
                 positions = bits_of(live, count)
                 kept = [sum((x >> i & 1) << j for j, i in enumerate(positions)) for x in blue]
-                got = sliced._compact(blue, live, index)
-                assert got == (kept, [index[i] for i in positions], (1 << len(positions)) - 1)
+                assert sliced._compress(blue, live)[0] == kept
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 13, 14, 15, 20])
+    def test_expand_puts_the_bits_back(self, n):
+        # x's low bits go to the set bits of ``live`` in order, and a
+        # compress of what expand gives returns x.
+        rng = Random(269 + n)
+        for count in (1, 7, 100, 3000):
+            for density in (0.0, 0.02, 0.25, 1.0):
+                live = sum(1 << i for i in range(count) if rng.random() < density)
+                positions = bits_of(live, count)
+                blue = [rng.getrandbits(len(positions)) for _ in range(n)]
+                spread = [sum((x >> j & 1) << i for j, i in enumerate(positions)) for x in blue]
+                kept, stages = sliced._compress(spread, live)
+                assert kept == blue
+                assert [sliced._expand(x, [(live, stages)]) for x in blue] == spread
 
     def test_subsets_on_both_paths_follow_combinations_order(self):
         rng = Random(257)
