@@ -211,8 +211,6 @@ def cmd_bundle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.target != "bounds":
-        raise ValueError(f"unknown verify target {args.target!r}")
     if args.graphs.startswith("all-n:"):
         max_n = int(args.graphs.split(":", 1)[1])
         stream = solvers.atlas_stream(max_n=max_n, connected_only=args.connected_only)

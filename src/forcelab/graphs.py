@@ -309,6 +309,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {lines[0]!r}") from exc
+    if n < 0:
+        raise GraphFormatError(f"header declares {n} vertices, below 0")
     if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"header declares {n} vertices, above {GRAPH6_MAX_N}")
     if len(lines) - 1 != m:
@@ -365,8 +367,12 @@ def graph6_decode(line: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise GraphFormatError(f"graph6 string too short for n={n}")
+    if len(body) > need:
+        raise GraphFormatError(f"graph6 string too long for n={n}")
+    if need and body[-1] & ((1 << (6 * need - n * (n - 1) // 2)) - 1):
+        raise GraphFormatError(f"graph6 padding bits are not zero for n={n}")
     bits = []
-    for b in body[:need]:
+    for b in body:
         for k in range(5, -1, -1):
             bits.append((b >> k) & 1)
     edges = []

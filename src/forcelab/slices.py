@@ -128,22 +128,20 @@ def _rounds(rule: Rule, g: Graph, blue: int, window: int | None = None) -> int:
     :data:`forcelab.forcing.PROCESSES` at a time, keeping only the current
     mask. Given a ``window`` mask holding ``blue``, the walk colors the
     subgraph induced on it instead, on ``g``'s masks cut to the window.
-    Power domination's neighborhood step runs first; where it adds
-    nothing, no blue vertex has a white neighbor, so the later steps stall
-    too."""
+    Rounds after the first take the rule's later step, as in
+    :func:`forcelab.forcing._fire`: where power domination's first step
+    adds nothing, no blue vertex has a white neighbor, and the walk stalls."""
     adj, full = g.adjacency_masks(), (1 << g.n) - 1
     if window is not None:
         adj = tuple(a & window if window >> v & 1 else 0 for v, a in enumerate(adj))
         full = window
-    first, step = PROCESSES[rule]
+    step, later = PROCESSES[rule]
     rounds = 0
-    if first is not step and blue != full:
-        blue, rounds = blue | first(adj, blue), 1
     while blue != full:
         add = step(adj, blue)
         if not add:
             return -1
-        blue, rounds = blue | add, rounds + 1
+        blue, rounds, step = blue | add, rounds + 1, later
     return rounds
 
 

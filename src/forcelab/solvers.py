@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import sliced
@@ -189,9 +189,9 @@ class _Scan:
         """``(r, indices)`` for r ascending: the indices of the size's
         candidates that color every vertex in exactly r rounds, kept once a
         scan has run the size to the end. A table gives the rounds that some
-        candidate takes, from the size's rounds bytes, read once, with one
-        translate per distinct byte through its ``_FLAGS`` table; a sliced
-        scan gives every r of :func:`forcelab.sliced.finished_by_round`."""
+        candidate takes, in one pass over the size's candidates that groups
+        their indices, ascending, by rounds byte; a sliced scan gives every
+        r of :func:`forcelab.sliced.finished_by_round`."""
         known = self.finished.get(size)
         if known is not None:
             yield from known
@@ -199,13 +199,10 @@ class _Scan:
         if self.table is None:
             rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self._vectors(size)))
         else:
-            found = bytes(map(self.table.__getitem__, _subset_masks(self.n, size)))
-            index = range(len(found))
-            rounds = (
-                (k - 2, list(compress(index, found.translate(_FLAGS[k]))))
-                for k in sorted(set(found))
-                if k > 1
-            )
+            groups: dict[int, list[int]] = {}
+            for i, mask in enumerate(_subset_masks(self.n, size)):
+                groups.setdefault(self.table[mask], []).append(i)
+            rounds = ((k - 2, groups[k]) for k in sorted(groups) if k > 1)
         known = []
         for pair in rounds:
             known.append(pair)
@@ -224,11 +221,6 @@ class _Scan:
             self.last = next(self.vectors)
             self.size += 1
         return self.last
-
-
-# Per byte value k, the translate table that maps k to 1 and every other
-# byte to 0: it flags a size's candidates that finish in k - 2 rounds.
-_FLAGS = [bytes(k) + b"\x01" + bytes(255 - k) for k in range(256)]
 
 
 @cache
@@ -376,11 +368,13 @@ def bounds_rows_for_graph(
     One standard and one PSD ``_Scan`` serve every row, and the values
     and the first efficient witness are read from them, not from the
     public reports, so the only witness set unranked is the efficient set
-    each m replays (``_Scan.first``). Both constructions of an m row share
-    that one replay and its one split at the cut ceil(pt(G, m)/2)
-    (``slices._split``), and each counts its set's rounds by walking its
-    process one step at a time (``slices._rounds``), at every n. Slices,
-    boundary sets, neighborhoods and built sets stay bitmasks throughout.
+    each m replays (``_Scan.first``), and only for ``bounds`` rows; the
+    other checks read pt(G, m) off the scan. Both constructions of an m
+    row share that one replay and its one split at the cut
+    ceil(pt(G, m)/2) (``slices._split``), and each counts its set's rounds
+    by walking its process one step at a time (``slices._rounds``), at
+    every n. Slices, boundary sets, neighborhoods and built sets stay
+    bitmasks throughout.
     """
     from . import slices  # local import: slices builds on these solvers
 
@@ -392,11 +386,11 @@ def bounds_rows_for_graph(
     z = std.forcing()[0]
     pt_by_m: dict[int, int] = {}
     for m in range(z, g.n + 1):
-        replay = slices._efficient_replay(g, m, cap, std)
-        pt_m = replay.chron.ct
-        pt_by_m[m] = pt_m
         if "bounds" not in wanted:
+            pt_by_m[m] = std.time(m)[0]
             continue
+        replay = slices._efficient_replay(g, m, cap, std)
+        pt_m = pt_by_m[m] = replay.chron.ct
         bound = (pt_m + 1) // 2
         halves = slices._split(replay.spans, bound)  # both constructions cut at the bound
         psd_rounds = slices._psd_set(replay, m, "auto", halves)[2]

@@ -11,8 +11,9 @@ into ``cli_golden.json`` beside it, for ``test_cli_golden.py`` to check:
 
     PYTHONPATH=src python tests/record_cli_golden.py
 
-Record only when a change to the CLI's output is intended, and name the
-cases whose digests moved.
+Before writing, it names on stderr the cases added, removed, or whose
+digests moved against the file it replaces. Record only when a change to
+the CLI's output is intended, and name the cases whose digests moved.
 """
 
 from __future__ import annotations
@@ -68,12 +69,18 @@ FILES = {
     "rl_grid.json": json.dumps(RL_GRID),
     "graphs.g6": "DQo\nEQjO\nCF\n",
     "bad_line.g6": "DQo\n!!\n",
+    # the one-edge graph "A_" with characters past its edge bits, or with
+    # nonzero padding bits: no graph's canonical graph6
+    "trailing.g6": "A_zzzz\n",
+    "padding.g6": "A~\n",
+    "trailing_line.g6": "DQo\nA_zzz\n",
     # a 4-vertex graph, then the 3x5 grid: 15 vertices, above the sweep cap
     "over_cap.g6": "Cr\nNhEAHCPAGG?P?P?G_AG\n",
     "bad_edges.edges": "3 2\n0 1\n",
     "loop.edges": "3 1\n1 1\n",
     # a header above the largest graph6 size, refused before any allocation
     "huge_header.edges": "1000000000 0\n",
+    "negative_header.edges": "-1 0\n",
     "not_json.json": "{",
     "deep.json": "[" * 100_000,
     "list.json": "[1, 2]",
@@ -126,6 +133,8 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("solve-over-cap", "solve", "--param", "z", "--graph", grid, "--cap", "8")
     add("solve-g6", "solve", "--param", "z", "--graph", "{tmp}/graphs.g6")
     add("solve-z-with-m", "solve", "--param", "z", "--graph", grid, "-m", "2")
+    add("solve-g6-trailing", "solve", "--param", "z", "--graph", "{tmp}/trailing.g6")
+    add("solve-g6-padding", "solve", "--param", "z", "--graph", "{tmp}/padding.g6")
 
     add("witness-extract", "witness", "extract", "--graph", grid, "--chronology", chron)
     add("witness-apply", "witness", "apply", "--graph", grid, "--witness", witness)
@@ -172,6 +181,7 @@ def _cases() -> list[tuple[str, list[str]]]:
         "--connected-only", "--checks", "thrplus,zeq")
     add("verify-file", "verify", "bounds", "--graphs", "{tmp}/graphs.g6")
     add("verify-bad-line", "verify", "bounds", "--graphs", "{tmp}/bad_line.g6")
+    add("verify-trailing-line", "verify", "bounds", "--graphs", "{tmp}/trailing_line.g6")
     add("verify-n9", "verify", "bounds", "--graphs", "all-n:9")
     add("verify-n0", "verify", "bounds", "--graphs", "all-n:0")
     add("verify-n-negative", "verify", "bounds", "--graphs", "all-n:-2")
@@ -190,6 +200,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("self-loop", "solve", "--param", "z", "--graph", "{tmp}/loop.edges")
     add("huge-header", "simulate", "--rule", "z", "--graph", "{tmp}/huge_header.edges",
         "--blue", "0")
+    add("negative-header", "solve", "--param", "z", "--graph", "{tmp}/negative_header.edges")
     add("bad-blue", "simulate", "--rule", "z", "--graph", grid, "--blue", "0,99")
     for name in ("not_json", "deep", "list", "no_steps", "str_base", "bad_rule", "illegal"):
         add(f"chronology-{name}", "simulate", "--rule", "z", "--graph", grid,
@@ -228,6 +239,18 @@ def run_cases() -> dict[str, list]:
     return out
 
 
+def report_changes(old: dict, new: dict) -> None:
+    """Name on stderr the cases added, removed, or whose digests moved."""
+    for label, names in (
+        ("added", new.keys() - old.keys()),
+        ("removed", old.keys() - new.keys()),
+        ("moved", {name for name in old.keys() & new.keys() if old[name] != new[name]}),
+    ):
+        print(f"{label}: {', '.join(sorted(names)) or '(none)'}", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(run_cases(), indent=1, sort_keys=True) + "\n")
+    recorded = run_cases()
+    report_changes(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, recorded)
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(CASES)} cases to {GOLDEN}", file=sys.stderr)

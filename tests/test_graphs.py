@@ -1,4 +1,5 @@
 from collections import deque
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,10 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError, match=str(GRAPH6_MAX_N)):
             parse_edge_list(f"{GRAPH6_MAX_N + 1} 0\n")
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphFormatError, match="-1 vertices"):
+            parse_edge_list("-1 0\n")
+
 
 class TestGraph6:
     def test_known_strings(self):
@@ -252,6 +257,24 @@ class TestGraph6:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, g):
         assert graph6_decode(graph6_encode(g)) == g
+
+    @pytest.mark.parametrize("s", ["A_zzzz", "A_z", "A_?", "?A", "DQo?"])
+    def test_characters_past_the_edge_bits_rejected(self, s):
+        with pytest.raises(GraphFormatError, match="too long"):
+            graph6_decode(s)
+
+    @pytest.mark.parametrize("s", ["A~", "A`", "B~", "DQp"])
+    def test_nonzero_padding_bits_rejected(self, s):
+        with pytest.raises(GraphFormatError, match="padding"):
+            graph6_decode(s)
+
+    def test_packaged_lines_are_canonical(self):
+        # a sweep's graph_id is its graph6 line, so each line must be the
+        # one string that decodes to its graph
+        text = resources.files("forcelab").joinpath("data/graphs_n_le_7.g6").read_text()
+        lines = text.split()
+        assert len(lines) == 1252
+        assert all(graph6_encode(graph6_decode(line)) == line for line in lines)
 
 
 class TestDot:

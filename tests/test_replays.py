@@ -10,7 +10,8 @@ restriction is no such schedule: it is checked once, on the host's masks
 cut to the bundle's vertices, and is never replayed, nor is its induced
 subgraph built, even when that check rejects it. The slices read both
 boundary sets of a vertex subset off the one replay they hold and replay
-no reversal. Every count is exact, so a lost or an extra replay both fail.
+no reversal. The bounds sweep replays one efficient schedule per m row,
+and none when it is asked for no m rows. Every count is exact, so a lost or an extra replay both fail.
 """
 
 import sys
@@ -98,6 +99,15 @@ def test_bounds_rows_replay_each_efficient_schedule_once(replays, grid34):
         rows = solvers.bounds_rows_for_graph("g", g)
         expected = sum(r.m.isdigit() for r in rows)
         assert replays(solvers.bounds_rows_for_graph, "g", g) == expected
+
+
+def test_bounds_rows_replay_nothing_without_bounds_rows(replays, grid34):
+    # thr+ and pt+ read pt(G, m) off the standard scan; only an m row
+    # builds and replays an efficient schedule.
+    for g in [g for _, g in solvers.atlas_stream(5)] + [grid34]:
+        tagged = [r for r in solvers.bounds_rows_for_graph("g", g) if not r.m.isdigit()]
+        assert replays(solvers.bounds_rows_for_graph, "g", g, ("thrplus", "zeq")) == 0
+        assert solvers.bounds_rows_for_graph("g", g, ("thrplus", "zeq")) == tagged
 
 
 def test_bounds_rows_split_each_efficient_schedule_once(monkeypatch):
