@@ -244,9 +244,8 @@ def possible_forces(
     return frozenset(_legal_forces(rule, g.adjacency_masks(), mask_of(b), idle))
 
 
-def _flood(adj: tuple[int, ...], white: int, v: int) -> tuple[int, int]:
-    """The component of the white vertex ``v`` inside the bitmask ``white``,
-    and the union of its members' neighbor masks."""
+def _flood(adj: tuple[int, ...], white: int, v: int) -> int:
+    """The component of the white vertex ``v`` inside the bitmask ``white``."""
     comp = front = 1 << v
     hood = 0
     while front:
@@ -257,7 +256,7 @@ def _flood(adj: tuple[int, ...], white: int, v: int) -> tuple[int, int]:
             hood |= adj[bit.bit_length() - 1]
         front = hood & white & ~comp
         comp |= front
-    return comp, hood
+    return comp
 
 
 def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[int]]:
@@ -274,9 +273,10 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
     target had at most one white neighbor in it: a path between two of
     its other vertices then passes no target, so what is left stays
     connected. A component that a target may have cut is flooded again.
-    Rigid linkage: the PSD condition, no idle vertex (one that has forced)
-    next to that component, flooded anew at every step, and at most one
-    force per step. No legal-force set is built, and the check shares no
+    Rigid linkage: the PSD condition on the same carried floods, at most
+    one force per step, and no idle vertex (one that has forced) next to
+    the component, read off a running mask of the idle vertices'
+    neighbors. No legal-force set is built, and the check shares no
     code with the rule engine it is the oracle of. Raises
     :class:`ChronologyError` naming the first offending step/force.
     """
@@ -287,11 +287,9 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
     full = (1 << n) - 1
     expansion = [g.check_set(chron.base)]
     blue = mask_of(expansion[0])
-    idle = 0
+    idle_hood = 0  # the neighbors of the vertices that have forced (rigid linkage)
     standard, linkage = rule is Rule.STANDARD, rule is Rule.RIGID_LINKAGE
-    # (component, neighbor mask) per flood; PSD reads neither its vertices
-    # that have turned blue since nor the neighbor mask, which goes stale.
-    floods: list[tuple[int, int]] = []
+    floods: list[int] = []  # components as flooded, read less the vertices since blue
     for k, step in enumerate(chron.steps, start=1):
         if linkage and len(step) > 1:
             raise ChronologyError(
@@ -310,14 +308,14 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
             if legal and standard:
                 legal = adj[src] & white == 1 << dst
             elif legal:
-                for comp, hood in floods:
+                for comp in floods:
                     if comp >> dst & 1:
                         comp &= white  # less the targets of the steps since its flood
                         break
                 else:
-                    comp, hood = _flood(adj, white, dst)
-                    floods.append((comp, hood))
-                legal = adj[src] & comp == 1 << dst and not idle & hood
+                    comp = _flood(adj, white, dst)
+                    floods.append(comp)
+                legal = adj[src] & comp == 1 << dst and not idle_hood & comp
                 inside = adj[dst] & comp
                 if inside & (inside - 1):
                     cut |= comp
@@ -330,14 +328,9 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
             dsts.add(dst)
             blue |= 1 << dst
             if linkage:
-                idle |= 1 << src
-        if linkage:
-            # The forcer, idle now, had the target as its one neighbor in
-            # the component: the neighbor mask the idle check reads would
-            # keep it though it borders none of what is left. Flood again.
-            floods = []
-        elif cut:
-            floods = [flood for flood in floods if not flood[0] & cut]
+                idle_hood |= adj[src]
+        if cut:
+            floods = [comp for comp in floods if not comp & cut]
         expansion.append(expansion[-1] | dsts)
     if len(expansion[-1]) != n:
         left = sorted(set(range(n)) - expansion[-1])
@@ -360,9 +353,17 @@ def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
 
     STANDARD, PSD and POWER_DOMINATION (whose first step colors the closed
     neighborhood) run the maximal process of :func:`_fire`. RIGID_LINKAGE
-    replays greedily, one least-(src, dst) force per step; note RL
-    completion can depend on force order, so a greedy stall does not prove
-    the base set is not RL-forcing.
+    fires the least standard-legal force, one per step, and so completes
+    exactly when the base set is a zero forcing set. Every force of a
+    completing rigid-linkage schedule is a standard force: if u forced w
+    while u had another white neighbor x, x lies outside w's component
+    (the PSD condition), and from then on the idle u borders the white
+    component holding x, which no force may enter. Conversely, standard
+    forces taken one at a time are rigid-linkage forces: the target is
+    its forcer's one white neighbor, and a vertex that has forced borders
+    no white vertex. (See Ferrero et al., "Rigid linkages and partial
+    zero forcing", Electron. J. Combin. 26 (2019).) A stall so reports
+    the standard closure of the base set.
 
     On success ``pt`` counts the time-steps taken (per-rule propagation
     time). On failure ``blue`` holds the stalled blue set.
@@ -374,15 +375,9 @@ def propagate(rule: Rule, g: Graph, base: Iterable[int]) -> PropagationResult:
     blue = mask_of(b)
     if rule is Rule.RIGID_LINKAGE:
         steps: list[tuple[Force, ...]] = []
-        idle = 0
-        while blue != full:
-            legal = _legal_forces(rule, adj, blue, idle)
-            if not legal:
-                break
-            f = min(legal)
-            steps.append((f,))
-            blue |= 1 << f.dst
-            idle |= 1 << f.src
+        while blue != full and (legal := _legal_forces(Rule.STANDARD, adj, blue)):
+            steps.append((legal[0],))
+            blue |= 1 << legal[0].dst
     else:
         steps, blue = _fire(rule, adj, blue, full)
     if blue != full:

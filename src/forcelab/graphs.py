@@ -362,6 +362,8 @@ def graph6_decode(line: str) -> Graph:
     elif len(data) >= 4 and data[1] < 63:
         n = (data[1] << 12) | (data[2] << 6) | data[3]
         body = data[4:]
+        if n <= 62:
+            raise GraphFormatError(f"graph6 four-byte size form used for n={n}, below 63")
     else:
         raise GraphFormatError("graph6 strings beyond 18-bit sizes are not supported")
     need = (n * (n - 1) // 2 + 5) // 6

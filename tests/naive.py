@@ -63,6 +63,30 @@ def forces(rule: str, g, blue, inactive=frozenset()) -> set[Force]:
     return out
 
 
+def rigid_linkage_verdicts(g) -> dict[frozenset[int], bool]:
+    """For every base set of ``g``, whether some order of rigid-linkage
+    forces, one per step, colors the whole graph. An exhaustive search
+    over the (blue, idle) states that :func:`forces` steps between, each
+    state's verdict worked out once and shared by all the base sets that
+    reach it."""
+    verdict = {}
+
+    def completes(blue, idle):
+        if (blue, idle) not in verdict:
+            verdict[blue, idle] = len(blue) == g.n or any(
+                completes(blue | {f.dst}, idle | {f.src})
+                for f in forces("rigid_linkage", g, blue, idle)
+            )
+        return verdict[blue, idle]
+
+    return {
+        base: completes(base, frozenset())
+        for base in (
+            frozenset(v for v in range(g.n) if k >> v & 1) for k in range(1 << g.n)
+        )
+    }
+
+
 def legal_set_replay(g, chron) -> list[frozenset[int]]:
     """``validate_chronology`` by legal-force sets: each nonempty step
     builds every force its rule allows from the blue set at its start

@@ -64,6 +64,8 @@ RL_GRID = {
 FILES = {
     "k3.edges": "3 3\n0 1\n0 2\n1 2\n",
     "p3.edges": "3 2\n0 1\n1 2\n",
+    "p4.edges": "4 3\n0 1\n1 2\n2 3\n",
+    "k13.edges": "4 3\n0 1\n0 2\n0 3\n",
     "psd_grid.json": json.dumps(PSD_GRID),
     "psd_tree.json": json.dumps(PSD_TREE),
     "rl_grid.json": json.dumps(RL_GRID),
@@ -74,6 +76,8 @@ FILES = {
     "trailing.g6": "A_zzzz\n",
     "padding.g6": "A~\n",
     "trailing_line.g6": "DQo\nA_zzz\n",
+    # the graph "A_" behind the four-byte size form, which graph6 keeps for n >= 63
+    "long_size.g6": "~??A_\n",
     # a 4-vertex graph, then the 3x5 grid: 15 vertices, above the sweep cap
     "over_cap.g6": "Cr\nNhEAHCPAGG?P?P?G_AG\n",
     "bad_edges.edges": "3 2\n0 1\n",
@@ -112,6 +116,11 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("simulate-verbose", "simulate", "--rule", "z", "--graph", edges("p9"),
         "--blue", "0", "--verbose")
     add("simulate-stall", "simulate", "--rule", "z", "--graph", grid, "--blue", "5")
+    # the path 0-1-2-3: its least rigid-linkage force 1->0 would stall
+    add("simulate-rl-false-stall", "simulate", "--rule", "rl", "--graph", "{tmp}/p4.edges",
+        "--blue", "1,3")
+    add("simulate-rl-true-stall", "simulate", "--rule", "rl", "--graph", "{tmp}/k13.edges",
+        "--blue", "0")
     add("simulate-repeated-blue", "simulate", "--rule", "z", "--graph", "{tmp}/p3.edges",
         "--blue", "0,0")
     add("simulate-chronology", "simulate", "--rule", "z", "--graph", grid,
@@ -135,6 +144,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("solve-z-with-m", "solve", "--param", "z", "--graph", grid, "-m", "2")
     add("solve-g6-trailing", "solve", "--param", "z", "--graph", "{tmp}/trailing.g6")
     add("solve-g6-padding", "solve", "--param", "z", "--graph", "{tmp}/padding.g6")
+    add("solve-g6-long-size", "solve", "--param", "z", "--graph", "{tmp}/long_size.g6")
 
     add("witness-extract", "witness", "extract", "--graph", grid, "--chronology", chron)
     add("witness-apply", "witness", "apply", "--graph", grid, "--witness", witness)

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from forcelab import forcing, sliced, slices
+from forcelab import forcing, sliced, slices, solvers
 from forcelab.bundles import restrict
 from forcelab.errors import ChronologyError, InfeasibleError
 from forcelab.forcing import (
@@ -254,10 +254,12 @@ class TestValidateChronology:
             # Forced from a leaf, the centre of K1,3 had two white neighbors,
             # so its component splits and each leaf is flooded again.
             (Rule.PSD, star_graph(3), {1}, 3),
-            # Rigid linkage floods anew at every step.
-            (Rule.RIGID_LINKAGE, path_graph(6), {0}, 5),
+            # Rigid linkage carries its floods as PSD does: from an end of
+            # a path, one flood serves every step.
+            (Rule.RIGID_LINKAGE, path_graph(6), {0}, 1),
+            (Rule.RIGID_LINKAGE, path_graph(2000), {0}, 1),
         ],
-        ids=["psd-P2000-middle", "psd-star-split", "rl-P6"],
+        ids=["psd-P2000-middle", "psd-star-split", "rl-P6", "rl-P2000"],
     )
     def test_floods_carry_over_steps(self, monkeypatch, rule, g, base, floods):
         chron = propagate(rule, g, base).chronology
@@ -361,10 +363,50 @@ class TestPropagate:
         assert res.ok and res.pt == 3
         assert all(len(step) == 1 for step in res.chronology.steps)
 
+    def test_rl_completes_where_the_least_rl_force_stalls(self):
+        # 1 -> 0 is the least rigid-linkage force from {1, 3}, and the idle
+        # 1 would then border 2; the least standard force comes first.
+        res = propagate(Rule.RIGID_LINKAGE, path_graph(4), {1, 3})
+        assert res.ok and res.chronology.steps == ((Force(3, 2),), (Force(1, 0),))
+
+    def test_rl_stall_reports_the_standard_closure(self):
+        res = propagate(Rule.RIGID_LINKAGE, star_graph(3), {0})
+        assert not res.ok and res.blue == {0}
+
     def test_canonical_tiebreak_smallest_source(self):
         g = path_graph(3)
         res = propagate(Rule.STANDARD, g, {0, 2})
         assert res.chronology.steps == ((Force(0, 1),),)
+
+
+def check_rigid_linkage_verdicts(sizes) -> list[int]:
+    """Check ``propagate`` under rigid linkage against the exhaustive order
+    search of tests/naive.py on every base set of every atlas graph whose
+    size is in ``sizes``: the same verdict, a completing schedule that
+    replays under the rule, and a stall at the standard closure. Returns
+    the numbers of stalling and of completing base sets."""
+    counts = [0, 0]
+    for _, g in solvers.atlas_stream(max_n=max(sizes)):
+        if g.n not in sizes:
+            continue
+        for base, completes in naive.rigid_linkage_verdicts(g).items():
+            res = propagate(Rule.RIGID_LINKAGE, g, base)
+            assert res.ok == completes, (g, base)
+            if res.ok:
+                assert len(validate_chronology(g, res.chronology)[-1]) == g.n
+            else:
+                assert res.blue == propagate(Rule.STANDARD, g, base).blue, (g, base)
+            counts[res.ok] += 1
+    return counts
+
+
+class TestRigidLinkageVerdicts:
+    def test_every_base_set_up_to_six_vertices(self):
+        assert check_rigid_linkage_verdicts(range(1, 7)) == [6426, 4864]
+
+    @pytest.mark.slow
+    def test_every_base_set_on_seven_vertices(self):
+        assert check_rigid_linkage_verdicts([7]) == [75480, 58152]
 
 
 class TestActiveTimes:

@@ -268,6 +268,16 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match="padding"):
             graph6_decode(s)
 
+    @pytest.mark.parametrize("s", ["~??A_", "~???", "~??}" + "?" * 316])
+    def test_four_byte_size_below_63_rejected(self, s):
+        with pytest.raises(GraphFormatError, match="four-byte size form"):
+            graph6_decode(s)
+
+    def test_four_byte_size_from_63(self):
+        g = path_graph(63)
+        assert graph6_encode(g).startswith("~??~")
+        assert graph6_decode(graph6_encode(g)) == g
+
     def test_packaged_lines_are_canonical(self):
         # a sweep's graph_id is its graph6 line, so each line must be the
         # one string that decodes to its graph

@@ -6,8 +6,11 @@ host's masks, ``bundles._window_chains``, and the bundle construction
 around it, ``bundles._bundle_from_paths``, are a check of their own: they
 reach neither the engine nor a replay, and build no induced subgraph. The
 bit-sliced scans of ``sliced`` are checked against that engine, so no line
-of ``sliced.py`` names the engine or its component routine. The checks
-parse the sources with stdlib ``ast``, as ``test_imports`` does.
+of ``sliced.py`` names the engine or its component routine. The rigid-
+linkage order search of ``tests/naive.py`` is the oracle of ``propagate``
+under that rule, so it runs only the naive ``forces``: none of the engine,
+the replay or the library's public force functions. The checks parse the
+sources with stdlib ``ast``, as ``test_imports`` does.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "forcelab"
+NAIVE = Path(__file__).resolve().parent / "naive.py"
 FORCING = SRC / "forcing.py"
 ENGINE = {"_legal_forces", "_standard_step", "_psd_step", "_power_step", "PROCESSES", "_fire"}
 REPLAY = {"Replay", "validate_chronology", "subgraph_chronology", "induced_subgraph"}
@@ -51,6 +55,12 @@ def test_schedule_check_does_not_run_the_engine():
 def test_bundle_window_check_runs_neither_engine_nor_replay(entry):
     reached = names_reached((SRC / "bundles.py").read_text(), entry)
     assert reached & (ENGINE | REPLAY) == set()
+
+
+def test_rigid_linkage_oracle_runs_only_the_naive_forces():
+    reached = names_reached(NAIVE.read_text(), "rigid_linkage_verdicts")
+    assert "forces" in reached
+    assert reached & (ENGINE | REPLAY | {"possible_forces", "propagate"}) == set()
 
 
 def test_sliced_scans_name_nothing_of_the_engine():
