@@ -10,8 +10,9 @@ white component, read off one blue bitmask as the host's steps replay.
 Reversing its in-bundle forces relocates the PSD forcing set onto x while
 preserving the forcing trees (``relocate_psd_set``, the one body of the
 PSD reversal), and replaying the bundle forces one at a time certifies
-the bundle as a rigid linkage. Each schedule these derive is replayed as
-a guaranteed one (``Replay.guaranteed``).
+the bundle as a rigid linkage. Each schedule these derive is built in
+normal form, stored as built (``RelaxedChronology._normalized``) and
+replayed as a guaranteed one (``Replay.guaranteed``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .forcing import (
     _fire,
     _legal_forces,
 )
-from .graphs import Graph, component_masks, induced_subgraph, is_path_sequence, mask_of, set_of
+from .graphs import (
+    Graph, component_masks, induced_subgraph, is_path_sequence, mask_of, set_of, union_of
+)
 
 
 @dataclass(frozen=True)
@@ -72,22 +75,20 @@ def restrict(
     """
     if chron.rule not in (Rule.STANDARD, Rule.PSD):
         raise ValueError("restriction is defined for standard and PSD schedules")
-    keep = g.check_set(sub_vertices)
-    r = _kept(Replay(g, chron), keep, chron.rule)
+    r = _kept(Replay(g, chron), mask_of(g.check_set(sub_vertices)), chron.rule)
     sub, sub_chron = r.subgraph_chronology(g)
     Replay.guaranteed(sub.graph, sub_chron, "restriction failed to replay on its subgraph")
     return r
 
 
-def _kept(host: Replay, keep: frozenset[int], rule: Rule) -> Restriction:
-    """The restriction of a replayed schedule to ``keep``, replaying under ``rule``."""
+def _kept(host: Replay, keep: int, rule: Rule) -> Restriction:
+    """The restriction of a replayed schedule to the mask ``keep``, replaying under ``rule``."""
     steps = tuple(
-        tuple(f for f in step if f.src in keep and f.dst in keep)
-        for step in host.chron.steps
+        tuple(f for f in step if keep >> f.src & keep >> f.dst & 1) for step in host.chron.steps
     )
+    sub = set_of(keep)
     # A kept vertex is initial unless its forcer is kept: unless a kept force enters it.
-    initials = keep.difference(f.dst for step in steps for f in step)
-    return Restriction(rule, keep, steps, initials)
+    return Restriction(rule, sub, steps, sub.difference(f.dst for step in steps for f in step))
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ def _bundle_from_paths(host: Replay, paths: list[tuple[int, ...]]) -> PathBundle
     validity (:func:`_window_chains`), and demand each path be a restricted
     chain. The chains partition the path vertices, so they then equal the
     paths."""
-    keep = frozenset(v for p in paths for v in p)
+    keep = mask_of(v for p in paths for v in p)
     r = _kept(host, keep, Rule.STANDARD)
-    chains = _window_chains(host.graph.adjacency_masks(), r, mask_of(keep))
+    chains = _window_chains(host.graph.adjacency_masks(), r, keep)
     oriented = []
     for p in paths:
         o = p if p in chains else p[::-1]
@@ -213,27 +214,28 @@ def _induced_bundle(host: Replay, x: int) -> PathBundle:
     blue vertices next to the component, and the forest's roots name the
     tree (and bundle path) of each vertex."""
     g, chron, root = host.graph, host.chron, host.forest.root
-    adj = g.adjacency_masks()
+    adj, root_bits = g.adjacency_masks(), [1 << b for b in root]
     full = (1 << g.n) - 1
     paths = {b: [b] for b in sorted(chron.base)}
     blue = mask_of(chron.base)
     for k, step in enumerate(chron.steps):
         if blue >> x & 1:
             break
-        comp, once, _ = next(
-            c for c in component_masks(adj, full & ~blue) if c[0] >> x & 1
-        )
+        for comp, once, _ in component_masks(adj, full & ~blue):
+            if comp >> x & 1:
+                break
         # At most one vertex per tree may see white vertices in x's
-        # component; anything else means the schedule is corrupt.
-        lookers: dict[int, list[int]] = {}
-        for v in sorted(set_of(blue & once)):
-            lookers.setdefault(root[v], []).append(v)
-        for b, seen in sorted(lookers.items()):
-            if len(seen) > 1:
-                raise InvariantViolation(
-                    f"tree {b}: several vertices {seen} see "
-                    f"the target component at step {k}"
-                )
+        # component: as many root bits as vertices. Anything else means the
+        # schedule is corrupt, and the least such tree is named.
+        once &= blue
+        if union_of(root_bits, once).bit_count() < once.bit_count():
+            lookers: dict[int, list[int]] = {}
+            for v in sorted(set_of(once)):
+                lookers.setdefault(root[v], []).append(v)
+            b, seen = min((b, seen) for b, seen in lookers.items() if len(seen) > 1)
+            raise InvariantViolation(
+                f"tree {b}: several vertices {seen} see the target component at step {k}"
+            )
         grown = 0
         for f in step:
             blue |= 1 << f.dst
@@ -291,7 +293,7 @@ def relocate_psd_set(
         )
     rebuilt = Replay.guaranteed(
         g,
-        RelaxedChronology(Rule.PSD, new_base, new_steps + fired),
+        RelaxedChronology._normalized(Rule.PSD, new_base, new_steps + fired),
         "rebuilt schedule failed to validate",
     )
     if len(new_base) != len(chron.base) or v not in new_base:
@@ -342,7 +344,7 @@ def certify_rigid_linkage(g: Graph, chron: RelaxedChronology, x: int) -> RlCerti
     in_bundle = [f for step in bundle.restriction.steps for f in step]
     bundle_forces = set(in_bundle)
     rest = [f for f in chron.all_forces() if f not in bundle_forces]
-    reordered = RelaxedChronology(
+    reordered = RelaxedChronology._normalized(
         Rule.PSD, chron.base, [(f,) for f in in_bundle + rest]
     )
     Replay.guaranteed(g, reordered, "bundle-first reordering is not PSD-valid")

@@ -259,8 +259,12 @@ def _flood(adj: tuple[int, ...], white: int, v: int) -> int:
     return comp
 
 
-def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[int]]:
-    """Replay ``chron`` on ``g`` and return its expansion sequence.
+def validate_chronology(
+    g: Graph, chron: RelaxedChronology, *, expand: bool = True
+) -> list[frozenset[int]] | None:
+    """Replay ``chron`` on ``g`` and return its expansion sequence: the blue
+    set at the start and after each step. ``expand=False`` runs the same
+    checks in the same order, builds no expansion and returns None.
 
     Checks, step by step and force by force: no two forces in a step share
     a target, each force is legal for the blue set at the start of its
@@ -285,8 +289,8 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
         raise ValueError(f"cannot validate schedules for rule {rule.value}")
     adj, n = g.adjacency_masks(), g.n
     full = (1 << n) - 1
-    expansion = [g.check_set(chron.base)]
-    blue = mask_of(expansion[0])
+    blue = mask_of(g.check_set(chron.base))
+    masks = [blue] if expand else None
     idle_hood = 0  # the neighbors of the vertices that have forced (rigid linkage)
     standard, linkage = rule is Rule.STANDARD, rule is Rule.RIGID_LINKAGE
     floods: list[int] = []  # components as flooded, read less the vertices since blue
@@ -296,11 +300,10 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
                 f"step {k}: rigid-linkage steps carry at most one force", step=k
             )
         white = full & ~blue
-        cut = 0  # the components a target of this step may cut
-        dsts = set()
+        cut = hit = 0  # the components a target of this step may cut; its targets
         for f in step:
             src, dst = f
-            if dst in dsts:
+            if dst >= 0 and hit >> dst & 1:
                 raise ChronologyError(
                     f"step {k}: two forces target vertex {dst}", step=k, force=f
                 )
@@ -325,19 +328,20 @@ def validate_chronology(g: Graph, chron: RelaxedChronology) -> list[frozenset[in
                     step=k,
                     force=f,
                 )
-            dsts.add(dst)
-            blue |= 1 << dst
+            hit |= 1 << dst
             if linkage:
                 idle_hood |= adj[src]
         if cut:
             floods = [comp for comp in floods if not comp & cut]
-        expansion.append(expansion[-1] | dsts)
-    if len(expansion[-1]) != n:
-        left = sorted(set(range(n)) - expansion[-1])
+        blue |= hit
+        if expand:
+            masks.append(blue)
+    if blue != full:
+        left = sorted(set_of(full & ~blue))
         raise ChronologyError(
             f"white vertices remain after the last step: {left}", step=chron.ct
         )
-    return expansion
+    return [set_of(mask) for mask in masks] if expand else None
 
 
 @dataclass(frozen=True)
@@ -441,21 +445,24 @@ class _Forest(NamedTuple):
 class Replay:
     """A schedule replayed once on its graph (package-internal).
 
-    Construction makes the one :func:`validate_chronology` call and keeps
-    none of its result. The forcing forest (:attr:`forest`, the one
-    per-vertex record of the forces), activity spans, cover, terminus and
-    the boundary sets of a vertex subset (:meth:`initials`, :meth:`finals`,
-    on masks) are read off the validated steps, so the functions that
-    consume a schedule share a single replay of it. Spans and terminus
-    trust the rule that :meth:`standard` checked. A schedule the library
-    derives itself is replayed through :meth:`guaranteed`, the one place
-    where a failed replay of such a schedule becomes an InvariantViolation.
+    Construction makes the one :func:`validate_chronology` call, with
+    ``expand=False``: every check runs and no expansion is built
+    (``simulate --chronology`` and direct callers still get it). Derived
+    schedules are stored as built (``RelaxedChronology._normalized``). The
+    forcing forest (:attr:`forest`, the one per-vertex record of the
+    forces), activity spans, cover, terminus and the boundary sets of a
+    vertex subset (:meth:`initials`, :meth:`finals`, on masks) are read
+    off the validated steps, so the functions that consume a schedule
+    share a single replay of it. Spans and terminus trust the rule that
+    :meth:`standard` checked. A schedule the library derives itself is
+    replayed through :meth:`guaranteed`, the one place where a failed
+    replay of such a schedule becomes an InvariantViolation.
     """
 
     def __init__(self, g: Graph, chron: RelaxedChronology):
         self.graph = g
         self.chron = chron
-        validate_chronology(g, chron)
+        validate_chronology(g, chron, expand=False)
 
     @classmethod
     def guaranteed(cls, g: Graph, chron: RelaxedChronology, what: str) -> "Replay":

@@ -29,7 +29,7 @@ def subgraph_chains(g, r):
 
 def subgraph_bundle(host, paths):
     """The bundle check on the induced subgraph of the path vertices."""
-    r = bundles._kept(host, frozenset(v for p in paths for v in p), Rule.STANDARD)
+    r = bundles._kept(host, mask_of(v for p in paths for v in p), Rule.STANDARD)
     chains = subgraph_chains(host.graph, r)
     oriented = []
     for p in paths:

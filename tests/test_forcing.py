@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import partial
 from random import Random
 
 import pytest
@@ -227,6 +229,8 @@ class TestValidateChronology:
         # Every single-force mutation of random valid schedules gets the same
         # expansion, or the same exception with the same message, step and
         # force, from the per-force check and from whole legal-force sets.
+        # Without the expansion the check raises the same exception, and
+        # nothing where the expansion is returned.
         rng = Random(19)
         schedules = mutations = 0
         for _ in range(400):
@@ -237,9 +241,10 @@ class TestValidateChronology:
             schedules += 1
             for bad in single_force_mutations(chron, g.n):
                 mutations += 1
-                assert outcome(validate_chronology, g, bad) == outcome(
-                    naive.legal_set_replay, g, bad
-                ), bad
+                got = outcome(validate_chronology, g, bad)
+                assert got == outcome(naive.legal_set_replay, g, bad), bad
+                lean = outcome(partial(validate_chronology, expand=False), g, bad)
+                assert lean == (None if isinstance(got, list) else got), bad
             if schedules == 100:
                 break
         assert schedules == 100 and mutations > 12000
@@ -269,6 +274,30 @@ class TestValidateChronology:
         expansion = validate_chronology(g, chron)
         assert len(calls) == floods
         assert len(expansion) == chron.ct + 1 and len(expansion[-1]) == g.n
+
+
+# The standard schedule from an end of P4000, and the PSD and rigid-linkage
+# schedules of P2000: a replay that kept the blue set of every step would
+# hold n^2 / 2 vertex entries (330 MB on P4000).
+@pytest.mark.parametrize(
+    "rule, n, base",
+    [(Rule.STANDARD, 4000, 0), (Rule.PSD, 2000, 1000), (Rule.RIGID_LINKAGE, 2000, 0)],
+    ids=["standard-P4000", "psd-P2000-middle", "rl-P2000"],
+)
+def test_replay_memory_is_bounded(rule, n, base):
+    g = path_graph(n)
+    if rule is Rule.STANDARD:  # one force a step, as propagate fires it
+        chron = RelaxedChronology(rule, {base}, [[(v, v + 1)] for v in range(base, n - 1)])
+    else:
+        chron = propagate(rule, g, {base}).chronology
+    g.adjacency_masks()
+    tracemalloc.start()
+    try:
+        Replay(g, chron)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def single_force_mutations(chron, n):

@@ -44,9 +44,9 @@ def trusting(*chrons):
     schedule, when none is given) without checking their forces, and checks
     every other schedule as usual."""
 
-    def check(g, chron):
+    def check(g, chron, **kwargs):
         if chrons and not any(chron is c for c in chrons):
-            return CHECKED(g, chron)
+            return CHECKED(g, chron, **kwargs)
         blue = set(chron.base)
         expansion = [frozenset(blue)]
         for step in chron.steps:
@@ -57,7 +57,7 @@ def trusting(*chrons):
     return check
 
 
-def rejecting(g, chron):
+def rejecting(g, chron, **kwargs):
     raise ChronologyError("step 1: rejected", step=1)
 
 
@@ -82,6 +82,11 @@ TRIANGLE = [(0, 1), (1, 2), (0, 2)]
     [
         (psd(3, TRIANGLE, {0}, [[(0, 1)], [(1, 2)]]), 2,
          "tree 0: several vertices [0, 1] see the target component at step 1"),
+        # After step 2 both trees see 3 twice, tree 1 by the lower vertices:
+        # the least tree is named, with its vertices sorted.
+        (psd(6, [(0, 4), (4, 5), (1, 2), (5, 3), (3, 1), (3, 2), (3, 4)], {0, 1},
+             [[(0, 4)], [(4, 5), (1, 2)], [(5, 3)]]), 3,
+         "tree 0: several vertices [4, 5] see the target component at step 2"),
         (psd(4, [(0, 1), (1, 3), (3, 2), (2, 0)], {0}, [[(0, 1), (0, 2)], [(1, 3)]]), 3,
          "tree 0 forces twice into the target component at step 1"),
         # 0 forces 1, then 0 (no longer the end of its path) forces 2.
@@ -201,7 +206,7 @@ def test_reversal_replays_independently(validation):
 def test_restriction_replays_on_its_subgraph(validation):
     g = path_graph(4)
     chron = propagate(Rule.STANDARD, g, {0}).chronology
-    validation(lambda h, c: CHECKED(h, c) if c is chron else rejecting(h, c))
+    validation(lambda h, c, **kw: CHECKED(h, c, **kw) if c is chron else rejecting(h, c))
     with pytest.raises(InvariantViolation) as exc:
         bundles.restrict(g, chron, {1, 2})
     assert str(exc.value) == (

@@ -29,9 +29,9 @@ def counting(monkeypatch, original):
     a forcelab module holds for it."""
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "forcelab":
@@ -137,6 +137,28 @@ BUNDLE_REPLAYS = {
 def test_bundle_operations(replays, grid34, psd_chron, func):
     for x in range(grid34.n):
         assert replays(func, grid34, psd_chron, x) == BUNDLE_REPLAYS[func]
+
+
+def test_derived_bundle_schedules_are_stored_in_normal_form(replays):
+    # The rebuilt relocation and the bundle-first reordering skip the
+    # normalizing pass: every schedule that reaches the check must equal,
+    # field by field, the one the normalizing constructor builds from it.
+    cases = 0
+    for _, g in solvers.atlas_stream(max_n=5, connected_only=True):
+        for base in solvers.forcing_number(g, Rule.PSD).witnesses:
+            chron = propagate(Rule.PSD, g, base).chronology
+            for x in range(g.n):
+                for func in (bundles.relocate_psd_set, bundles.certify_rigid_linkage):
+                    assert replays(func, g, chron, x) == 2
+                    for _, c in replays.calls:
+                        # The dataclass compares rule, base and steps in turn.
+                        assert c == forcing.RelaxedChronology(c.rule, c.base, c.steps)
+                        assert type(c.base) is frozenset and type(c.steps) is tuple
+                        assert all(type(step) is tuple for step in c.steps)
+                        assert all(type(f) is forcing.Force for f in c.all_forces())
+                        assert all(type(v) is int for f in c.all_forces() for v in f)
+                    cases += 1
+    assert cases == 1800  # 190 schedules, both calls at each vertex
 
 
 @pytest.fixture
