@@ -23,7 +23,7 @@ from .forcing import (
     Rule,
     propagation_time_of_forces,
 )
-from .graphs import Graph, validate_path_cover
+from .graphs import CoverCheck, Graph, validate_path_cover
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,7 @@ class PipWitness:
         return cls(data["K"], data["paths"], parts)
 
 
-class WitnessCheck(NamedTuple):
-    ok: bool
-    violation: str | None
-
-
-def verify_witness(g: Graph, witness: PipWitness) -> WitnessCheck:
+def verify_witness(g: Graph, witness: PipWitness) -> CoverCheck:
     """Check a witness against a graph, reporting the first violation.
 
     Valid means: the paths are a path cover of ``g`` and every edge between
@@ -122,7 +117,7 @@ def verify_witness(g: Graph, witness: PipWitness) -> WitnessCheck:
     """
     cover = validate_path_cover(g, witness.paths)
     if not cover.ok:
-        return WitnessCheck(False, f"path cover invalid: {cover.violation}")
+        return CoverCheck(False, f"path cover invalid: {cover.violation}")
     where: dict[int, tuple[int, int]] = {}
     for i, path in enumerate(witness.paths):
         for j, v in enumerate(path):
@@ -135,11 +130,11 @@ def verify_witness(g: Graph, witness: PipWitness) -> WitnessCheck:
         bu = witness.partitions[iu].blocks[ju]
         bv = witness.partitions[iv].blocks[jv]
         if not _blocks_intersect(bu, bv):
-            return WitnessCheck(
+            return CoverCheck(
                 False,
                 f"edge {u}-{v}: blocks {list(bu)} and {list(bv)} are disjoint",
             )
-    return WitnessCheck(True, None)
+    return CoverCheck(True, None)
 
 
 def witness_to_chronology(g: Graph, witness: PipWitness) -> RelaxedChronology:
@@ -155,8 +150,9 @@ def witness_to_chronology(g: Graph, witness: PipWitness) -> RelaxedChronology:
             lo = part.blocks[j][0]
             steps[lo - 1].append(Force(path[j - 1], path[j]))
     chron = RelaxedChronology(Rule.STANDARD, witness.base(), steps)
-    r = Replay.guaranteed(g, chron, "witness produced an invalid schedule")
-    if _witness_of(r) != _canonical(witness):
+    rebuilt = _witness_of(Replay.guaranteed(g, chron, "witness produced an invalid schedule"))
+    given = dict(zip(witness.paths, witness.partitions))  # by path: chains come sorted by base
+    if dict(zip(rebuilt.paths, rebuilt.partitions)) != given:
         raise InvariantViolation("schedule does not reproduce the witness blocks")
     return chron
 
@@ -178,16 +174,6 @@ def _witness_of(r: Replay) -> PipWitness:
     cover, spans, k = r.cover, r.spans, r.chron.ct
     partitions = [BlockPartition(k, [spans[v] for v in c]) for c in cover.chains]
     return PipWitness(k, cover.chains, partitions)
-
-
-def _canonical(witness: PipWitness) -> PipWitness:
-    """Reorder paths by first vertex (chains come out sorted by base)."""
-    order = sorted(range(len(witness.paths)), key=lambda i: witness.paths[i][0])
-    return PipWitness(
-        witness.k,
-        [witness.paths[i] for i in order],
-        [witness.partitions[i] for i in order],
-    )
 
 
 # ---------------------------------------------------------------------------

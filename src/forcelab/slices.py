@@ -12,9 +12,9 @@ is a bitmask over :meth:`Graph.adjacency_masks`: :func:`_split` reads the
 three slices off the activity spans, :meth:`Replay.finals` and
 :meth:`Replay.initials` the boundary sets, and :func:`_rounds` walks a
 process from a mask, on a window of the graph if asked. The bounds sweep
-(``solvers.bounds_rows_for_graph``) calls :func:`_psd_set` and
-:func:`_power_set` on those masks directly; the public functions turn
-masks into frozensets only in what they return.
+(``solvers.bounds_rows_for_graph``) reads each m row from one :func:`_halving`
+call, which gives :func:`_psd_set` and :func:`_power_set` one replay and one
+split; the public functions turn masks into frozensets only in what they return.
 """
 
 from __future__ import annotations
@@ -207,16 +207,25 @@ class PowerConstruction:
     source_pt: int
 
 
-def _efficient_replay(g: Graph, m: int, cap, scan=None) -> Replay:
+def _efficient_replay(g: Graph, m: int, scan) -> Replay:
     """Replay of the canonical m-efficient schedule, propagated from the
     lexicographically least size-m set of minimum propagation time, read
-    from a standard-rule ``solvers._Scan`` of ``g`` (``scan``, or a new one
-    under ``cap``), and replayed as a guaranteed schedule."""
-    scan = scan or solvers._Scan(g, Rule.STANDARD, cap)
+    from the standard-rule ``solvers._Scan`` ``scan`` of ``g``, and
+    replayed as a guaranteed schedule."""
     result = propagate(Rule.STANDARD, g, scan.first(scan.time(m)[1]))
     if not result.ok:
         raise InvariantViolation("efficient set failed to replay")
     return Replay.guaranteed(g, result.chronology, "efficient schedule failed to validate")
+
+
+def _halving(g: Graph, m: int, scan) -> tuple[int, int, int, int]:
+    """A bounds sweep's m row on the standard ``solvers._Scan`` ``scan``:
+    pt(G, m), the bound ceil(pt(G, m)/2), and the rounds of :func:`_psd_set`
+    and :func:`_power_set`, which share one replay and one split at the bound."""
+    r = _efficient_replay(g, m, scan)
+    bound = (r.chron.ct + 1) // 2
+    halves = _split(r.spans, bound)
+    return r.chron.ct, bound, _psd_set(r, m, "auto", halves)[2], _power_set(r, m, halves)[2]
 
 
 def psd_set_from_slices(
@@ -230,7 +239,7 @@ def psd_set_from_slices(
     the guarantee max(first gap, gaps between cuts, last gap); achieved
     time (often better for several cuts) is counted in PSD rounds.
     """
-    r = _efficient_replay(g, m, cap)
+    r = _efficient_replay(g, m, solvers._Scan(g, Rule.STANDARD, cap))
     base, bound, rounds, cuts = _psd_set(r, m, cut_times)
     return SliceConstruction(set_of(base), bound, rounds, cuts, r.chron.ct)
 
@@ -244,21 +253,15 @@ def _psd_set(
     k_total = r.chron.ct
     if cut_times == "auto":
         cuts = ((k_total + 1) // 2,)
-        ats = [(halves or _split(r.spans, cuts[0]))[1]]
     else:
         cuts = tuple(sorted(set(int(c) for c in cut_times)))
         if not cuts:
             raise ValueError("at least one cut time is required")
         if cuts[0] < 0 or cuts[-1] > k_total:
             raise ValueError(f"cut times must lie in 0..{k_total}")
-        ats = [_split(r.spans, c)[1] for c in cuts]
     base = 0
-    for c, at in zip(cuts, ats):
-        if at.bit_count() != m:
-            raise InvariantViolation(
-                f"slice at {c} has {at.bit_count()} vertices, expected one per chain"
-            )
-        base |= at
+    for c in cuts:
+        base |= _chain_slice(r, m, c, halves)[1]
     gaps = [cuts[0], k_total - cuts[-1]]
     gaps.extend(b - a for a, b in zip(cuts, cuts[1:]))
     bound = max(gaps)
@@ -276,7 +279,7 @@ def power_set_from_slice(g: Graph, m: int, cap: int | None = None) -> PowerConst
     """Build a size-m power dominating set: the slice at ceil(K/2) of an
     m-efficient standard schedule, guaranteeing power propagation time at
     most ceil(pt(G, m)/2); achieved time is counted in rounds."""
-    r = _efficient_replay(g, m, cap)
+    r = _efficient_replay(g, m, solvers._Scan(g, Rule.STANDARD, cap))
     base, n_cut, rounds = _power_set(r, m)
     return PowerConstruction(set_of(base), n_cut, rounds, n_cut, r.chron.ct)
 
@@ -290,11 +293,7 @@ def _power_set(r: Replay, m: int, halves=None) -> tuple[int, int, int]:
     if k_total == 0:
         return (1 << g.n) - 1, 0, 0
     n_cut = (k_total + 1) // 2
-    before, base, after = halves or _split(r.spans, n_cut)
-    if base.bit_count() != m:
-        raise InvariantViolation(
-            f"slice at {n_cut} has {base.bit_count()} vertices, expected one per chain"
-        )
+    before, base, after = _chain_slice(r, m, n_cut, halves)
     if (r.finals(before) | r.initials(after)) & ~_closed_hood(g, base):
         raise InvariantViolation(
             "slice neighborhood misses a boundary set it must dominate"
@@ -307,6 +306,17 @@ def _power_set(r: Replay, m: int, halves=None) -> tuple[int, int, int]:
             f"power propagation took {rounds} steps, guaranteed at most {n_cut}"
         )
     return base, n_cut, rounds
+
+
+def _chain_slice(r: Replay, m: int, cut: int, halves=None) -> tuple[int, int, int]:
+    """The :func:`_split` of ``r`` at ``cut`` (``halves``, if given), whose
+    slice must hold one vertex of each of the schedule's m chains."""
+    halves = halves or _split(r.spans, cut)
+    if halves[1].bit_count() != m:
+        raise InvariantViolation(
+            f"slice at {cut} has {halves[1].bit_count()} vertices, expected one per chain"
+        )
+    return halves
 
 
 def _closed_hood(g: Graph, mask: int) -> int:

@@ -34,7 +34,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from . import sliced
+from . import sliced, slices
 from .errors import CapExceeded, InfeasibleError
 from .forcing import Rule
 from .graphs import Graph, components, graph6_decode, graph6_encode
@@ -365,23 +365,22 @@ def bounds_rows_for_graph(
     forcing numbers agree, exact minimum PSD propagation time is at most
     ceil(pt(G)/2). The last two appear as tagged rows (m = 'thr+', 'pt+').
 
-    One standard and one PSD ``_Scan`` serve every row, and the values
-    and the first efficient witness are read from them, not from the
+    One standard ``_Scan`` serves every row, and a PSD one the ``thrplus``
+    and ``zeq`` rows, built only when one of them is asked for. Values and
+    the first efficient witness are read from the scans, not from the
     public reports, so the only witness set unranked is the efficient set
     each m replays (``_Scan.first``), and only for ``bounds`` rows; the
-    other checks read pt(G, m) off the scan. Both constructions of an m
-    row share that one replay and its one split at the cut
-    ceil(pt(G, m)/2) (``slices._split``), and each counts its set's rounds
-    by walking its process one step at a time (``slices._rounds``), at
-    every n. Slices, boundary sets, neighborhoods and built sets stay
-    bitmasks throughout.
+    other checks read pt(G, m) off the scan. A ``bounds`` row is one
+    ``slices._halving`` call: one replay of the m-efficient schedule and
+    one split at ceil(pt(G, m)/2), which both constructions share; each
+    counts its set's rounds by walking its process one step at a time
+    (``slices._rounds``), at every n. Slices, boundary sets, neighborhoods
+    and built sets stay bitmasks throughout.
     """
-    from . import slices  # local import: slices builds on these solvers
-
     wanted = set(_known_checks(checks))
     cap = effective_cap(None, SWEEP_CAP)
     std = _Scan(g, Rule.STANDARD, cap)
-    psd_scan = _Scan(g, Rule.PSD, cap)
+    psd_scan = _Scan(g, Rule.PSD, cap) if wanted & {"thrplus", "zeq"} else None
     rows: list[BoundsRow] = []
     z = std.forcing()[0]
     pt_by_m: dict[int, int] = {}
@@ -389,12 +388,8 @@ def bounds_rows_for_graph(
         if "bounds" not in wanted:
             pt_by_m[m] = std.time(m)[0]
             continue
-        replay = slices._efficient_replay(g, m, cap, std)
-        pt_m = pt_by_m[m] = replay.chron.ct
-        bound = (pt_m + 1) // 2
-        halves = slices._split(replay.spans, bound)  # both constructions cut at the bound
-        psd_rounds = slices._psd_set(replay, m, "auto", halves)[2]
-        power_rounds = slices._power_set(replay, m, halves)[2]
+        pt_m, bound, psd_rounds, power_rounds = slices._halving(g, m, std)
+        pt_by_m[m] = pt_m
         ok = psd_rounds <= bound and power_rounds <= bound
         rows.append(
             BoundsRow(

@@ -85,6 +85,16 @@ FILES = {
     # a header above the largest graph6 size, refused before any allocation
     "huge_header.edges": "1000000000 0\n",
     "negative_header.edges": "-1 0\n",
+    "comments_only.edges": "# no graph here\n\n# nor here\n",
+    "one_token_header.edges": "3\n",
+    "word_header.edges": "three 2\n0 1\n1 2\n",
+    "three_token_edge.edges": "3 1\n0 1 2\n",
+    "word_edge.edges": "3 1\n0 x\n",
+    "out_of_range.edges": "3 1\n0 3\n",
+    "header_only.g6": ">>graph6<<\n",
+    "short.g6": "C\n",
+    "wide_size.g6": "~~\n",
+    "blank.g6": "",
     "not_json.json": "{",
     "deep.json": "[" * 100_000,
     "list.json": "[1, 2]",
@@ -211,6 +221,11 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("huge-header", "simulate", "--rule", "z", "--graph", "{tmp}/huge_header.edges",
         "--blue", "0")
     add("negative-header", "solve", "--param", "z", "--graph", "{tmp}/negative_header.edges")
+    for name in ("comments_only", "one_token_header", "word_header", "three_token_edge",
+                 "word_edge", "out_of_range"):
+        add(f"edges-{name}", "solve", "--param", "z", "--graph", f"{{tmp}}/{name}.edges")
+    for name in ("header_only", "short", "wide_size", "blank"):
+        add(f"g6-{name}", "solve", "--param", "z", "--graph", f"{{tmp}}/{name}.g6")
     add("bad-blue", "simulate", "--rule", "z", "--graph", grid, "--blue", "0,99")
     for name in ("not_json", "deep", "list", "no_steps", "str_base", "bad_rule", "illegal"):
         add(f"chronology-{name}", "simulate", "--rule", "z", "--graph", grid,

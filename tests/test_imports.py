@@ -79,3 +79,64 @@ def test_check_flags_an_unread_private_name():
         "b.py": "from a import _used\nimport a\n_used()\nprint(a._LIMIT)\n",
     }
     assert unread_private_names(sources) == ["a.py: _left (line 3)"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads_across_modules(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """``(reader, owner, name)`` for each private ``_name`` of module
+    ``owner`` that module ``reader`` reads, where both are among ``sources``
+    (module name -> source, parsed as in :func:`unread_private_names`):
+    through ``from .owner import _name``, as ``owner._name`` on a module
+    imported with ``from . import owner``, or as ``Name._name`` on a class
+    (or any other name) imported from ``owner``."""
+    reads = set()
+    for reader, source in sources.items():
+        tree = ast.parse(source)
+        owners = {}  # local name -> module it names or comes from
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    owners[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    reads.add((reader, node.module, alias.name))
+                else:
+                    owners[alias.asname or alias.name] = node.module
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in owners):
+                reads.add((reader, owners[node.value.id], node.attr))
+    return sorted(read for read in reads if read[0] != read[1])
+
+
+def test_private_names_read_across_modules():
+    # Each is a decision kept in one module and read by the one that needs
+    # it: the rule engine's forces and normal form by the bundle walk, the
+    # scan that the slice constructions start from, and the sweep's m row.
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert private_reads_across_modules(sources) == [
+        ("bundles", "forcing", "_fire"),
+        ("bundles", "forcing", "_legal_forces"),
+        ("bundles", "forcing", "_normalized"),
+        ("slices", "solvers", "_Scan"),
+        ("solvers", "slices", "_halving"),
+    ]
+
+
+def test_check_lists_private_reads_across_modules():
+    sources = {
+        "a": "class Box:\n    _size = 1\ndef _helper():\n    pass\n_LIMIT = 3\n",
+        "b": "from .a import _helper, Box as B\nfrom . import a\n"
+             "print(_helper(), B._size, a._LIMIT, a.__name__, B.size)\n",
+        "c": "from . import a as alias\nimport os\nprint(alias._helper, os._exit, self._own)\n",
+    }
+    assert private_reads_across_modules(sources) == [
+        ("b", "a", "_LIMIT"),
+        ("b", "a", "_helper"),
+        ("b", "a", "_size"),
+        ("c", "a", "_helper"),
+    ]

@@ -224,6 +224,26 @@ def test_witness_schedule_replays_independently(validation):
 
 
 @pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda w: pips.PipWitness(w.k, [p[::-1] for p in w.paths], w.partitions),
+        lambda w: pips.PipWitness(w.k, w.paths, [pips.BlockPartition(w.k, [(0, 0), (1, w.k)])]),
+    ],
+    ids=["reversed-path", "moved-block"],
+)
+def test_witness_schedule_gives_back_its_blocks(monkeypatch, corrupt):
+    # The witness rebuilt from the schedule must hold the given paths with
+    # the given blocks; a path or a block that differs fails.
+    g = path_graph(2)
+    witness = pips.PipWitness(3, [(0, 1)], [pips.BlockPartition(3, [(0, 1), (2, 3)])])
+    rebuild = pips._witness_of
+    monkeypatch.setattr(pips, "_witness_of", lambda r: corrupt(rebuild(r)))
+    with pytest.raises(InvariantViolation) as exc:
+        pips.witness_to_chronology(g, witness)
+    assert str(exc.value) == "schedule does not reproduce the witness blocks"
+
+
+@pytest.mark.parametrize(
     "build", [slices.psd_set_from_slices, slices.power_set_from_slice]
 )
 def test_efficient_schedule_replays_as_guaranteed(validation, build):

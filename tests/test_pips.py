@@ -188,6 +188,9 @@ class TestWitnessChronologyBridge:
             assert verify_witness(g, witness).ok
             back = witness_to_chronology(g, witness)
             assert back == chron
+            # the paths may come in any order
+            flipped = PipWitness(witness.k, witness.paths[::-1], witness.partitions[::-1])
+            assert witness_to_chronology(g, flipped) == chron
 
 
 class TestFamilies:

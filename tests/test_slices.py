@@ -239,7 +239,7 @@ class TestAchievedTimesMatchPropagate:
             sizes.add(std.table is None)
             z = std.forcing()[0]
             for m in range(z, g.n + 1):
-                replay = _efficient_replay(g, m, None, std)
+                replay = _efficient_replay(g, m, std)
                 k_total = replay.chron.ct
                 cuts = sorted(rng.sample(range(k_total + 1), min(2, k_total + 1)))
                 built = {  # (base mask, achieved rounds)
@@ -448,6 +448,24 @@ class TestChecksStillRaise:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "build, cut",
+        [
+            (lambda: psd_set_from_slices(path_graph(9), 1), 4),
+            (lambda: psd_set_from_slices(path_graph(9), 1, [2, 6]), 2),
+            (lambda: power_set_from_slice(path_graph(9), 1), 4),
+            (lambda: solvers.bounds_rows_for_graph("P9", path_graph(9)), 4),
+        ],
+        ids=["psd", "psd-two-cuts", "power", "sweep"],
+    )
+    def test_patched_split(self, monkeypatch, build, cut):
+        # Both constructions, from the public functions and from the sweep,
+        # check that their slice holds one vertex per chain.
+        monkeypatch.setattr(slices, "_split", lambda spans, step: (0, 0, 0))
+        with pytest.raises(InvariantViolation) as exc:
+            build()
+        assert str(exc.value) == f"slice at {cut} has 0 vertices, expected one per chain"
+
 
 _P5_CHRON = forcing.RelaxedChronology(
     Rule.STANDARD, [0], [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]
@@ -473,7 +491,7 @@ def test_mask_helpers_match_the_public_slices():
     for _, g in solvers.atlas_stream(max_n=7):
         std = solvers._Scan(g, Rule.STANDARD, None)
         for m in range(std.forcing()[0], g.n + 1):
-            r = _efficient_replay(g, m, None, std)
+            r = _efficient_replay(g, m, std)
             schedules += 1
             for step in range(r.chron.ct + 1):
                 minus, at, plus = slices._split(r.spans, step)
@@ -497,7 +515,7 @@ class TestFinalsAreTheReversalsInitials:
         for _, g in solvers.atlas_stream(max_n=7):
             std = solvers._Scan(g, Rule.STANDARD, None)
             for m in range(std.forcing()[0], g.n + 1):
-                sets += _finals_against_the_reversal(g, _efficient_replay(g, m, None, std))
+                sets += _finals_against_the_reversal(g, _efficient_replay(g, m, std))
                 schedules += 1
         assert (schedules, sets) == (5557, 12411)
 

@@ -850,6 +850,24 @@ class TestOneRoundsMemoPerRulePerCall:
             # the one witness set read per m row: the efficient set replayed
             assert witness_sets["built"] == len(m_rows), graph_id
 
+    def test_bounds_sweep_builds_a_psd_table_only_for_psd_checks(self, monkeypatch):
+        # Only thr+ and pt+ read the PSD scan: a bounds-only sweep builds no
+        # PSD table, and each PSD check alone builds one, with the rows of
+        # the default call.
+        graphs = list(atlas_stream(max_n=5))
+        rows = {graph_id: bounds_rows_for_graph(graph_id, g) for graph_id, g in graphs}
+        builds = self.record_table_builds(monkeypatch)
+        for checks, kept, psd_tables in (
+            (("bounds",), str.isdigit, 0),
+            (("thrplus",), "thr+".__eq__, 1),
+            (("zeq",), "pt+".__eq__, 1),
+        ):
+            for graph_id, g in graphs:
+                builds.clear()
+                got = bounds_rows_for_graph(graph_id, g, checks)
+                assert (builds[Rule.STANDARD], builds[Rule.PSD]) == (1, psd_tables), checks
+                assert got == [row for row in rows[graph_id] if kept(row.m)], checks
+
     def test_solve_parameter_pt(self, monkeypatch):
         # The 3x4 grid (n = 12) reads tables only with the constant above 12.
         monkeypatch.setattr("forcelab.solvers.SLICED_MIN_N", 13)
