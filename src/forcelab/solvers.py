@@ -10,7 +10,7 @@ Two engines run the candidates, both from :mod:`forcelab.sliced`. Below
 over all 2^n bitmasks (:func:`forcelab.sliced.rounds_table`, one bit-sliced
 round over the whole subset lattice) and then reads each candidate's rounds
 from it; the scans of one public call share one table per rule (Z then
-pt(G, Z) in ``solve_parameter``; Z, every pt(G, m), thr+, Z+ and pt+ in
+pt(G, Z) in ``solve_parameter``; Z, pt(G, m), thr+, Z+ and pt+ in
 ``bounds_rows_for_graph``). From ``SLICED_MIN_N`` vertices on,
 :mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once, from
 vectors that each scan derives size after size from one generator. Either way one result loop, ``_Scan.best``,
@@ -57,12 +57,18 @@ _ENV_CAP = "FORCELAB_CAP"
 
 
 def effective_cap(cap: int | None, default: int = DEFAULT_CAP) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(_ENV_CAP)
-    if env:
-        return int(env)
-    return default
+    """``cap`` if given, else ``FORCELAB_CAP`` if set, else ``default``; a
+    value that int() cannot read, or below 0, raises ValueError."""
+    name = "cap"
+    if cap is None:
+        cap, name = os.environ.get(_ENV_CAP) or default, _ENV_CAP
+    try:
+        limit = int(cap)
+    except (TypeError, ValueError):
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{name} must be an integer of at least 0, got {cap!r}")
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -370,69 +376,45 @@ def bounds_rows_for_graph(
     the first efficient witness are read from the scans, not from the
     public reports, so the only witness set unranked is the efficient set
     each m replays (``_Scan.first``), and only for ``bounds`` rows; the
-    other checks read pt(G, m) off the scan. A ``bounds`` row is one
-    ``slices._halving`` call: one replay of the m-efficient schedule and
-    one split at ceil(pt(G, m)/2), which both constructions share; each
-    counts its set's rounds by walking its process one step at a time
-    (``slices._rounds``), at every n. Slices, boundary sets, neighborhoods
-    and built sets stay bitmasks throughout.
+    other checks read pt(G, m) off the scan. ``bounds`` and ``thrplus``
+    read pt(G, m) for every m from Z to n, ``zeq`` only pt(G, Z), so a
+    call asking for neither of the first two scans m = Z alone. A
+    ``bounds`` row is one ``slices._halving`` call: one replay of the
+    m-efficient schedule and one split at ceil(pt(G, m)/2), which both
+    constructions share; each counts its set's rounds by walking its
+    process one step at a time (``slices._rounds``), at every n. Slices,
+    boundary sets, neighborhoods and built sets stay bitmasks throughout.
     """
     wanted = set(_known_checks(checks))
     cap = effective_cap(None, SWEEP_CAP)
     std = _Scan(g, Rule.STANDARD, cap)
     psd_scan = _Scan(g, Rule.PSD, cap) if wanted & {"thrplus", "zeq"} else None
-    rows: list[BoundsRow] = []
     z = std.forcing()[0]
+
+    def row(m, pt: int, bound: int, ok: bool, psd: str = "", power: str = "") -> BoundsRow:
+        return BoundsRow(graph_id, g.n, str(m), z, str(pt), bound, psd, power, ok)
+
+    rows: list[BoundsRow] = []
     pt_by_m: dict[int, int] = {}
-    for m in range(z, g.n + 1):
-        if "bounds" not in wanted:
+    for m in range(z, g.n + 1 if wanted & {"bounds", "thrplus"} else z + 1):
+        if "bounds" in wanted:
+            pt_by_m[m], bound, psd, power = slices._halving(g, m, std)
+            ok = psd <= bound and power <= bound
+            rows.append(row(m, pt_by_m[m], bound, ok, str(psd), str(power)))
+        else:
             pt_by_m[m] = std.time(m)[0]
-            continue
-        pt_m, bound, psd_rounds, power_rounds = slices._halving(g, m, std)
-        pt_by_m[m] = pt_m
-        ok = psd_rounds <= bound and power_rounds <= bound
-        rows.append(
-            BoundsRow(
-                graph_id,
-                g.n,
-                str(m),
-                z,
-                str(pt_m),
-                bound,
-                str(psd_rounds),
-                str(power_rounds),
-                ok,
-            )
-        )
-    rhs = min(m + (pt_by_m[m] + 1) // 2 for m in pt_by_m)
     # Z+ first: it runs sizes 0..Z+ to the end, and throttling then reads
     # them and derives Z+ + 1 onwards, where the other order cuts size Z+
     # short and Z+ builds it again.
     z_plus = psd_scan.forcing()[0] if "zeq" in wanted else None
     if "thrplus" in wanted:
+        rhs = min(m + (pt + 1) // 2 for m, pt in pt_by_m.items())
         thr_plus = psd_scan.throttling()[0]
-        rows.append(
-            BoundsRow(
-                graph_id, g.n, "thr+", z, str(thr_plus), rhs, "", "", thr_plus <= rhs
-            )
-        )
-    if "zeq" in wanted:
-        if z_plus == z:
-            pt_plus_exact = psd_scan.time(z_plus)[0]
-            bound = (pt_by_m[z] + 1) // 2
-            rows.append(
-                BoundsRow(
-                    graph_id,
-                    g.n,
-                    "pt+",
-                    z,
-                    str(pt_plus_exact),
-                    bound,
-                    "",
-                    "",
-                    pt_plus_exact <= bound,
-                )
-            )
+        rows.append(row("thr+", thr_plus, rhs, thr_plus <= rhs))
+    if z_plus == z:
+        pt_plus = psd_scan.time(z)[0]
+        bound = (pt_by_m[z] + 1) // 2
+        rows.append(row("pt+", pt_plus, bound, pt_plus <= bound))
     return rows
 
 

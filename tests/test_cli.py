@@ -407,3 +407,24 @@ def test_verify_bounds_atlas_over_an_env_cap_writes_nothing(capsys, monkeypatch)
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize(
+    "env, argv, detail",
+    [
+        ("-3", ["verify", "bounds", "--graphs", "all-n:2"],
+         "FORCELAB_CAP must be an integer of at least 0, got '-3'"),
+        ("abc", ["solve", "--param", "z", "--graph", "p9.edges"],
+         "FORCELAB_CAP must be an integer of at least 0, got 'abc'"),
+        (None, ["solve", "--param", "z", "--graph", "p9.edges", "--cap", "-3"],
+         "cap must be an integer of at least 0, got -3"),
+    ],
+)
+def test_a_bad_cap_names_itself(capsys, monkeypatch, inputs_dir, env, argv, detail):
+    if env is not None:
+        monkeypatch.setenv("FORCELAB_CAP", env)
+    argv = [str(inputs_dir / a) if a.endswith(".edges") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [json.dumps({"error": "ValueError", "detail": detail})]

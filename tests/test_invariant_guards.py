@@ -4,14 +4,15 @@ Each guard checks a property that holds for every valid input, so no valid
 input reaches it. These tests reach them by swapping ``validate_chronology``,
 under every name a forcelab module holds for it, for a replay that trusts
 hand-built corrupt schedules (returning their expansion without checking a
-force) or rejects every schedule, and they pin each guard's exact message.
+force) or rejects every schedule, or by patching the helper a guard checks,
+and they pin each guard's exact message.
 """
 
 import sys
 
 import pytest
 
-from forcelab import bundles, forcing, pips, slices
+from forcelab import bundles, forcing, pips, slices, solvers
 from forcelab.bundles import (
     certify_rigid_linkage,
     induced_path_bundle,
@@ -20,7 +21,7 @@ from forcelab.bundles import (
 )
 from forcelab.errors import ChronologyError, InvariantViolation
 from forcelab.forcing import RelaxedChronology, Rule, propagate
-from forcelab.graphs import Graph, path_graph, star_graph
+from forcelab.graphs import CoverCheck, Graph, path_graph, star_graph
 
 CHECKED = forcing.validate_chronology
 
@@ -286,3 +287,61 @@ def test_corrupt_terminus(validation):
     with pytest.raises(InvariantViolation) as exc:
         forcing.terminus(path_graph(3), chron)
     assert str(exc.value) == "terminus size differs from the base size"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: slices.power_set_from_slice(path_graph(9), 1),
+        lambda: solvers.bounds_rows_for_graph("P9", path_graph(9)),
+    ],
+    ids=["power", "sweep"],
+)
+def test_power_set_dominates_its_boundary_sets(monkeypatch, build):
+    # The slice at the cut of P9 from an end is {4}; a closed neighborhood
+    # of nothing misses the boundary vertices 3 and 5.
+    monkeypatch.setattr(slices, "_closed_hood", lambda g, mask: 0)
+    with pytest.raises(InvariantViolation) as exc:
+        build()
+    assert str(exc.value) == "slice neighborhood misses a boundary set it must dominate"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: slices.psd_set_from_slices(path_graph(5), 1),
+        lambda: slices.power_set_from_slice(path_graph(5), 1),
+        lambda: solvers.bounds_rows_for_graph("P5", path_graph(5), ("bounds",)),
+    ],
+    ids=["psd", "power", "sweep"],
+)
+def test_efficient_set_must_replay(monkeypatch, build):
+    # A propagation from no vertex stalls, as a scan's witness never does.
+    monkeypatch.setattr(slices, "propagate", lambda rule, g, base: propagate(rule, g, ()))
+    with pytest.raises(InvariantViolation) as exc:
+        build()
+    assert str(exc.value) == "efficient set failed to replay"
+
+
+def test_chain_set_must_be_a_witness(monkeypatch):
+    g = path_graph(4)
+    chron = propagate(Rule.STANDARD, g, {0}).chronology
+    monkeypatch.setattr(pips, "verify_witness", lambda g, w: CoverCheck(False, "rejected"))
+    with pytest.raises(InvariantViolation) as exc:
+        pips.chronology_to_witness(g, chron)
+    assert str(exc.value) == "chain set of a valid schedule failed as a witness: rejected"
+
+
+@pytest.mark.parametrize("func", [induced_path_bundle, relocate_psd_set, certify_rigid_linkage])
+def test_induced_bundle_holds_the_base_and_x(monkeypatch, func):
+    # Paths cut back to their base vertices still make a valid bundle, but
+    # one without x.
+    g = path_graph(3)
+    chron = propagate(Rule.PSD, g, {0}).chronology
+    build = bundles._bundle_from_paths
+    monkeypatch.setattr(
+        bundles, "_bundle_from_paths", lambda host, paths: build(host, [p[:1] for p in paths])
+    )
+    with pytest.raises(InvariantViolation) as exc:
+        func(g, chron, 2)
+    assert str(exc.value) == "induced bundle must contain the base set and x"

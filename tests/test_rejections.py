@@ -26,7 +26,7 @@ from forcelab.graphs import (
 )
 from forcelab.pips import BlockPartition, PipWitness, family_layout
 from forcelab.slices import interval_slice, psd_set_from_slices
-from forcelab.solvers import forcing_number, propagation_time_m
+from forcelab.solvers import effective_cap, forcing_number, propagation_time_m, sweep_bounds
 
 P3, P5 = path_graph(3), path_graph(5)
 P5_CHRON = RelaxedChronology(Rule.STANDARD, [0], [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]])
@@ -75,6 +75,10 @@ REJECTIONS = {
                       "at least one cut time is required"),
     "slices-cut-out-of-range": (lambda: psd_set_from_slices(P5, 1, [5]), ValueError,
                                 "cut times must lie in 0..4"),
+    "cap-negative": (lambda: forcing_number(P3, Rule.STANDARD, cap=-3), ValueError,
+                     "cap must be an integer of at least 0, got -3"),
+    "cap-unreadable": (lambda: effective_cap("abc"), ValueError,
+                       "cap must be an integer of at least 0, got 'abc'"),
 }
 
 
@@ -89,3 +93,30 @@ def test_rejection(call, error, message):
 def test_path_cover_with_an_empty_path():
     # validate_path_cover reports, not raises, so callers can word it.
     assert validate_path_cover(P3, [[0, 1, 2], []]) == CoverCheck(False, "path 1 is empty")
+
+
+@pytest.mark.parametrize(
+    "env, call",
+    [
+        ("abc", lambda: forcing_number(P3, Rule.STANDARD)),
+        ("-3", lambda: sweep_bounds([("Bg", P3)])),
+        ("1.5", lambda: propagation_time_m(P3, 1, Rule.STANDARD)),
+    ],
+)
+def test_env_cap_rejection(monkeypatch, env, call):
+    # A bad FORCELAB_CAP is named as such, not read as int() words or as a
+    # cap that every graph exceeds.
+    monkeypatch.setenv("FORCELAB_CAP", env)
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"FORCELAB_CAP must be an integer of at least 0, got {env!r}"
+
+
+def test_caps_of_zero_and_more_still_read(monkeypatch):
+    monkeypatch.delenv("FORCELAB_CAP", raising=False)
+    assert effective_cap(0) == 0 and effective_cap(None, 14) == 14
+    monkeypatch.setenv("FORCELAB_CAP", " 12 ")
+    assert effective_cap(None) == 12 and effective_cap(3) == 3
+    monkeypatch.setenv("FORCELAB_CAP", "")
+    assert effective_cap(None, 14) == 14

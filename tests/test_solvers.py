@@ -853,20 +853,38 @@ class TestOneRoundsMemoPerRulePerCall:
     def test_bounds_sweep_builds_a_psd_table_only_for_psd_checks(self, monkeypatch):
         # Only thr+ and pt+ read the PSD scan: a bounds-only sweep builds no
         # PSD table, and each PSD check alone builds one, with the rows of
-        # the default call.
+        # the default call. The standard scan is asked pt(G, m) for every m
+        # from Z to n by bounds and thr+ rows, and for m = Z alone by pt+.
         graphs = list(atlas_stream(max_n=5))
         rows = {graph_id: bounds_rows_for_graph(graph_id, g) for graph_id, g in graphs}
         builds = self.record_table_builds(monkeypatch)
-        for checks, kept, psd_tables in (
-            (("bounds",), str.isdigit, 0),
-            (("thrplus",), "thr+".__eq__, 1),
-            (("zeq",), "pt+".__eq__, 1),
+        rules, asked = {}, []
+        init, time = solvers._Scan.__init__, solvers._Scan.time
+
+        def recorded_init(scan, g, rule, cap):
+            rules[scan] = rule
+            init(scan, g, rule, cap)
+
+        def recorded_time(scan, m):
+            if rules[scan] is Rule.STANDARD:
+                asked.append(m)
+            return time(scan, m)
+
+        monkeypatch.setattr(solvers._Scan, "__init__", recorded_init)
+        monkeypatch.setattr(solvers._Scan, "time", recorded_time)
+        for checks, kept, psd_tables, all_m in (
+            (("bounds",), str.isdigit, 0, True),
+            (("thrplus",), "thr+".__eq__, 1, True),
+            (("zeq",), "pt+".__eq__, 1, False),
         ):
             for graph_id, g in graphs:
                 builds.clear()
+                asked.clear()
                 got = bounds_rows_for_graph(graph_id, g, checks)
                 assert (builds[Rule.STANDARD], builds[Rule.PSD]) == (1, psd_tables), checks
                 assert got == [row for row in rows[graph_id] if kept(row.m)], checks
+                z = rows[graph_id][0].z
+                assert asked == list(range(z, g.n + 1 if all_m else z + 1)), (checks, graph_id)
 
     def test_solve_parameter_pt(self, monkeypatch):
         # The 3x4 grid (n = 12) reads tables only with the constant above 12.
