@@ -212,7 +212,11 @@ def cmd_bundle(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.graphs.startswith("all-n:"):
-        max_n = int(args.graphs.split(":", 1)[1])
+        text = args.graphs.split(":", 1)[1]
+        try:
+            max_n = int(text)
+        except ValueError:
+            raise ValueError(f"--graphs all-n:N takes an integer N, got {text!r}") from None
         stream = solvers.atlas_stream(max_n=max_n, connected_only=args.connected_only)
     else:
         stream = solvers.stream_from_file(args.graphs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ChronologyError, InfeasibleError, InvariantViolation
@@ -442,6 +441,22 @@ class _Forest(NamedTuple):
     down: list[int]  # the mask of the vertices it forces
 
 
+class _once:
+    """An attribute computed on its first read and stored in the instance
+    ``__dict__``, which shadows this non-data descriptor from then on: a
+    lock-free :class:`functools.cached_property` (CPython 3.11 locks). A
+    read that raises stores nothing, so the next raises again."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Replay:
     """A schedule replayed once on its graph (package-internal).
 
@@ -484,7 +499,7 @@ class Replay:
             raise ValueError(f"{what} defined for the standard rule")
         return cls(g, chron)
 
-    @cached_property
+    @_once
     def forest(self) -> _Forest:
         """Roots, forcer bits and forced masks, read off the forces in order
         (a forced vertex takes its forcer's root), and the guards: a chain
@@ -515,10 +530,9 @@ class Replay:
                 raise InvariantViolation("forcing trees do not partition the vertices")
         return _Forest(root, up, down)
 
-    @cached_property
+    @_once
     def spans(self) -> list[tuple[int, int]]:
-        chron = self.chron
-        n = self.graph.n
+        chron, n = self.chron, self.graph.n
         first = [0 if v in chron.base else -1 for v in range(n)]
         last = [chron.ct] * n
         for k, step in enumerate(chron.steps, start=1):
@@ -528,7 +542,7 @@ class Replay:
                 last[f.src] = k - 1
         return list(zip(first, last))
 
-    @cached_property
+    @_once
     def cover(self) -> ForcingCover:
         chron, (root, up, _) = self.chron, self.forest
         # Every force extends its forcer's chain: a vertex forced twice fails the check.
@@ -551,7 +565,7 @@ class Replay:
             )
         return ForcingCover(chron.rule, chains, None)
 
-    @cached_property
+    @_once
     def terminus(self) -> frozenset[int]:
         term = frozenset(v for v, forced in enumerate(self.forest.down) if not forced)
         if len(term) != len(self.chron.base):

@@ -13,8 +13,8 @@ white component, and a round takes as many passes as the most components
 a subset has. One :func:`subset_vectors` generator gives a scan the
 vectors of every size it asks for, deriving each size from the last. Once
 few candidates still change, a PSD scan compresses its vectors to their
-bits (Warren's bit-parallel compress) and expands later finishers back;
-witnesses are read off set bits in one pass over the spelled-out bits.
+bits (Warren's bit-parallel compress) and expands later finishers back.
+Finishers stay such bit vectors; :func:`subsets` unranks them for a report.
 :func:`rounds_table` runs one round on 2^n-bit vectors instead,
 whose bit B stands for the bitmask B, and reads every mask's rounds off
 the successors that round gives. The rule rounds here are written out on
@@ -24,7 +24,6 @@ those vectors; they share no code with the per-mask engine of
 
 from __future__ import annotations
 
-import re
 import sys
 from functools import cache
 from itertools import combinations, compress
@@ -69,23 +68,22 @@ def _level(with_s: list[int], low: int, without: list[int], high: int) -> tuple[
     return [(1 << low) - 1] + [a | b << low for a, b in zip(with_s, without)], low + high
 
 
-def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator[list[int]]:
-    """Yield, for r = 0, 1, ..., the indices of the candidates whose maximal
-    process colors every vertex in exactly r rounds, ascending; stop once
-    every other candidate has stalled. ``nbrs[v]`` lists the neighbors of
-    v, and ``blue`` and ``count`` are one size's candidates, as
-    :func:`subset_vectors` yields them.
+def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator[int]:
+    """Yield, for r = 0, 1, ..., the candidates whose maximal process
+    colors every vertex in exactly r rounds, as an int with bit i set for
+    the i-th; stop once every other candidate has stalled. ``nbrs[v]`` lists
+    the neighbors of v, and ``blue`` and ``count`` are one size's
+    candidates, as :func:`subset_vectors` yields them.
 
     A candidate that did not change in a round never changes again. Once at
     most an eighth of the candidates still change, a PSD scan compresses
     its vectors to those bits, and expands every later finisher back
     through each such cut, the last cut first; a standard round costs too
     little to repay the cut."""
-    every = (1 << count) - 1
-    done = every
+    done = every = (1 << count) - 1
     for x in blue:
         done &= x
-    yield _indices(done)
+    yield done
     live = every ^ done
     step, later = _ROUNDS[rule]
     cuts = []
@@ -97,7 +95,7 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
         blue, done = new, every
         for x in blue:
             done &= x
-        yield _indices(_expand(done & moved, cuts))
+        yield _expand(done & moved, cuts)
         live = moved & ~done
         if rule is Rule.PSD and live and live.bit_count() * 8 <= every.bit_length():
             blue, stages = _compress(blue, live)
@@ -221,7 +219,6 @@ _ROUNDS = {
 }
 
 
-_ONE = re.compile(b"1")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -335,38 +332,23 @@ def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:
     return table
 
 
-def _indices(bits: int) -> list[int]:
-    """The set bits of ``bits``, ascending, from the bits spelled out one
-    byte each: through 0/1 flags when at least one bit in nine is set,
-    else by finding each '1'."""
-    if bits.bit_count() * 9 >= bits.bit_length():
-        return list(compress(range(bits.bit_length()), _spelled(bits).translate(_FLAGS)))
-    return [match.start() for match in _ONE.finditer(_spelled(bits))]
-
-
-def subsets(indices: list[int], n: int, k: int) -> list[frozenset[int]]:
-    """The k-subsets of range(n) at the given ascending indices of
-    combinations order. Two or more, at least one in 128 of the size, are
-    picked out of combinations() through one 0/1 flag per index; fewer are
-    unranked one by one, walking the vertices and skipping the
-    C(n - v - 1, j - 1) subsets that hold v when the index lies past them."""
-    count = comb(n, k)
-    if len(indices) > 1 and len(indices) * 128 >= count:
-        flags = bytearray(count)
-        for i in indices:
-            flags[i] = 1
-        return list(map(frozenset, compress(combinations(range(n), k), flags)))
-    out = []
-    for index in indices:
-        j, verts = k, []
-        for v in range(n):
-            if not j:
-                break
-            holding = comb(n - v - 1, j - 1)
-            if index < holding:
-                verts.append(v)
-                j -= 1
-            else:
-                index -= holding
-        out.append(frozenset(verts))
+def subsets(bits: int, n: int, k: int) -> list[frozenset[int]]:
+    """The k-subsets of range(n) at the set bits of ``bits``, bit i for the
+    i-th in combinations order, in that order, by a walk over blocks of that
+    order: the j-subsets of range(s, n) hold the C(n - s - 1, j - 1) with s
+    first, so a block splits in two there, and an empty one is skipped. A
+    block with at least one set bit in 32 is picked out of combinations()
+    by one 0/1 flag per subset, behind the vertices the walk took below s."""
+    out, blocks = [], [(bits, 0, k, ())] if bits else []
+    while blocks:
+        bits, s, j, prefix = blocks.pop()
+        if bits.bit_count() << 5 >= comb(n - s, j):
+            picked = compress(combinations(range(s, n), j), _spelled(bits).translate(_FLAGS))
+            out += map(frozenset, map(prefix.__add__, picked) if prefix else picked)
+            continue
+        low = comb(n - s - 1, j - 1)
+        if tail := bits >> low:
+            blocks.append((tail, s + 1, j, prefix))
+        if head := bits & (1 << low) - 1:
+            blocks.append((head, s + 1, j - 1, prefix + (s,)))
     return out

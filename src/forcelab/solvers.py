@@ -13,13 +13,15 @@ from it; the scans of one public call share one table per rule (Z then
 pt(G, Z) in ``solve_parameter``; Z, pt(G, m), thr+, Z+ and pt+ in
 ``bounds_rows_for_graph``). From ``SLICED_MIN_N`` vertices on,
 :mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once, from
-vectors that each scan derives size after size from one generator. Either way one result loop, ``_Scan.best``,
-reads a size's candidates as index lists by the round they finish in, and
-the scans of one call share those lists for every size that one of them
-ran to the end. All of it dies when the public call returns: nothing
-found about a graph is cached between calls. What depends on n alone is
-kept for the process: the lattice vectors a table is built from and the
-k-subset masks it is read at (``_subset_masks``). The per-mask engine of
+vectors that each scan derives size after size from one generator. Either
+way one result loop, ``_Scan.best``, reads a size's candidates by the round
+they finish in, as ints with bit i for the i-th in combinations order, and
+the scans of one call share those ints for every size that one of them ran
+to the end; only a report unranks them. All of it dies when the public
+call returns: nothing found about a graph is cached between calls. What
+depends on n alone is kept for the process: the lattice vectors a table is
+built from, the k-subset masks it is read at (``_subset_masks``) and the
+translations that spell its bytes (``_digits``). The per-mask engine of
 :mod:`forcelab.forcing` runs no scan; it replays schedules, and its
 step-by-step walk in ``slices._rounds``, the one way the slice checks
 count their sets' rounds, is the tables' oracle in the tests.
@@ -105,21 +107,20 @@ class _Scan:
 
     Below ``SLICED_MIN_N`` vertices the scan builds the rounds table of its
     rule once (:func:`forcelab.sliced.rounds_table`) and keeps it as
-    ``table``; only ``_finished_by_round`` reads it, to give every scan its
-    candidates' rounds. From ``SLICED_MIN_N`` on, ``table`` is None and a scan
-    takes one size k at a time through :mod:`forcelab.sliced`, which steps
-    all C(n, k) candidate sets of the size at once; the object holds one
-    :func:`forcelab.sliced.subset_vectors` generator, so a size that
-    follows the last one taken is derived from it, not built anew, and the
-    generator starts again only for a size below the last. Either way the scans
-    share the rounds of every size that one of them ran to the end
-    (``finished``), and all of it dies with the object when the call
-    returns. Construction refuses a graph above the cap before allocating.
+    ``table``; only ``_finished_by_round`` reads it. From ``SLICED_MIN_N``
+    on, ``table`` is None and a scan takes one size k at a time through
+    :mod:`forcelab.sliced`, which steps all C(n, k) candidate sets of the
+    size at once, from one :func:`forcelab.sliced.subset_vectors` generator
+    that derives each size from the last one taken and starts again only
+    for a size below it. Either way the scans share the rounds of every size
+    that one of them ran to the end (``finished``), and all of it dies with
+    the object when the call returns. Construction refuses a graph above
+    the cap before allocating.
 
-    Witnesses come back as ``(size, indices)`` chunks, the ascending
-    combinations-order indices of the size's witnesses, so the bounds sweep
-    reads values and first witnesses without building the sets a report
-    holds; ``sets`` and ``first`` turn them into vertex sets."""
+    Witnesses come back as ``(size, bits)`` chunks, bit i set for the
+    size's i-th subset in combinations order, so the bounds sweep reads
+    values and first witnesses without building the sets a report holds;
+    only ``sets`` and ``first`` unrank them (:func:`forcelab.sliced.subsets`)."""
 
     def __init__(self, g: Graph, rule: Rule, cap: int | None):
         limit = effective_cap(cap)
@@ -129,11 +130,9 @@ class _Scan:
                 f"pass a larger cap or set {_ENV_CAP} to override"
             )
         self.n = g.n
-        self.finished: dict[int, list[tuple[int, list[int]]]] = {}
+        self.finished: dict[int, list[tuple[int, int]]] = {}
         if g.n >= SLICED_MIN_N:
-            self.rule = rule
-            self.nbrs = g.adj
-            self.table = None
+            self.rule, self.nbrs, self.table = rule, g.adj, None
             self.size = g.n + 1  # the last size taken from ``vectors``: none yet, so above all
         else:
             self.table = sliced.rounds_table(rule, g.adj, g.n)
@@ -156,12 +155,12 @@ class _Scan:
 
     def sets(self, found: list) -> list[frozenset[int]]:
         """The witnesses of ``best`` as vertex sets, in scan order."""
-        return [w for size, indices in found for w in sliced.subsets(indices, self.n, size)]
+        return [w for size, bits in found for w in sliced.subsets(bits, self.n, size)]
 
     def first(self, found: list) -> frozenset[int]:
         """The first witness of ``best``, unranking no other."""
-        size, indices = found[0]
-        return sliced.subsets(indices[:1], self.n, size)[0]
+        size, bits = found[0]
+        return sliced.subsets(bits & -bits, self.n, size)[0]
 
     def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list]:
         """Scan the subsets of each size in turn, in combinations order
@@ -171,33 +170,30 @@ class _Scan:
         least 1 below the full set, so the scan stops at the first size
         whose least possible cost exceeds the best found, and a size at the
         first round whose cost does."""
-        n = self.n
-        best = None
-        witnesses: list[tuple[int, list[int]]] = []
+        best, witnesses = None, []
         for size in sizes:
-            if best is not None and cost(size, 0 if size == n else 1) > best:
+            if best is not None and cost(size, 0 if size == self.n else 1) > best:
                 break
-            tied: list[int] = []
+            tied = 0
             for rounds, finished in self._finished_by_round(size):
                 if finished:
                     value = cost(size, rounds)
                     if best is None or value < best:
                         best, tied, witnesses = value, finished, []
                     elif value == best:
-                        tied = tied + finished  # not +=: the scan keeps these lists
+                        tied |= finished
                 if best is not None and cost(size, rounds + 1) > best:
                     break
             if tied:
-                witnesses.append((size, sorted(tied)))
+                witnesses.append((size, tied))
         return best, witnesses
 
-    def _finished_by_round(self, size: int) -> Iterator[tuple[int, list[int]]]:
-        """``(r, indices)`` for r ascending: the indices of the size's
-        candidates that color every vertex in exactly r rounds, kept once a
-        scan has run the size to the end. A table gives the rounds that some
-        candidate takes, in one pass over the size's candidates that groups
-        their indices, ascending, by rounds byte; a sliced scan gives every
-        r of :func:`forcelab.sliced.finished_by_round`."""
+    def _finished_by_round(self, size: int) -> Iterator[tuple[int, int]]:
+        """``(r, bits)`` for r ascending: the size's candidates that color
+        every vertex in exactly r rounds, bit i for the i-th, kept once a
+        scan has run the size to the end. A table gives the candidates'
+        rounds bytes, last first, and int() reads each r's bits off them; a
+        sliced scan gives every r of :func:`forcelab.sliced.finished_by_round`."""
         known = self.finished.get(size)
         if known is not None:
             yield from known
@@ -205,10 +201,10 @@ class _Scan:
         if self.table is None:
             rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self._vectors(size)))
         else:
-            groups: dict[int, list[int]] = {}
-            for i, mask in enumerate(_subset_masks(self.n, size)):
-                groups.setdefault(self.table[mask], []).append(i)
-            rounds = ((k - 2, groups[k]) for k in sorted(groups) if k > 1)
+            spelled = bytes(map(self.table.__getitem__, _subset_masks(self.n, size)))[::-1]
+            rounds = (
+                (k - 2, int(spelled.translate(_digits(k)), 2)) for k in sorted(set(spelled)) if k > 1
+            )
         known = []
         for pair in rounds:
             known.append(pair)
@@ -227,6 +223,12 @@ class _Scan:
             self.last = next(self.vectors)
             self.size += 1
         return self.last
+
+
+@cache
+def _digits(k: int) -> bytes:
+    """The translation of a byte to ASCII '1' where it is k, else '0'."""
+    return bytes(49 if b == k else 48 for b in range(256))
 
 
 @cache
@@ -372,19 +374,17 @@ def bounds_rows_for_graph(
     ceil(pt(G)/2). The last two appear as tagged rows (m = 'thr+', 'pt+').
 
     One standard ``_Scan`` serves every row, and a PSD one the ``thrplus``
-    and ``zeq`` rows, built only when one of them is asked for. Values and
-    the first efficient witness are read from the scans, not from the
-    public reports, so the only witness set unranked is the efficient set
-    each m replays (``_Scan.first``), and only for ``bounds`` rows; the
-    other checks read pt(G, m) off the scan. ``bounds`` and ``thrplus``
-    read pt(G, m) for every m from Z to n, ``zeq`` only pt(G, Z), so a
-    call asking for neither of the first two scans m = Z alone. A
-    ``bounds`` row is one ``slices._halving`` call: one replay of the
-    m-efficient schedule and one split at ceil(pt(G, m)/2), which both
-    constructions share; each counts its set's rounds by walking its
-    process one step at a time (``slices._rounds``), at every n. Slices,
-    boundary sets, neighborhoods and built sets stay bitmasks throughout.
-    """
+    and ``zeq`` rows, built only when one of them is asked for. Values are
+    read off the scans, not the public reports, so the one witness set
+    unranked is the efficient set each ``bounds`` row replays
+    (``_Scan.first``). ``bounds`` and ``thrplus`` read pt(G, m) for every m
+    from Z to n, ``zeq`` only pt(G, Z), so a call asking for neither of the
+    first two scans m = Z alone. A ``bounds`` row is one ``slices._halving``
+    call: one replay of the m-efficient schedule and one split at
+    ceil(pt(G, m)/2), which both constructions share; each counts its set's
+    rounds by walking its process one step at a time (``slices._rounds``),
+    at every n. Slices, boundary sets, neighborhoods and built sets stay
+    bitmasks throughout."""
     wanted = set(_known_checks(checks))
     cap = effective_cap(None, SWEEP_CAP)
     std = _Scan(g, Rule.STANDARD, cap)

@@ -205,6 +205,7 @@ def _cases() -> list[tuple[str, list[str]]]:
     add("verify-n9", "verify", "bounds", "--graphs", "all-n:9")
     add("verify-n0", "verify", "bounds", "--graphs", "all-n:0")
     add("verify-n-negative", "verify", "bounds", "--graphs", "all-n:-2")
+    add("verify-n-not-a-number", "verify", "bounds", "--graphs", "all-n:abc")
     add("verify-over-cap", "verify", "bounds", "--graphs", "{tmp}/over_cap.g6")
     add("verify-bad-check", "verify", "bounds", "--graphs", "all-n:3", "--checks", "nope")
     add("verify-jobs-0", "verify", "bounds", "--graphs", "all-n:3", "--jobs", "0")

@@ -300,6 +300,32 @@ def test_replay_memory_is_bounded(rule, n, base):
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize(
+    "rule, names",
+    [(Rule.STANDARD, ("forest", "spans", "cover", "terminus")), (Rule.PSD, ("forest", "cover"))],
+)
+def test_replay_properties_compute_once_per_replay(monkeypatch, rule, names):
+    # cover and terminus read the forest too; each runs once per replay.
+    # Terminus is defined, and spans trusted, under the standard rule only.
+    runs = dict.fromkeys(names, 0)
+    for name in names:
+        prop = vars(Replay)[name]
+        assert getattr(Replay, name) is prop  # read off the class, as help() does
+
+        def counted(replay, func=prop.func, name=name):
+            runs[name] += 1
+            return func(replay)
+
+        monkeypatch.setattr(prop, "func", counted)
+    g = path_graph(6)
+    chron = propagate(rule, g, {0} if rule is Rule.STANDARD else {2}).chronology
+    for replays in (1, 2):
+        replay = Replay(g, chron)
+        for name in names * 3:
+            assert getattr(replay, name) == getattr(replay, name)
+        assert runs == dict.fromkeys(names, replays)
+
+
 def single_force_mutations(chron, n):
     """Every schedule one force edit away from ``chron``: a force's source
     or target set to another value in -1..n, a force dropped or moved to

@@ -290,6 +290,24 @@ def test_corrupt_terminus(validation):
 
 
 @pytest.mark.parametrize(
+    "g, steps, attr, message",
+    [
+        (path_graph(3), [[(0, 1)]], "terminus", "terminus size differs from the base size"),
+        (star_graph(2), [[(0, 1)], [(0, 2)]], "forest", "vertex 0 forces twice"),
+    ],
+)
+def test_a_failed_guard_fails_again_on_the_same_replay(validation, g, steps, attr, message):
+    # a read that raises stores nothing, so the next read runs the guard again
+    chron = RelaxedChronology(Rule.STANDARD, {0}, steps)
+    validation(trusting(chron))
+    replay = forcing.Replay(g, chron)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation) as exc:
+            getattr(replay, attr)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: slices.power_set_from_slice(path_graph(9), 1),

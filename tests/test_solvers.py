@@ -387,7 +387,7 @@ class TestScansAgreeWithBruteForce:
                 for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
                     rounds = [None] * comb(n, k)
                     for r, finished in enumerate(finished_by_round(rule, g.adj, blue, count)):
-                        for i in finished:
+                        for i in bits_of(finished, count):
                             rounds[i] = r
                     got += rounds
                 assert got == [r for _, r in brute_force_table(g, rule)]
@@ -411,7 +411,7 @@ class TestScansAgreeWithBruteForce:
                 cuts.clear()
                 rounds = [None] * comb(n, k)
                 for r, finished in enumerate(finished_by_round(Rule.PSD, g.adj, blue, count)):
-                    for i in finished:
+                    for i in bits_of(finished, count):
                         rounds[i] = r
                 got += rounds
                 most = max(most, len(cuts))
@@ -646,16 +646,24 @@ class TestSlicedHelpers:
                     assert got == next(sliced.subset_vectors(n, j)), (n, k, j)
 
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.1, 0.12, 0.3, 1.0])
-    def test_indices_on_both_sides_of_the_switch(self, density):
+    def test_subsets_on_both_sides_of_the_switch(self, density):
+        # sizes of 1, 9, 56, 1,001 and 5,005 subsets
         rng = Random(241)
-        for width in (1, 9, 64, 1000, 5000):
-            bits = sum(1 << i for i in range(width) if rng.random() < density)
-            assert sliced._indices(bits) == bits_of(bits, width)
+        for n, k in ((4, 4), (9, 1), (8, 3), (14, 4), (15, 6)):
+            combos = [frozenset(c) for c in combinations(range(n), k)]
+            bits = sum(1 << i for i in range(len(combos)) if rng.random() < density)
+            assert sliced.subsets(bits, n, k) == [combos[i] for i in bits_of(bits, len(combos))]
 
-    def test_indices_take_both_paths(self):
-        # one set bit in nine is where the flags take over from the search
-        for bits in (0, 1 << 8, 1 << 9, (1 << 17) | 1, (1 << 18) | 1):
-            assert sliced._indices(bits) == bits_of(bits, 20)
+    def test_subsets_take_both_paths(self, monkeypatch):
+        # one set bit in 32 of a block is where the flags take over from the
+        # split: C(10, 5) = 252 subsets hold 8 * 32 = 256 >= 252 > 7 * 32
+        picked = record_picked_blocks(monkeypatch)
+        combos = [frozenset(c) for c in combinations(range(10), 5)]
+        for count, whole in ((7, False), (8, True)):
+            bits = sum(1 << i for i in range(0, 252, 31)[:count])
+            picked.clear()
+            assert sliced.subsets(bits, 10, 5) == [combos[i] for i in bits_of(bits, 252)]
+            assert (picked == [(0, 5)]) is whole, picked
 
     @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 13, 14, 15, 20])
     def test_compress_gathers_the_live_bits(self, n):
@@ -683,15 +691,61 @@ class TestSlicedHelpers:
                 assert kept == blue
                 assert [sliced._expand(x, [(live, stages)]) for x in blue] == spread
 
-    def test_subsets_on_both_paths_follow_combinations_order(self):
+    def test_subsets_on_both_paths_follow_combinations_order(self, monkeypatch):
+        # Each case reaches one branch of the walk; ``picked`` lists the
+        # blocks (s, j) taken out of combinations(range(s, n), j).
+        picked = record_picked_blocks(monkeypatch)
+        head = comb(17, 8)  # the 9-subsets of range(18) holding 0 come first
+        cases = [
+            ("no bits", 18, 9, [], []),
+            ("j = 0", 5, 0, [0], [(0, 0)]),
+            ("one bit deep in a large size", 18, 9, [30000], [(12, 3)]),
+            ("a full block", 12, 6, range(924), [(0, 6)]),
+            ("a dense block", 7, 3, [2, 30], [(0, 3)]),
+            ("a split with an empty head", 18, 9, [head + 5, 40000], [(9, 1), (12, 3)]),
+            ("a split with an empty tail", 18, 9, [7, head - 1], [(8, 1), (9, 8)]),
+        ]
+        for name, n, k, indices, blocks in cases:
+            combos = [frozenset(c) for c in combinations(range(n), k)]
+            picked.clear()
+            bits = sum(1 << i for i in indices)
+            assert sliced.subsets(bits, n, k) == [combos[i] for i in indices], name
+            assert picked == blocks, name
         rng = Random(257)
         for n, k in [(0, 0), (5, 0), (5, 5), (7, 3), (12, 6), (14, 4), (18, 2)]:
             combos = [frozenset(c) for c in combinations(range(n), k)]
             count = len(combos)
-            # 1 (walked), under and over one in 128 of the size, and all
-            for picked in {1, 2, max(1, count // 128 - 1), count // 128 + 1, count}:
-                indices = sorted(rng.sample(range(count), min(picked, count)))
-                assert sliced.subsets(indices, n, k) == [combos[i] for i in indices]
+            # one, under and over one in 32 of the size, and all
+            for chosen in {1, 2, max(1, count // 32 - 1), count // 32 + 1, count}:
+                indices = sorted(rng.sample(range(count), min(chosen, count)))
+                bits = sum(1 << i for i in indices)
+                assert sliced.subsets(bits, n, k) == [combos[i] for i in indices]
+
+    @pytest.mark.parametrize("n, k", [(9, 2), (12, 3), (16, 4), (20, 3)])
+    def test_subsets_iterate_as_their_combinations_tuples(self, n, k):
+        # Vertices 8 and up collide with lower ones in the 8-slot table of a
+        # small frozenset, so its iteration order is its insertion order
+        # there: each set must come from its ascending tuple.
+        combos = list(combinations(range(n), k))
+        assert any(list(frozenset(c)) != list(frozenset(c[::-1])) for c in combos)
+        rng = Random(271 + n)
+        for density in (0.001, 0.02, 0.2, 1.0):
+            bits = sum(1 << i for i in range(len(combos)) if rng.random() < density)
+            expected = [list(frozenset(combos[i])) for i in bits_of(bits, len(combos))]
+            assert [list(w) for w in sliced.subsets(bits, n, k)] == expected
+
+
+def record_picked_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (s, j) for every combinations(range(s, n), j) that
+    ``sliced`` makes from now on."""
+    picked = []
+
+    def recorded(pool, j):
+        picked.append((pool.start, j))
+        return combinations(pool, j)
+
+    monkeypatch.setattr(sliced, "combinations", recorded)
+    return picked
 
 
 def test_per_n_constants_match_a_fresh_computation():
@@ -815,8 +869,8 @@ class TestOneRoundsMemoPerRulePerCall:
         witness_sets = Counter()
         subsets = sliced.subsets
 
-        def counted(indices, n, k):
-            out = subsets(indices, n, k)
+        def counted(bits, n, k):
+            out = subsets(bits, n, k)
             witness_sets["built"] += len(out)
             return out
 
