@@ -82,13 +82,12 @@ def restrict(
 
 
 def _kept(host: Replay, keep: int, rule: Rule) -> Restriction:
-    """The restriction of a replayed schedule to the mask ``keep``, replaying under ``rule``."""
+    """The restriction of a replayed schedule to the mask ``keep``, replaying
+    under ``rule``; its initial vertices are :meth:`Replay.initials` of ``keep``."""
     steps = tuple(
         tuple(f for f in step if keep >> f.src & keep >> f.dst & 1) for step in host.chron.steps
     )
-    sub = set_of(keep)
-    # A kept vertex is initial unless its forcer is kept: unless a kept force enters it.
-    return Restriction(rule, sub, steps, sub.difference(f.dst for step in steps for f in step))
+    return Restriction(rule, set_of(keep), steps, set_of(host.initials(keep)))
 
 
 @dataclass(frozen=True)

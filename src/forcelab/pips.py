@@ -277,13 +277,8 @@ def _family_member(layout: FamilyLayout, index: int, bits: int) -> FamilyMember:
     """The member with the cross edges whose positions are set in ``bits``."""
     chosen = tuple(e for i, e in enumerate(layout.cross_edges) if bits >> i & 1)
     g = Graph(layout.n, layout.path_edges + chosen)
-    forces = [
-        Force(path[j], path[j + 1])
-        for path in layout.paths
-        for j in range(len(path) - 1)
-    ]
     pt_upper = propagation_time_of_forces(
-        g, layout.witness.base(), forces, Rule.STANDARD
+        g, layout.witness.base(), layout.path_edges, Rule.STANDARD
     )
     return FamilyMember(index, g, chosen, layout.witness, len(layout.paths), pt_upper)
 
@@ -304,8 +299,6 @@ def pip_number_by_search(g: Graph, cap: int = 7) -> int:
     cross-checks on graphs with at most ``cap`` vertices."""
     if g.n > cap:
         raise CapExceeded(f"witness search capped at n <= {cap}")
-    if g.n == 0:
-        return 0
     best = g.n + 1
 
     def path_orderings(sub: frozenset[int]) -> list[tuple[int, ...]]:

@@ -17,7 +17,10 @@ bits (Warren's bit-parallel compress) and expands later finishers back.
 Finishers stay such bit vectors; :func:`subsets` unranks them for a report.
 :func:`rounds_table` runs one round on 2^n-bit vectors instead,
 whose bit B stands for the bitmask B, and reads every mask's rounds off
-the successors that round gives. The rule rounds here are written out on
+the successors that round gives; :func:`table_finished_by_round` reads a
+size's finishers off those bytes. What depends on n alone is kept for the
+process: the lattice vectors, a size's masks and the byte translations
+that spell the table's bytes. The rule rounds here are written out on
 those vectors; they share no code with the per-mask engine of
 :mod:`forcelab.forcing`, which stays their oracle.
 """
@@ -290,6 +293,20 @@ def _lattice_vectors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
+def _subset_masks(n: int, k: int) -> tuple[int, ...]:
+    """The bitmasks of the k-subsets of range(n) in combinations order: a
+    size's table indices. Only tables, below ``solvers.SLICED_MIN_N``
+    vertices, read them, and those hold 1,023 masks in all."""
+    return tuple(map(sum, combinations([1 << v for v in range(n)], k)))
+
+
+@cache
+def _digits(b: int) -> bytes:
+    """The translation of a byte to ASCII '1' where it is ``b``, else '0'."""
+    return bytes(49 if c == b else 48 for c in range(256))
+
+
 def _successors(blue: list[int], n: int):
     """The mask of the vertices set at bit B of the vectors ``blue``, for
     every mask B, up to 16 vertices. Vertex v's vector is spelled out into
@@ -330,6 +347,17 @@ def rounds_table(rule: Rule, nbrs, n: int) -> bytearray:
         table = bytearray(map(table.__getitem__, succ)).translate(_AFTER)
         table[-1] = 2
     return table
+
+
+def table_finished_by_round(table: bytearray, n: int, k: int) -> Iterator[tuple[int, int]]:
+    """``(r, bits)`` for r ascending: the k-subsets of range(n) that the
+    :func:`rounds_table` ``table`` gives r rounds, bit i for the i-th in
+    combinations order. Their rounds bytes are read in one pass, last first,
+    and int() reads each r's bits off them spelled as ASCII digits."""
+    spelled = bytes(map(table.__getitem__, _subset_masks(n, k)))[::-1]
+    for b in sorted(set(spelled)):
+        if b > 1:
+            yield b - 2, int(spelled.translate(_digits(b)), 2)
 
 
 def subsets(bits: int, n: int, k: int) -> list[frozenset[int]]:

@@ -225,7 +225,7 @@ def _halving(g: Graph, m: int, scan) -> tuple[int, int, int, int]:
     r = _efficient_replay(g, m, scan)
     bound = (r.chron.ct + 1) // 2
     halves = _split(r.spans, bound)
-    return r.chron.ct, bound, _psd_set(r, m, "auto", halves)[2], _power_set(r, m, halves)[2]
+    return r.chron.ct, bound, _psd_set(r, "auto", halves)[2], _power_set(r, halves)[2]
 
 
 def psd_set_from_slices(
@@ -240,14 +240,12 @@ def psd_set_from_slices(
     time (often better for several cuts) is counted in PSD rounds.
     """
     r = _efficient_replay(g, m, solvers._Scan(g, Rule.STANDARD, cap))
-    base, bound, rounds, cuts = _psd_set(r, m, cut_times)
+    base, bound, rounds, cuts = _psd_set(r, cut_times)
     return SliceConstruction(set_of(base), bound, rounds, cuts, r.chron.ct)
 
 
-def _psd_set(
-    r: Replay, m: int, cut_times, halves=None
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """:func:`psd_set_from_slices` on the replay ``r`` of the m-efficient
+def _psd_set(r: Replay, cut_times, halves=None) -> tuple[int, int, int, tuple[int, ...]]:
+    """:func:`psd_set_from_slices` on the replay ``r`` of an efficient
     schedule; ``halves``, if given, is the :func:`_split` at the auto cut.
     Returns the set's mask, its bound, its rounds and the cut times."""
     k_total = r.chron.ct
@@ -261,7 +259,7 @@ def _psd_set(
             raise ValueError(f"cut times must lie in 0..{k_total}")
     base = 0
     for c in cuts:
-        base |= _chain_slice(r, m, c, halves)[1]
+        base |= _chain_slice(r, c, halves)[1]
     gaps = [cuts[0], k_total - cuts[-1]]
     gaps.extend(b - a for a, b in zip(cuts, cuts[1:]))
     bound = max(gaps)
@@ -280,12 +278,12 @@ def power_set_from_slice(g: Graph, m: int, cap: int | None = None) -> PowerConst
     m-efficient standard schedule, guaranteeing power propagation time at
     most ceil(pt(G, m)/2); achieved time is counted in rounds."""
     r = _efficient_replay(g, m, solvers._Scan(g, Rule.STANDARD, cap))
-    base, n_cut, rounds = _power_set(r, m)
+    base, n_cut, rounds = _power_set(r)
     return PowerConstruction(set_of(base), n_cut, rounds, n_cut, r.chron.ct)
 
 
-def _power_set(r: Replay, m: int, halves=None) -> tuple[int, int, int]:
-    """:func:`power_set_from_slice` on the replay ``r`` of the m-efficient
+def _power_set(r: Replay, halves=None) -> tuple[int, int, int]:
+    """:func:`power_set_from_slice` on the replay ``r`` of an efficient
     schedule; ``halves``, if given, is the :func:`_split` at its cut.
     Returns the set's mask, its cut time (the bound) and its rounds; the
     neighborhood and the boundary sets it must dominate are masks too."""
@@ -293,7 +291,7 @@ def _power_set(r: Replay, m: int, halves=None) -> tuple[int, int, int]:
     if k_total == 0:
         return (1 << g.n) - 1, 0, 0
     n_cut = (k_total + 1) // 2
-    before, base, after = _chain_slice(r, m, n_cut, halves)
+    before, base, after = _chain_slice(r, n_cut, halves)
     if (r.finals(before) | r.initials(after)) & ~_closed_hood(g, base):
         raise InvariantViolation(
             "slice neighborhood misses a boundary set it must dominate"
@@ -308,11 +306,11 @@ def _power_set(r: Replay, m: int, halves=None) -> tuple[int, int, int]:
     return base, n_cut, rounds
 
 
-def _chain_slice(r: Replay, m: int, cut: int, halves=None) -> tuple[int, int, int]:
+def _chain_slice(r: Replay, cut: int, halves=None) -> tuple[int, int, int]:
     """The :func:`_split` of ``r`` at ``cut`` (``halves``, if given), whose
-    slice must hold one vertex of each of the schedule's m chains."""
+    slice must hold one vertex of each chain: one per base vertex of ``r``."""
     halves = halves or _split(r.spans, cut)
-    if halves[1].bit_count() != m:
+    if halves[1].bit_count() != len(r.chron.base):
         raise InvariantViolation(
             f"slice at {cut} has {halves[1].bit_count()} vertices, expected one per chain"
         )

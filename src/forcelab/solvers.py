@@ -18,22 +18,17 @@ way one result loop, ``_Scan.best``, reads a size's candidates by the round
 they finish in, as ints with bit i for the i-th in combinations order, and
 the scans of one call share those ints for every size that one of them ran
 to the end; only a report unranks them. All of it dies when the public
-call returns: nothing found about a graph is cached between calls. What
-depends on n alone is kept for the process: the lattice vectors a table is
-built from, the k-subset masks it is read at (``_subset_masks``) and the
-translations that spell its bytes (``_digits``). The per-mask engine of
-:mod:`forcelab.forcing` runs no scan; it replays schedules, and its
-step-by-step walk in ``slices._rounds``, the one way the slice checks
-count their sets' rounds, is the tables' oracle in the tests.
+call returns: nothing found about a graph is cached between calls. The
+per-mask engine of :mod:`forcelab.forcing` runs no scan; it replays
+schedules; its step-by-step walk in ``slices._rounds``, the one way the
+slice checks count their sets' rounds, is the tables' oracle in tests.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
 from importlib import resources
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import sliced, slices
@@ -191,9 +186,9 @@ class _Scan:
     def _finished_by_round(self, size: int) -> Iterator[tuple[int, int]]:
         """``(r, bits)`` for r ascending: the size's candidates that color
         every vertex in exactly r rounds, bit i for the i-th, kept once a
-        scan has run the size to the end. A table gives the candidates'
-        rounds bytes, last first, and int() reads each r's bits off them; a
-        sliced scan gives every r of :func:`forcelab.sliced.finished_by_round`."""
+        scan has run the size to the end, from
+        :func:`forcelab.sliced.table_finished_by_round` on a table, else
+        :func:`forcelab.sliced.finished_by_round`."""
         known = self.finished.get(size)
         if known is not None:
             yield from known
@@ -201,10 +196,7 @@ class _Scan:
         if self.table is None:
             rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self._vectors(size)))
         else:
-            spelled = bytes(map(self.table.__getitem__, _subset_masks(self.n, size)))[::-1]
-            rounds = (
-                (k - 2, int(spelled.translate(_digits(k)), 2)) for k in sorted(set(spelled)) if k > 1
-            )
+            rounds = sliced.table_finished_by_round(self.table, self.n, size)
         known = []
         for pair in rounds:
             known.append(pair)
@@ -223,21 +215,6 @@ class _Scan:
             self.last = next(self.vectors)
             self.size += 1
         return self.last
-
-
-@cache
-def _digits(k: int) -> bytes:
-    """The translation of a byte to ASCII '1' where it is k, else '0'."""
-    return bytes(49 if b == k else 48 for b in range(256))
-
-
-@cache
-def _subset_masks(n: int, k: int) -> tuple[int, ...]:
-    """The bitmasks of the k-subsets of range(n) in combinations order, the
-    table indices of a size's candidates. Built once per (n, k) in a
-    process, on first use; only scans below ``SLICED_MIN_N`` read them, and
-    those hold 1,023 masks in all."""
-    return tuple(map(sum, combinations([1 << v for v in range(n)], k)))
 
 
 def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:

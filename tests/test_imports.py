@@ -6,7 +6,9 @@ the private helper itself, behind; these checks parse each module under
 ``src/forcelab`` (the package's ``__init__``, which re-exports, aside
 for imports) and list the imported names that a module never reads and
 the ``_name`` functions, classes and assignments at module level that no
-module reads.
+module reads. Two more pin where decisions live: the private names one
+module reads of another, and the process-lifetime caches, which only
+``sliced`` keeps.
 """
 
 import ast
@@ -79,6 +81,43 @@ def test_check_flags_an_unread_private_name():
         "b.py": "from a import _used\nimport a\n_used()\nprint(a._LIMIT)\n",
     }
     assert unread_private_names(sources) == ["a.py: _left (line 3)"]
+
+
+def cached_functions(source: str) -> list[str]:
+    """``name (line)`` for each module-level function of ``source`` decorated
+    with ``functools.cache`` or ``lru_cache``: bare, called or dotted."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("cache", "lru_cache"):
+                    found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "sliced.py"], ids=lambda p: p.name
+)
+def test_only_sliced_keeps_process_lifetime_caches(path):
+    # What depends on n alone (the lattice vectors, a size's table indices
+    # and the byte translations that decode a table) is kept for the process
+    # by the module that owns the table's format; nothing else is kept
+    # between calls.
+    assert cached_functions(path.read_text()) == []
+
+
+def test_check_flags_a_cached_function():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@cache\ndef a():\n    pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef b():\n    pass\n"
+        "@lru_cache\ndef c():\n    pass\n"
+        "@staticmethod\ndef d():\n    pass\n"
+        "class E:\n    @cache\n    def f(self):\n        pass\n"
+    )
+    assert cached_functions(source) == ["a (line 4)", "b (line 7)", "c (line 10)"]
 
 
 def _private(name: str) -> bool:

@@ -304,9 +304,10 @@ class TestPipNumber:
 
     def test_direct_search_matches_solver_on_tiny_graphs(self):
         # disconnected graphs included: the equality needs no connectivity
+        # Graph(0): the empty cover admits the empty witness, and Z is 0
         rng = Random(41)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.1, 0.6))
+        graphs = [random_graph(rng, rng.randint(1, 6), rng.uniform(0.1, 0.6)) for _ in range(40)]
+        for g in [Graph(0), *graphs]:
             assert pip_number_by_search(g) == forcing_number(g, Rule.STANDARD).value
 
     def test_direct_search_cap(self):

@@ -2,6 +2,8 @@ import ast
 import inspect
 import pathlib
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -27,6 +29,7 @@ from forcelab.slices import (
     time_slice,
 )
 from forcelab import forcing, sliced, slices, solvers
+import naive
 from randgen import random_chronology, random_forcing_set, random_graph, random_instance
 
 
@@ -245,13 +248,13 @@ class TestAchievedTimesMatchPropagate:
                 built = {  # (base mask, achieved rounds)
                     Rule.PSD: (
                         _public(psd_set_from_slices(g, m)),
-                        slices._psd_set(replay, m, "auto")[::2],
-                        slices._psd_set(replay, m, cuts)[::2],
+                        slices._psd_set(replay, "auto")[::2],
+                        slices._psd_set(replay, cuts)[::2],
                         _public(psd_set_from_slices(g, m, cuts)),
                     ),
                     Rule.POWER_DOMINATION: (
                         _public(power_set_from_slice(g, m)),
-                        slices._power_set(replay, m)[::2],
+                        slices._power_set(replay)[::2],
                     ),
                 }
                 for rule, sets in built.items():
@@ -524,3 +527,38 @@ class TestFinalsAreTheReversalsInitials:
         for _ in range(400):
             g, _, chron = random_instance(rng, max_n=12)
             _finals_against_the_reversal(g, Replay(g, chron))
+
+
+def _power_throttling(g: Graph) -> int:
+    """th_pd(G), the least |B| + ppt(B) over power dominating sets B, by
+    brute force on the oracle's process, sizes ascending until a size alone
+    costs the best found."""
+    best, size = g.n, 1
+    while size < best:
+        for base in combinations(range(g.n), size):
+            steps = naive.maximal_steps("power_domination", g, base)
+            if steps is not None:
+                best = min(best, size + len(steps))
+        size += 1
+    return best
+
+
+def test_power_construction_bounds_power_throttling():
+    """The power construction's corollary: a size-m slice power dominates
+    in ceil(pt(G, m)/2) rounds, so th_pd(G) <= min over m from Z to n of
+    m + ceil(pt(G, m)/2). Checked on every atlas graph, with the slack of
+    each pinned: a changed count is a failure to explain."""
+    slack, widest = Counter(), []
+    for graph_id, g in solvers.atlas_stream(max_n=7):
+        z = solvers.forcing_number(g, Rule.STANDARD).value
+        rhs = min(
+            m + (solvers.propagation_time_m(g, m, Rule.STANDARD).value + 1) // 2
+            for m in range(z, g.n + 1)
+        )
+        th_pd = _power_throttling(g)
+        assert th_pd <= rhs, graph_id
+        slack[rhs - th_pd] += 1
+        if rhs - th_pd == 5:
+            widest.append((graph_id, th_pd, rhs))
+    assert slack == {0: 92, 1: 353, 2: 572, 3: 182, 4: 52, 5: 1}
+    assert widest == [("F~~~w", 2, 7)]  # K7

@@ -758,7 +758,7 @@ def test_per_n_constants_match_a_fresh_computation():
             sum(1 << b for b in range(1 << n) if b >> v & 1) for v in range(n)
         )
         for k in range(n + 1):
-            masks = solvers._subset_masks(n, k)
+            masks = sliced._subset_masks(n, k)
             assert isinstance(masks, tuple)
             assert masks == tuple(sum(1 << v for v in c) for c in combinations(range(n), k))
 
