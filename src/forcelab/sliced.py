@@ -10,19 +10,22 @@ round forces the white vertices with no white neighbor first, then floods
 the rest in passes of sweeps: each pass seeds every subset at its least
 white vertex not yet reached, so one flood gives every subset one whole
 white component, and a round takes as many passes as the most components
-a subset has. One :func:`subset_vectors` generator gives a scan the
-vectors of every size it asks for, deriving each size from the last. Once
-few candidates still change, a PSD scan compresses its vectors to their
-bits (Warren's bit-parallel compress) and expands later finishers back.
-Finishers stay such bit vectors; :func:`subsets` unranks them for a report.
-:func:`rounds_table` runs one round on 2^n-bit vectors instead,
-whose bit B stands for the bitmask B, and reads every mask's rounds off
-the successors that round gives; :func:`table_finished_by_round` reads a
-size's finishers off those bytes. What depends on n alone is kept for the
-process: the lattice vectors, a size's masks and the byte translations
-that spell the table's bytes. The rule rounds here are written out on
-those vectors; they share no code with the per-mask engine of
-:mod:`forcelab.forcing`, which stays their oracle.
+a subset has. :func:`size_vectors` derives each size's vectors from the
+size below. Once few candidates still change, a PSD scan compresses its
+vectors to their bits (Warren's bit-parallel compress) and expands later
+finishers back. Finishers stay such bit vectors; :func:`subsets` unranks
+them for a report. :func:`rounds_table` runs one round on 2^n-bit vectors
+instead, whose bit B stands for the bitmask B, and reads every mask's
+rounds off the successors that round gives; :func:`table_finished_by_round`
+reads a size's finishers off those bytes. What depends on n alone is kept
+for the process: the lattice vectors, a size's masks, the byte
+translations that spell the table's bytes, and the subset vectors of
+every size built for the n scanned last, which a scan at another n
+replaces. Those hold at most the n 2^n bits of all sizes (0.6 MB at
+n = 18, 2.7 MB at 20, 11.8 MB at 22) plus the levels of the top one. The
+rule rounds here are written out on those vectors; they share no code
+with the per-mask engine of :mod:`forcelab.forcing`, which stays their
+oracle.
 """
 
 from __future__ import annotations
@@ -36,39 +39,42 @@ from typing import Iterator
 from .forcing import Rule
 
 
-def subset_vectors(n: int, k: int) -> Iterator[tuple[list[int], int]]:
-    """Yield ``(X, count)`` for the sizes k, k + 1, ..., n in turn: ``X[v]``
-    marks the subsets of range(n) of the size holding v, bit i for the i-th
-    subset in combinations order, and ``count`` is C(n, size). The subsets
-    of range(s, n) list those holding s first, then the rest, so level s of
-    a size (its vectors over range(s, n)) comes from level s + 1 of the
-    size below and of the size itself by one shift per vertex. Size k is
-    built level by level over the smaller sizes it needs, keeping its own
-    vectors at every level; each later size is one new column of levels
-    from the last, and only the last column is kept."""
-    below = {0: ([], 1)}  # size j -> level s + 1 of size j
-    column = [None] * n + [below.get(k, ([], 0))]  # column[s]: level s of size k
-    for s in range(n - 1, -1, -1):
-        none = [0] * (n - 1 - s), 0
-        below = {
-            j: _level(*below.get(j - 1, none), *below.get(j, none))
-            for j in range(max(0, k - s), min(k, n - s) + 1)
-        }
-        column[s] = below.get(k) or ([0] * (n - s), 0)
-    yield column[0]
-    for _ in range(k, n):
-        later = [None] * n + [([], 0)]
+# (n, sizes, column) for the n asked last: each size's (X, count) built,
+# and every level of the top one. Replaced whole by one assignment, never
+# changed in place, so each scan reads one whole record; two scans racing
+# can only build a size twice, or keep the smaller of their records.
+_kept = (None, (), ())
+
+
+def size_vectors(n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """``(X, count)`` for the k-subsets of range(n): ``X[v]`` marks those
+    holding v, bit i for the i-th in combinations order, and ``count`` is
+    C(n, k). The subsets of range(s, n) list those holding s first, so
+    level s of a size (its vectors over range(s, n)) comes from level s + 1
+    of the size below and of the size itself by one shift per vertex: each
+    size is one new column of levels from the last. Every size built for
+    the n asked last is kept, and another n starts again from size 0."""
+    global _kept
+    held, sizes, column = _kept
+    if held != n:
+        column = tuple(((0,) * (n - s), 1) for s in range(n + 1))  # size 0
+        sizes = column[:1]
+    elif k < len(sizes):
+        return sizes[k]
+    while len(sizes) <= k:
+        later = [((), 0)] * (n + 1)
         for s in range(n - 1, -1, -1):
             later[s] = _level(*column[s + 1], *later[s + 1])
-        column = later
-        yield column[0]
+        column, sizes = later, sizes + (later[0],)
+    _kept = n, sizes, column
+    return sizes[k]
 
 
-def _level(with_s: list[int], low: int, without: list[int], high: int) -> tuple[list[int], int]:
+def _level(with_s, low: int, without, high: int) -> tuple[tuple[int, ...], int]:
     """Level s of size j from level s + 1: first the ``low`` =
     C(n - s - 1, j - 1) subsets of size j - 1 (vectors ``with_s``), each
     with s added, then the ``high`` subsets of size j (``without``)."""
-    return [(1 << low) - 1] + [a | b << low for a, b in zip(with_s, without)], low + high
+    return ((1 << low) - 1, *[a | b << low for a, b in zip(with_s, without)]), low + high
 
 
 def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator[int]:
@@ -76,7 +82,7 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
     colors every vertex in exactly r rounds, as an int with bit i set for
     the i-th; stop once every other candidate has stalled. ``nbrs[v]`` lists
     the neighbors of v, and ``blue`` and ``count`` are one size's
-    candidates, as :func:`subset_vectors` yields them.
+    candidates, as :func:`size_vectors` gives them.
 
     A candidate that did not change in a round never changes again. Once at
     most an eighth of the candidates still change, a PSD scan compresses

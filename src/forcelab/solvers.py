@@ -13,12 +13,13 @@ from it; the scans of one public call share one table per rule (Z then
 pt(G, Z) in ``solve_parameter``; Z, pt(G, m), thr+, Z+ and pt+ in
 ``bounds_rows_for_graph``). From ``SLICED_MIN_N`` vertices on,
 :mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once, from
-vectors that each scan derives size after size from one generator. Either
-way one result loop, ``_Scan.best``, reads a size's candidates by the round
-they finish in, as ints with bit i for the i-th in combinations order, and
-the scans of one call share those ints for every size that one of them ran
-to the end; only a report unranks them. All of it dies when the public
-call returns: nothing found about a graph is cached between calls. The
+the subset vectors it keeps for the n scanned last, so the calls at one n
+build each size once. Either way one result loop, ``_Scan.best``, reads a
+size's candidates by the round they finish in, as ints with bit i for the
+i-th in combinations order, and the scans of one call share those ints for
+every size that one of them ran to the end; only a report unranks them.
+All of it dies when the public call returns: nothing found about a graph
+is cached between calls, and the kept vectors depend on n alone. The
 per-mask engine of :mod:`forcelab.forcing` runs no scan; it replays
 schedules; its step-by-step walk in ``slices._rounds``, the one way the
 slice checks count their sets' rounds, is the tables' oracle in tests.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
+from math import comb
 from typing import Iterable, Iterator
 
 from . import sliced, slices
@@ -105,17 +107,19 @@ class _Scan:
     ``table``; only ``_finished_by_round`` reads it. From ``SLICED_MIN_N``
     on, ``table`` is None and a scan takes one size k at a time through
     :mod:`forcelab.sliced`, which steps all C(n, k) candidate sets of the
-    size at once, from one :func:`forcelab.sliced.subset_vectors` generator
-    that derives each size from the last one taken and starts again only
-    for a size below it. Either way the scans share the rounds of every size
-    that one of them ran to the end (``finished``), and all of it dies with
-    the object when the call returns. Construction refuses a graph above
-    the cap before allocating.
+    size at once, from the vectors :func:`forcelab.sliced.size_vectors`
+    keeps for the process for the n scanned last (at most n 2^n bits), so
+    the scans of one n, in one call or many, build each size once. Either
+    way the scans share the rounds of every size that one of them ran to
+    the end (``finished``), and all of it dies with the object when the
+    call returns. Construction refuses a graph above the cap before
+    allocating.
 
     Witnesses come back as ``(size, bits)`` chunks, bit i set for the
     size's i-th subset in combinations order, so the bounds sweep reads
     values and first witnesses without building the sets a report holds;
-    only ``sets`` and ``first`` unrank them (:func:`forcelab.sliced.subsets`)."""
+    only ``sets`` (:func:`forcelab.sliced.subsets`) and ``first`` unrank
+    them."""
 
     def __init__(self, g: Graph, rule: Rule, cap: int | None):
         limit = effective_cap(cap)
@@ -128,7 +132,6 @@ class _Scan:
         self.finished: dict[int, list[tuple[int, int]]] = {}
         if g.n >= SLICED_MIN_N:
             self.rule, self.nbrs, self.table = rule, g.adj, None
-            self.size = g.n + 1  # the last size taken from ``vectors``: none yet, so above all
         else:
             self.table = sliced.rounds_table(rule, g.adj, g.n)
 
@@ -153,9 +156,19 @@ class _Scan:
         return [w for size, bits in found for w in sliced.subsets(bits, self.n, size)]
 
     def first(self, found: list) -> frozenset[int]:
-        """The first witness of ``best``, unranking no other."""
+        """The first witness of ``best``, unranked alone from its index i:
+        the j-subsets of range(v, n) list the C(n - v - 1, j - 1) holding v
+        first, so v is taken when i falls among them, else i skips them."""
         size, bits = found[0]
-        return sliced.subsets(bits & -bits, self.n, size)[0]
+        i, taken, v = (bits & -bits).bit_length() - 1, [], 0
+        while len(taken) < size:
+            head = comb(self.n - v - 1, size - len(taken) - 1)
+            if i < head:
+                taken.append(v)
+            else:
+                i -= head
+            v += 1
+        return frozenset(taken)
 
     def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list]:
         """Scan the subsets of each size in turn, in combinations order
@@ -194,7 +207,8 @@ class _Scan:
             yield from known
             return
         if self.table is None:
-            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self._vectors(size)))
+            blue = sliced.size_vectors(self.n, size)
+            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *blue))
         else:
             rounds = sliced.table_finished_by_round(self.table, self.n, size)
         known = []
@@ -202,19 +216,6 @@ class _Scan:
             known.append(pair)
             yield pair
         self.finished[size] = known
-
-    def _vectors(self, size: int) -> tuple[list[int], int]:
-        """The size's candidate vectors from the scan's one
-        :func:`forcelab.sliced.subset_vectors` generator, which derives each
-        size from the last; it starts anew only for a size below the last
-        one taken, and that one's vectors are kept (the generator holds them
-        anyway)."""
-        if size < self.size:
-            self.vectors, self.size = sliced.subset_vectors(self.n, size), size - 1
-        while self.size < size:
-            self.last = next(self.vectors)
-            self.size += 1
-        return self.last
 
 
 def _report(name: str, scan: _Scan, value: int, found: list) -> ParameterReport:
@@ -381,8 +382,8 @@ def bounds_rows_for_graph(
         else:
             pt_by_m[m] = std.time(m)[0]
     # Z+ first: it runs sizes 0..Z+ to the end, and throttling then reads
-    # them and derives Z+ + 1 onwards, where the other order cuts size Z+
-    # short and Z+ builds it again.
+    # their rounds and scans Z+ + 1 onwards, where the other order cuts size
+    # Z+ short and Z+ scans it again.
     z_plus = psd_scan.forcing()[0] if "zeq" in wanted else None
     if "thrplus" in wanted:
         rhs = min(m + (pt + 1) // 2 for m, pt in pt_by_m.items())

@@ -1,7 +1,9 @@
 import csv
 import io
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import comb
 from random import Random
@@ -384,7 +386,7 @@ class TestScansAgreeWithBruteForce:
             g = random_graph(rng, n, rng.uniform(0.15, 0.6))
             for rule in self.RULES:
                 got = []
-                for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
+                for k, (blue, count) in enumerate(every_size(n)):
                     rounds = [None] * comb(n, k)
                     for r, finished in enumerate(finished_by_round(rule, g.adj, blue, count)):
                         for i in bits_of(finished, count):
@@ -407,7 +409,7 @@ class TestScansAgreeWithBruteForce:
         for n in (12, 12, 13, 13):
             g = random_graph(rng, n, rng.uniform(0.15, 0.5))
             got, most = [], 0
-            for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
+            for k, (blue, count) in enumerate(every_size(n)):
                 cuts.clear()
                 rounds = [None] * comb(n, k)
                 for r, finished in enumerate(finished_by_round(Rule.PSD, g.adj, blue, count)):
@@ -515,7 +517,7 @@ class TestSlicedPsdRound:
     def test_rounds_match_the_naive_step(self):
         for g in white_component_graphs():
             n = g.n
-            for k, (blue, count) in enumerate(sliced.subset_vectors(n, 0)):
+            for k, (blue, count) in enumerate(every_size(n)):
                 every = (1 << count) - 1
                 before = self.sets_of(blue, count)
                 assert before == [frozenset(c) for c in combinations(range(n), k)]
@@ -584,20 +586,20 @@ class TestSlicedPsdRound:
         # times (seed, front, forcer search twice, forcing); a flood per
         # least white vertex reads them k + 1 times as often.
         g = complete_graph(10)
-        for k, (blue, count) in enumerate(sliced.subset_vectors(g.n, 0)):
+        for k, (blue, count) in enumerate(every_size(g.n)):
             if k > g.n - 2:
                 break
             most = max(len(components(g, c)) for c in combinations(range(g.n), k))
             assert most == 1
             nbrs = CountedReads(g.adj)
             # every blue vertex sees two or more white ones: nothing is forced
-            assert sliced._psd_round(nbrs, blue, (1 << count) - 1) == blue
+            assert sliced._psd_round(nbrs, blue, (1 << count) - 1) == list(blue)
             assert nbrs.reads <= 5 * g.n * most, k
 
     def test_a_vertex_isolated_in_the_graph_stays_white(self):
         # candidates {0}, {1}, {2}: 0 and 1 force each other, 2 has no forcer
         g = Graph(3, [(0, 1)])
-        blue, count = next(sliced.subset_vectors(g.n, 1))
+        blue, count = sliced.size_vectors(g.n, 1)
         new = sliced._psd_round(g.adj, blue, (1 << count) - 1)
         assert self.sets_of(new, count) == [{0, 1}, {0, 1}, {2}]
 
@@ -627,23 +629,31 @@ def bits_of(x: int, width: int) -> list[int]:
     return [i for i in range(width) if x >> i & 1]
 
 
+def every_size(n: int) -> list:
+    """``(X, count)`` of each size of the subsets of range(n), ascending."""
+    return [sliced.size_vectors(n, k) for k in range(n + 1)]
+
+
 class TestSlicedHelpers:
     """The bookkeeping of ``sliced`` against plain loops over bits and
     :func:`itertools.combinations`."""
 
-    def test_subset_vectors_from_every_start(self):
+    def test_size_vectors_from_every_start(self):
+        # Whatever size a new n is asked for first, the sizes up to it are
+        # derived on the way and kept, and every size read after it, below
+        # or above, is its combinations-order marks.
         for n in range(13):
             oracle = {}
             for j in range(n + 1):
                 combos = list(combinations(range(n), j))
                 marks = [sum(1 << i for i, c in enumerate(combos) if v in c) for v in range(n)]
-                oracle[j] = marks, len(combos)
+                oracle[j] = tuple(marks), len(combos)
             for k in range(n + 1):
-                sizes = list(sliced.subset_vectors(n, k))
-                assert len(sizes) == n + 1 - k, (n, k)
-                for j, got in enumerate(sizes, k):
-                    assert got == oracle[j], (n, k, j)
-                    assert got == next(sliced.subset_vectors(n, j)), (n, k, j)
+                sliced.size_vectors(n + 1, 0)  # another n: the record starts again
+                assert sliced.size_vectors(n, k) == oracle[k], (n, k)
+                assert sliced._kept[:2] == (n, tuple(oracle[j] for j in range(k + 1))), (n, k)
+                for j in range(n, -1, -1):
+                    assert sliced.size_vectors(n, j) == oracle[j], (n, k, j)
 
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.1, 0.12, 0.3, 1.0])
     def test_subsets_on_both_sides_of_the_switch(self, density):
@@ -748,6 +758,17 @@ def record_picked_blocks(monkeypatch) -> list[tuple[int, int]]:
     return picked
 
 
+def test_first_witness_unranks_every_index():
+    # _Scan.first against combinations() for every n <= 10, k and index,
+    # with other bits above the lowest set, as a scan's ties have them.
+    for n in range(11):
+        scan = _Scan(Graph(n), Rule.STANDARD, None)
+        for k in range(n + 1):
+            for i, c in enumerate(combinations(range(n), k)):
+                got = scan.first([(k, 1 << i | 5 << (i + 1)), (k + 1, 1)])
+                assert got == frozenset(c) and list(got) == list(frozenset(c)), (n, k, i)
+
+
 def test_per_n_constants_match_a_fresh_computation():
     # The lattice vectors and the k-subset masks a table scan reads are
     # kept per n (and k) for the process, as tuples.
@@ -804,77 +825,113 @@ class TestOneRoundsMemoPerRulePerCall:
         return builds
 
     @staticmethod
-    def record_vector_builds(monkeypatch) -> list:
-        """One ``[n, first size, sizes yielded]`` per generator started."""
-        builds = []
-        start = sliced.subset_vectors
+    def record_vector_builds(monkeypatch) -> dict:
+        """From an empty record on, ``asked`` lists each ``(n, size)`` a
+        scan reads through ``sliced.size_vectors`` and ``built`` each one
+        that enters the kept record; ``levels`` counts the ``sliced._level``
+        calls, n for each size above 0 built, so a build that the record
+        does not show still counts."""
+        seen = {"asked": [], "built": [], "levels": 0}
+        size_vectors, level = sliced.size_vectors, sliced._level
 
         def recorded(n, k):
-            builds.append(record := [n, k, 0])
-            for vectors in start(n, k):
-                record[2] += 1
-                yield vectors
+            held, sizes, _ = sliced._kept
+            kept = len(sizes) if held == n else 0
+            seen["asked"].append((n, k))
+            out = size_vectors(n, k)
+            seen["built"] += [(n, j) for j in range(kept, len(sliced._kept[1]))]
+            return out
 
-        monkeypatch.setattr(sliced, "subset_vectors", recorded)
-        return builds
+        def counted(*args):
+            seen["levels"] += 1
+            return level(*args)
 
-    def test_one_vector_build_per_sliced_call(self, monkeypatch):
-        # Each sliced scan builds its first size once and derives each later
-        # size from the last: Z reads sizes 0..Z, pt(G, m) size m only, and
-        # pt at m = Z reads Z's rounds from the forcing scan.
-        builds = self.record_vector_builds(monkeypatch)
+        monkeypatch.setattr(sliced, "_kept", (None, (), ()))
+        monkeypatch.setattr(sliced, "size_vectors", recorded)
+        monkeypatch.setattr(sliced, "_level", counted)
+        return seen
+
+    def test_one_vector_build_per_size_across_calls(self, monkeypatch):
+        # Z reads sizes 0..Z, pt(G, m) size m only, and pt at m = Z reads
+        # Z's rounds from the forcing scan. Across every call on two graphs
+        # of one n, under all three rules, each size is built once, in
+        # ascending order, and read from the record after that.
+        seen = self.record_vector_builds(monkeypatch)
+        asked = seen["asked"]
         rng = Random(263)
-        for g in (grid_graph(3, 4), random_graph(rng, 11, 0.3, connected=True)):
+        n = 12
+        for g in (grid_graph(3, 4), random_graph(rng, n, 0.3, connected=True)):
             for rule, pt in ((Rule.STANDARD, "pt"), (Rule.PSD, "ptplus"), (Rule.POWER_DOMINATION, "ppt")):
                 z = forcing_number(g, rule).value
-                assert builds == [[g.n, 0, z + 1]]
-                builds.clear()
-                for m in range(z, g.n + 1):
+                assert asked == [(n, k) for k in range(z + 1)]
+                asked.clear()
+                for m in range(z, n + 1):
                     propagation_time_m(g, m, rule)
-                    assert builds == [[g.n, m, 1]]
-                    builds.clear()
+                    assert asked == [(n, m)]
+                    asked.clear()
                 solve_parameter(g, pt)
-                assert builds == [[g.n, 0, z + 1]]
-                builds.clear()
+                assert asked == [(n, k) for k in range(z + 1)]
+                asked.clear()
                 if rule is not Rule.POWER_DOMINATION:
                     # sizes 0..thr - 1, as size thr costs at least thr + 1;
                     # V costs n, so the scan reads it too when thr = n
                     thr = throttling(g, rule).value
-                    assert builds == [[g.n, 0, thr if thr < g.n else g.n + 1]]
-                    builds.clear()
-                # a scan that skips sizes derives them on the way, asks for
-                # the last size again without a build, and starts the
-                # generator again for a smaller size
+                    assert asked == [(n, k) for k in range(thr if thr < n else n + 1)]
+                    asked.clear()
+                # a scan that skips sizes reads only those it asks for, the
+                # last one again, and one below it
                 scan = _Scan(g, rule, None)
                 sizes = (z, z + 2, z + 2, z + 1)
                 got = [scan.time(m) for m in sizes]
-                assert builds == [[g.n, z, 3], [g.n, z + 1, 1]]
-                builds.clear()
+                assert asked == [(n, m) for m in sizes]
                 for m, (value, found) in zip(sizes, got):
                     report = propagation_time_m(g, m, rule)
                     assert (value, tuple(scan.sets(found))) == (report.value, report.witnesses)
-                builds.clear()
+                asked.clear()
+        assert seen["built"] == [(n, k) for k in range(n + 1)]
+        # a call at another n builds again from size 0, and so does a scan
+        # back at the first n; one that skips sizes derives them on the way
+        seen["built"].clear()
+        z = forcing_number(path_graph(11), Rule.STANDARD).value
+        g = grid_graph(3, 4)
+        _Scan(g, Rule.PSD, None).time(5)
+        _Scan(g, Rule.PSD, None).time(4)
+        assert seen["built"] == [(11, k) for k in range(z + 1)] + [(n, k) for k in range(6)]
+        assert seen["levels"] == n * n + 11 * z + n * 5
 
-    def test_bounds_sweep_starts_each_vector_generator_once(self, monkeypatch):
-        # The PSD scan takes Z+ before thr+, so throttling reads sizes
-        # 0..Z+ as Z+ ran them and derives the next size: no generator
-        # starts again.
-        builds = self.record_vector_builds(monkeypatch)
-        bounds_rows_for_graph("g", grid_graph(3, 4))
-        assert [(n, k) for n, k, _ in builds] == [(12, 0), (12, 0)]
+    def test_bounds_sweep_builds_each_size_once(self, monkeypatch):
+        # The standard scan builds sizes 0..n, Z first and then one for
+        # each pt(G, m). The PSD scan builds none, and takes Z+ before thr+,
+        # so throttling reads sizes 0..Z+ as Z+ ran them and goes on from
+        # the next size: it reads no size twice.
+        seen = self.record_vector_builds(monkeypatch)
+        g = grid_graph(3, 4)
+        bounds_rows_for_graph("g", g)
+        assert seen["built"] == [(g.n, k) for k in range(g.n + 1)]
+        assert seen["levels"] == g.n * g.n
+        asked = seen["asked"]
+        assert asked[: g.n + 1] == seen["built"]
+        psd = asked[g.n + 1 :]
+        assert psd == [(g.n, k) for k in range(len(psd))]
+        assert len(psd) > forcing_number(g, Rule.PSD).value + 1
 
     def test_bounds_rows_for_graph(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
         builds = self.record_table_builds(monkeypatch)
         witness_sets = Counter()
-        subsets = sliced.subsets
+        subsets, first = sliced.subsets, solvers._Scan.first
 
         def counted(bits, n, k):
             out = subsets(bits, n, k)
             witness_sets["built"] += len(out)
             return out
 
+        def counted_first(scan, found):
+            witness_sets["first"] += 1
+            return first(scan, found)
+
         monkeypatch.setattr(sliced, "subsets", counted)
+        monkeypatch.setattr(solvers._Scan, "first", counted_first)
         walked = Counter()
         walk = slices._rounds
 
@@ -901,8 +958,9 @@ class TestOneRoundsMemoPerRulePerCall:
             # check of a set short of V takes at least one
             assert sum(seen.values()) == walked["steps"] >= 2 * checked, graph_id
             assert builds == {Rule.STANDARD: 1, Rule.PSD: 1}, graph_id
-            # the one witness set read per m row: the efficient set replayed
-            assert witness_sets["built"] == len(m_rows), graph_id
+            # the one witness set read per m row, the efficient set
+            # replayed, unranked alone: no report's sets are built
+            assert witness_sets == {"first": len(m_rows)}, graph_id
 
     def test_bounds_sweep_builds_a_psd_table_only_for_psd_checks(self, monkeypatch):
         # Only thr+ and pt+ read the PSD scan: a bounds-only sweep builds no
@@ -1001,15 +1059,68 @@ def test_sliced_psd_scan_stays_small_on_20_vertices():
     peaks near 0.3 MB, with vectors of 2 KB; the bound is about twice that.
     White connectivity kept as n^2 vectors would take 0.76 MB on its own."""
     g = grid_graph(4, 5)
+    sliced.size_vectors(0, 0)  # another n: the vectors are built in the traced region
     tracemalloc.start()
     try:
-        vectors = sliced.subset_vectors(g.n, 5)  # held through the rounds, as a scan holds it
-        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, *next(vectors)))
+        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, *sliced.size_vectors(g.n, 5)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rounds == 11
     assert peak < 640 << 10
+
+
+def test_kept_vectors_follow_the_last_n():
+    """All-m scans of the 3x6 grid keep every size of n = 18, about 0.6 MB
+    (n 2^n bits and their ints); one scan at n = 10 replaces them, and what
+    stays allocated is the vectors of n = 10 alone."""
+    big, small = grid_graph(3, 6), grid_graph(2, 5)
+    sliced.size_vectors(0, 0)  # another n: the vectors are built in the traced region
+    tracemalloc.start()
+    try:
+        z = forcing_number(big, Rule.STANDARD, cap=18).value
+        for m in range(z, big.n + 1):
+            propagation_time_m(big, m, Rule.STANDARD, cap=18)
+        held_big = tracemalloc.get_traced_memory()[0]
+        forcing_number(small, Rule.STANDARD)
+        held_small = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sliced._kept[0] == small.n
+    assert held_big > 1 << 19
+    assert held_small < 32 << 10
+
+
+def test_threads_share_the_kept_vectors():
+    """Four threads run both rules' Z and pt(G, m) at every m on graphs at
+    n = 10 and n = 11 at once, eight times over, so each replaces the
+    other's kept vectors while scans read them; every report equals a
+    serial run's."""
+    rng = Random(283)
+    calls = []
+    for n in (10, 11):
+        g = random_graph(rng, n, 0.3, connected=True)
+        for rule in (Rule.STANDARD, Rule.PSD):
+            calls.append((forcing_number, g, rule))
+            calls += [(propagation_time_m, g, m, rule) for m in range(n + 1)]
+    calls = calls[::2] + calls[1::2]  # n = 10 and n = 11 interleaved
+    serial = [run(f, *args) for f, *args in calls]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda call: run(*call), calls * 8, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded == serial * 8
+
+
+def run(f, *args):
+    """A report, or the type of the error it raised."""
+    try:
+        return f(*args)
+    except InfeasibleError as e:
+        return type(e)
 
 
 class TestSolveParameter:
