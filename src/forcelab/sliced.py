@@ -10,22 +10,23 @@ round forces the white vertices with no white neighbor first, then floods
 the rest in passes of sweeps: each pass seeds every subset at its least
 white vertex not yet reached, so one flood gives every subset one whole
 white component, and a round takes as many passes as the most components
-a subset has. :func:`size_vectors` derives each size's vectors from the
-size below. Once few candidates still change, a PSD scan compresses its
-vectors to their bits (Warren's bit-parallel compress) and expands later
-finishers back. Finishers stay such bit vectors; :func:`subsets` unranks
-them for a report. :func:`rounds_table` runs one round on 2^n-bit vectors
+a subset has. :class:`SubsetVectors` builds each size's vectors from a
+smaller size it holds. Once few candidates still change, a PSD scan
+compresses its vectors to their bits (Warren's bit-parallel compress) and
+expands later finishers back. Finishers stay such bit vectors;
+:func:`subsets` unranks them for a report, and :func:`first_subset` one
+of them alone. :func:`rounds_table` runs one round on 2^n-bit vectors
 instead, whose bit B stands for the bitmask B, and reads every mask's
 rounds off the successors that round gives; :func:`table_finished_by_round`
 reads a size's finishers off those bytes. What depends on n alone is kept
 for the process: the lattice vectors, a size's masks, the byte
-translations that spell the table's bytes, and the subset vectors of
-every size built for the n scanned last, which a scan at another n
-replaces. Those hold at most the n 2^n bits of all sizes (0.6 MB at
-n = 18, 2.7 MB at 20, 11.8 MB at 22) plus the levels of the top one. The
-rule rounds here are written out on those vectors; they share no code
-with the per-mask engine of :mod:`forcelab.forcing`, which stays their
-oracle.
+translations that spell the table's bytes, and (:func:`kept_vectors`)
+the subset vectors of every size built for the n scanned last, which a
+scan at another n replaces. The solvers keep vectors only up to their
+default cap of 16 vertices, where every size's levels take 0.28 MB
+(tracemalloc); above it each scan builds its own. The rule rounds here
+are written out on those vectors; they share no code with the per-mask
+engine of :mod:`forcelab.forcing`, which stays their oracle.
 """
 
 from __future__ import annotations
@@ -39,35 +40,61 @@ from typing import Iterator
 from .forcing import Rule
 
 
-# (n, sizes, column) for the n asked last: each size's (X, count) built,
-# and every level of the top one. Replaced whole by one assignment, never
-# changed in place, so each scan reads one whole record; two scans racing
-# can only build a size twice, or keep the smaller of their records.
-_kept = (None, (), ())
+class SubsetVectors:
+    """Called with k, ``(X, count)`` for the k-subsets of range(n):
+    ``X[v]`` marks those holding v, bit i for the i-th in combinations
+    order, and ``count`` is C(n, k). ``columns`` maps each size j held to
+    its levels: level s (s <= n - j) is its ``(X, count)`` over range(s, n).
+    The subsets of range(s, n) list those holding s first, so level s of
+    size j comes from level s + 1 of sizes j - 1 and j by one shift per
+    vertex. Size 0 is held from the start, and size k is built from the
+    largest size h held below it, taking at level s only the sizes from
+    max(h + 1, k - s) up: one new column if h = k - 1, and never more
+    levels than from size 0 or column by column from h. With ``every``
+    every size built is held, else only the last. A build publishes a new
+    dict by one assignment, so concurrent scans need no lock: a race can
+    only build a size twice."""
+
+    def __init__(self, n: int, every: bool):
+        self.n, self.every = n, every
+        self.columns = {0: [((0,) * (n - s), 1) for s in range(n + 1)]}
+
+    def __call__(self, k: int) -> tuple[tuple[int, ...], int]:
+        columns = self.columns
+        column = columns.get(k)
+        if column is None:
+            column = self._band(columns, k)
+            self.columns = {**columns, k: column} if self.every else {0: columns[0], k: column}
+        return column[0]
+
+    def _band(self, columns: dict, k: int) -> list:
+        n = self.n
+        h = max(j for j in columns if j < k)
+        base = columns[h]
+        row = [None] * (k - h + 1)  # row[j - h]: size j at the level below
+        column = [None] * (n - k + 1)  # levels 0..n - k; size k is empty above
+        for s in range(n - h - 1, -1, -1):
+            row[0] = base[s + 1]
+            for j in range(min(k, n - s), max(h, k - s - 1), -1):
+                without = row[j - h] if j < n - s else ((0,) * (n - s - 1), 0)
+                row[j - h] = _level(*row[j - h - 1], *without)
+            if s <= n - k:
+                column[s] = row[-1]
+        return column
 
 
-def size_vectors(n: int, k: int) -> tuple[tuple[int, ...], int]:
-    """``(X, count)`` for the k-subsets of range(n): ``X[v]`` marks those
-    holding v, bit i for the i-th in combinations order, and ``count`` is
-    C(n, k). The subsets of range(s, n) list those holding s first, so
-    level s of a size (its vectors over range(s, n)) comes from level s + 1
-    of the size below and of the size itself by one shift per vertex: each
-    size is one new column of levels from the last. Every size built for
-    the n asked last is kept, and another n starts again from size 0."""
+_kept = SubsetVectors(0, True)
+
+
+def kept_vectors(n: int) -> SubsetVectors:
+    """The subset vectors of range(n) kept for the process while n is the
+    n asked last; another n replaces them by one assignment, and a scan
+    reads the object it was given to the end."""
     global _kept
-    held, sizes, column = _kept
-    if held != n:
-        column = tuple(((0,) * (n - s), 1) for s in range(n + 1))  # size 0
-        sizes = column[:1]
-    elif k < len(sizes):
-        return sizes[k]
-    while len(sizes) <= k:
-        later = [((), 0)] * (n + 1)
-        for s in range(n - 1, -1, -1):
-            later[s] = _level(*column[s + 1], *later[s + 1])
-        column, sizes = later, sizes + (later[0],)
-    _kept = n, sizes, column
-    return sizes[k]
+    kept = _kept
+    if kept.n != n:
+        kept = _kept = SubsetVectors(n, True)
+    return kept
 
 
 def _level(with_s, low: int, without, high: int) -> tuple[tuple[int, ...], int]:
@@ -82,7 +109,7 @@ def finished_by_round(rule: Rule, nbrs, blue: list[int], count: int) -> Iterator
     colors every vertex in exactly r rounds, as an int with bit i set for
     the i-th; stop once every other candidate has stalled. ``nbrs[v]`` lists
     the neighbors of v, and ``blue`` and ``count`` are one size's
-    candidates, as :func:`size_vectors` gives them.
+    candidates, as :class:`SubsetVectors` gives them.
 
     A candidate that did not change in a round never changes again. Once at
     most an eighth of the candidates still change, a PSD scan compresses
@@ -364,6 +391,21 @@ def table_finished_by_round(table: bytearray, n: int, k: int) -> Iterator[tuple[
     for b in sorted(set(spelled)):
         if b > 1:
             yield b - 2, int(spelled.translate(_digits(b)), 2)
+
+
+def first_subset(bits: int, n: int, k: int) -> frozenset[int]:
+    """The k-subset of range(n) at the lowest set bit i of ``bits``: the
+    j-subsets of range(v, n) list the C(n - v - 1, j - 1) holding v first,
+    so v is taken when i falls among them, else i skips them."""
+    i, taken, v = (bits & -bits).bit_length() - 1, [], 0
+    while len(taken) < k:
+        head = comb(n - v - 1, k - len(taken) - 1)
+        if i < head:
+            taken.append(v)
+        else:
+            i -= head
+        v += 1
+    return frozenset(taken)
 
 
 def subsets(bits: int, n: int, k: int) -> list[frozenset[int]]:

@@ -12,14 +12,15 @@ round over the whole subset lattice) and then reads each candidate's rounds
 from it; the scans of one public call share one table per rule (Z then
 pt(G, Z) in ``solve_parameter``; Z, pt(G, m), thr+, Z+ and pt+ in
 ``bounds_rows_for_graph``). From ``SLICED_MIN_N`` vertices on,
-:mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once, from
-the subset vectors it keeps for the n scanned last, so the calls at one n
-build each size once. Either way one result loop, ``_Scan.best``, reads a
-size's candidates by the round they finish in, as ints with bit i for the
-i-th in combinations order, and the scans of one call share those ints for
-every size that one of them ran to the end; only a report unranks them.
-All of it dies when the public call returns: nothing found about a graph
-is cached between calls, and the kept vectors depend on n alone. The
+:mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once;
+up to ``DEFAULT_CAP`` vertices, from the subset vectors it keeps for the
+n scanned last, so calls in a row at one n build each size once. Either
+way one result loop, ``_Scan.best``, reads a size's candidates by the
+round they finish in, as ints with bit i for the i-th in combinations
+order, and the scans of one call share those ints for every size that
+one of them ran to the end; only a report unranks them. All of it dies
+when the public call returns: nothing found about a graph is cached
+between calls, and the kept vectors depend on n alone. The
 per-mask engine of :mod:`forcelab.forcing` runs no scan; it replays
 schedules; its step-by-step walk in ``slices._rounds``, the one way the
 slice checks count their sets' rounds, is the tables' oracle in tests.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
-from math import comb
 from typing import Iterable, Iterator
 
 from . import sliced, slices
@@ -107,19 +107,20 @@ class _Scan:
     ``table``; only ``_finished_by_round`` reads it. From ``SLICED_MIN_N``
     on, ``table`` is None and a scan takes one size k at a time through
     :mod:`forcelab.sliced`, which steps all C(n, k) candidate sets of the
-    size at once, from the vectors :func:`forcelab.sliced.size_vectors`
-    keeps for the process for the n scanned last (at most n 2^n bits), so
-    the scans of one n, in one call or many, build each size once. Either
-    way the scans share the rounds of every size that one of them ran to
-    the end (``finished``), and all of it dies with the object when the
-    call returns. Construction refuses a graph above the cap before
+    size at once, from ``vectors``: up to ``DEFAULT_CAP`` vertices those
+    :func:`forcelab.sliced.kept_vectors` keeps for the n scanned last, so
+    the scans of one n, in one call or many, build each size once; above
+    it the scan's own, which hold the size built last. Either way the scans
+    share the rounds of every size that one of them ran to the end
+    (``finished``), and all but the kept vectors dies with the object when
+    the call returns. Construction refuses a graph above the cap before
     allocating.
 
     Witnesses come back as ``(size, bits)`` chunks, bit i set for the
     size's i-th subset in combinations order, so the bounds sweep reads
     values and first witnesses without building the sets a report holds;
-    only ``sets`` (:func:`forcelab.sliced.subsets`) and ``first`` unrank
-    them."""
+    only ``sets`` (:func:`forcelab.sliced.subsets`) and ``first``
+    (:func:`forcelab.sliced.first_subset`) unrank them."""
 
     def __init__(self, g: Graph, rule: Rule, cap: int | None):
         limit = effective_cap(cap)
@@ -132,6 +133,8 @@ class _Scan:
         self.finished: dict[int, list[tuple[int, int]]] = {}
         if g.n >= SLICED_MIN_N:
             self.rule, self.nbrs, self.table = rule, g.adj, None
+            keep = g.n <= DEFAULT_CAP
+            self.vectors = sliced.kept_vectors(g.n) if keep else sliced.SubsetVectors(g.n, False)
         else:
             self.table = sliced.rounds_table(rule, g.adj, g.n)
 
@@ -156,19 +159,9 @@ class _Scan:
         return [w for size, bits in found for w in sliced.subsets(bits, self.n, size)]
 
     def first(self, found: list) -> frozenset[int]:
-        """The first witness of ``best``, unranked alone from its index i:
-        the j-subsets of range(v, n) list the C(n - v - 1, j - 1) holding v
-        first, so v is taken when i falls among them, else i skips them."""
+        """The first witness of ``best``, unranking no other."""
         size, bits = found[0]
-        i, taken, v = (bits & -bits).bit_length() - 1, [], 0
-        while len(taken) < size:
-            head = comb(self.n - v - 1, size - len(taken) - 1)
-            if i < head:
-                taken.append(v)
-            else:
-                i -= head
-            v += 1
-        return frozenset(taken)
+        return sliced.first_subset(bits, self.n, size)
 
     def best(self, sizes: Iterable[int], cost) -> tuple[int | None, list]:
         """Scan the subsets of each size in turn, in combinations order
@@ -207,7 +200,7 @@ class _Scan:
             yield from known
             return
         if self.table is None:
-            blue = sliced.size_vectors(self.n, size)
+            blue = self.vectors(size)
             rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *blue))
         else:
             rounds = sliced.table_finished_by_round(self.table, self.n, size)

@@ -599,7 +599,7 @@ class TestSlicedPsdRound:
     def test_a_vertex_isolated_in_the_graph_stays_white(self):
         # candidates {0}, {1}, {2}: 0 and 1 force each other, 2 has no forcer
         g = Graph(3, [(0, 1)])
-        blue, count = sliced.size_vectors(g.n, 1)
+        blue, count = sliced.SubsetVectors(g.n, False)(1)
         new = sliced._psd_round(g.adj, blue, (1 << count) - 1)
         assert self.sets_of(new, count) == [{0, 1}, {0, 1}, {2}]
 
@@ -631,29 +631,83 @@ def bits_of(x: int, width: int) -> list[int]:
 
 def every_size(n: int) -> list:
     """``(X, count)`` of each size of the subsets of range(n), ascending."""
-    return [sliced.size_vectors(n, k) for k in range(n + 1)]
+    vectors = sliced.SubsetVectors(n, True)
+    return [vectors(k) for k in range(n + 1)]
+
+
+def band_levels(n: int, h: int, k: int) -> int:
+    """The ``sliced._level`` calls that build size k of range(n) from the
+    whole column of size h < k, or from nothing with h = -1: level s takes
+    the sizes from max(h + 1, k - s) to min(k, n - s). The per-scan
+    generator that ``SubsetVectors`` replaced built a first size this way
+    with h = -1 and each later one as a whole column of n calls."""
+    return sum(max(0, min(k, n - s) - max(h + 1, k - s) + 1) for s in range(n))
+
+
+def count_levels(monkeypatch) -> Counter:
+    """Counts the ``sliced._level`` calls from now on."""
+    calls = Counter()
+    level = sliced._level
+
+    def counted(*args):
+        calls["levels"] += 1
+        return level(*args)
+
+    monkeypatch.setattr(sliced, "_level", counted)
+    return calls
 
 
 class TestSlicedHelpers:
     """The bookkeeping of ``sliced`` against plain loops over bits and
     :func:`itertools.combinations`."""
 
-    def test_size_vectors_from_every_start(self):
-        # Whatever size a new n is asked for first, the sizes up to it are
-        # derived on the way and kept, and every size read after it, below
-        # or above, is its combinations-order marks.
+    def test_subset_vectors_from_every_start(self):
+        # Whatever size is asked first, it is built from size 0, held from
+        # the start, and every size read after it, below or above, is its
+        # combinations-order marks; every level of every column held is the
+        # marks over its vertex suffix, the levels that later sizes read.
+        # With ``every`` each size built is held, else only the last one.
         for n in range(13):
             oracle = {}
-            for j in range(n + 1):
-                combos = list(combinations(range(n), j))
-                marks = [sum(1 << i for i, c in enumerate(combos) if v in c) for v in range(n)]
-                oracle[j] = tuple(marks), len(combos)
-            for k in range(n + 1):
-                sliced.size_vectors(n + 1, 0)  # another n: the record starts again
-                assert sliced.size_vectors(n, k) == oracle[k], (n, k)
-                assert sliced._kept[:2] == (n, tuple(oracle[j] for j in range(k + 1))), (n, k)
-                for j in range(n, -1, -1):
-                    assert sliced.size_vectors(n, j) == oracle[j], (n, k, j)
+            for s in range(n + 1):
+                for j in range(n - s + 1):
+                    combos = list(combinations(range(s, n), j))
+                    marks = [sum(1 << i for i, c in enumerate(combos) if v in c) for v in range(s, n)]
+                    oracle[j, s] = tuple(marks), len(combos)
+            for every in (True, False):
+                for k in range(n + 1):
+                    vectors = sliced.SubsetVectors(n, every)
+                    assert vectors(k) == oracle[k, 0], (n, k)
+                    assert sorted(vectors.columns) == sorted({0, k}), (n, k)
+                    for j in [*range(n, -1, -1), *range(n + 1)]:
+                        assert vectors(k) == oracle[k, 0] and vectors(j) == oracle[j, 0], (n, k, j)
+                    held = sorted(vectors.columns)
+                    assert held == (list(range(n + 1)) if every else sorted({0, n})), (n, k, every)
+                    for j in held:
+                        column = vectors.columns[j]
+                        assert column == [oracle[j, s] for s in range(n - j + 1)], (n, j)
+
+    def test_a_size_is_built_from_the_largest_held_below(self, monkeypatch):
+        # Size k is built from the whole column of the largest size held
+        # below it, in exactly band_levels(n, h, k) calls: no more than the
+        # generator it replaced took from nothing, nor column by column
+        # from that size.
+        calls = count_levels(monkeypatch)
+        for n in range(3, 15):
+            for held in ([], [1], [2, n - 1], list(range(0, n + 1, 3))):
+                vectors = sliced.SubsetVectors(n, True)
+                for j in held:
+                    vectors(j)
+                for k in range(n + 1):
+                    if k in vectors.columns:
+                        continue
+                    h = max(j for j in vectors.columns if j < k)
+                    calls.clear()
+                    grown = sliced.SubsetVectors(n, True)
+                    grown.columns = dict(vectors.columns)
+                    grown(k)
+                    assert calls["levels"] == band_levels(n, h, k), (n, held, k)
+                    assert calls["levels"] <= min(band_levels(n, -1, k), n * (k - h)), (n, held, k)
 
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.1, 0.12, 0.3, 1.0])
     def test_subsets_on_both_sides_of_the_switch(self, density):
@@ -827,35 +881,36 @@ class TestOneRoundsMemoPerRulePerCall:
     @staticmethod
     def record_vector_builds(monkeypatch) -> dict:
         """From an empty record on, ``asked`` lists each ``(n, size)`` a
-        scan reads through ``sliced.size_vectors`` and ``built`` each one
-        that enters the kept record; ``levels`` counts the ``sliced._level``
-        calls, n for each size above 0 built, so a build that the record
-        does not show still counts."""
+        scan reads from its ``sliced.SubsetVectors``, ``built`` each one
+        built, whether kept or not, and ``levels`` counts the
+        ``sliced._level`` calls."""
         seen = {"asked": [], "built": [], "levels": 0}
-        size_vectors, level = sliced.size_vectors, sliced._level
+        call, band, level = sliced.SubsetVectors.__call__, sliced.SubsetVectors._band, sliced._level
 
-        def recorded(n, k):
-            held, sizes, _ = sliced._kept
-            kept = len(sizes) if held == n else 0
-            seen["asked"].append((n, k))
-            out = size_vectors(n, k)
-            seen["built"] += [(n, j) for j in range(kept, len(sliced._kept[1]))]
-            return out
+        def asked(vectors, k):
+            seen["asked"].append((vectors.n, k))
+            return call(vectors, k)
+
+        def built(vectors, columns, k):
+            seen["built"].append((vectors.n, k))
+            return band(vectors, columns, k)
 
         def counted(*args):
             seen["levels"] += 1
             return level(*args)
 
-        monkeypatch.setattr(sliced, "_kept", (None, (), ()))
-        monkeypatch.setattr(sliced, "size_vectors", recorded)
+        monkeypatch.setattr(sliced, "_kept", sliced.SubsetVectors(0, True))
+        monkeypatch.setattr(sliced.SubsetVectors, "__call__", asked)
+        monkeypatch.setattr(sliced.SubsetVectors, "_band", built)
         monkeypatch.setattr(sliced, "_level", counted)
         return seen
 
     def test_one_vector_build_per_size_across_calls(self, monkeypatch):
         # Z reads sizes 0..Z, pt(G, m) size m only, and pt at m = Z reads
         # Z's rounds from the forcing scan. Across every call on two graphs
-        # of one n, under all three rules, each size is built once, in
-        # ascending order, and read from the record after that.
+        # of one n, under all three rules, each size above 0 (held from the
+        # start) is built once, in ascending order, as one new column from
+        # the size below, and read from the record after that.
         seen = self.record_vector_builds(monkeypatch)
         asked = seen["asked"]
         rng = Random(263)
@@ -888,32 +943,58 @@ class TestOneRoundsMemoPerRulePerCall:
                     report = propagation_time_m(g, m, rule)
                     assert (value, tuple(scan.sets(found))) == (report.value, report.witnesses)
                 asked.clear()
-        assert seen["built"] == [(n, k) for k in range(n + 1)]
-        # a call at another n builds again from size 0, and so does a scan
-        # back at the first n; one that skips sizes derives them on the way
+        assert seen["built"] == [(n, k) for k in range(1, n + 1)]
+        assert seen["levels"] == sum(band_levels(n, k - 1, k) for k in range(1, n + 1))
+        # A call at another n builds again, and so does a scan back at the
+        # first n. A one-off size at a new n is built from size 0 alone, in
+        # no more levels than the replaced generator took; a size below it
+        # then is too, and one above it is built from it.
         seen["built"].clear()
+        seen["levels"] = 0
         z = forcing_number(path_graph(11), Rule.STANDARD).value
         g = grid_graph(3, 4)
         _Scan(g, Rule.PSD, None).time(5)
         _Scan(g, Rule.PSD, None).time(4)
-        assert seen["built"] == [(11, k) for k in range(z + 1)] + [(n, k) for k in range(6)]
-        assert seen["levels"] == n * n + 11 * z + n * 5
+        _Scan(g, Rule.PSD, None).time(7)
+        assert seen["built"] == [(11, k) for k in range(1, z + 1)] + [(n, 5), (n, 4), (n, 7)]
+        levels = [band_levels(11, k - 1, k) for k in range(1, z + 1)]
+        levels += [band_levels(n, 0, 5), band_levels(n, 0, 4), band_levels(n, 5, 7)]
+        assert seen["levels"] == sum(levels) == sum(levels[:z]) + 40 + 36 + 12
+        assert band_levels(n, 0, 5) + band_levels(n, 0, 4) < band_levels(n, -1, 5) + band_levels(n, -1, 4)
+        assert band_levels(n, 5, 7) < 2 * n
 
     def test_bounds_sweep_builds_each_size_once(self, monkeypatch):
-        # The standard scan builds sizes 0..n, Z first and then one for
-        # each pt(G, m). The PSD scan builds none, and takes Z+ before thr+,
-        # so throttling reads sizes 0..Z+ as Z+ ran them and goes on from
-        # the next size: it reads no size twice.
+        # The standard scan builds sizes 1..n once each, Z first and then
+        # one for each pt(G, m). The PSD scan builds none, and takes Z+
+        # before thr+, so throttling reads sizes 0..Z+ as Z+ ran them and
+        # goes on from the next size: it reads no size twice.
         seen = self.record_vector_builds(monkeypatch)
         g = grid_graph(3, 4)
         bounds_rows_for_graph("g", g)
-        assert seen["built"] == [(g.n, k) for k in range(g.n + 1)]
-        assert seen["levels"] == g.n * g.n
+        assert seen["built"] == [(g.n, k) for k in range(1, g.n + 1)]
+        assert seen["levels"] == sum(band_levels(g.n, k - 1, k) for k in range(1, g.n + 1)) == 78
         asked = seen["asked"]
-        assert asked[: g.n + 1] == seen["built"]
+        assert asked[: g.n + 1] == [(g.n, k) for k in range(g.n + 1)]
         psd = asked[g.n + 1 :]
         assert psd == [(g.n, k) for k in range(len(psd))]
         assert len(psd) > forcing_number(g, Rule.PSD).value + 1
+
+    def test_scans_above_the_default_cap_keep_nothing(self, monkeypatch):
+        # Above DEFAULT_CAP vertices each scan builds its own vectors,
+        # holding only the size built last, as the replaced generator did;
+        # the kept record stays at the n before.
+        seen = self.record_vector_builds(monkeypatch)
+        sliced.kept_vectors(12)(3)
+        kept = sliced._kept
+        g = path_graph(DEFAULT_CAP + 1)
+        scan = _Scan(g, Rule.STANDARD, DEFAULT_CAP + 1)
+        assert scan.vectors is not kept and not scan.vectors.every
+        for m in (2, 1, 3, 4):
+            scan.time(m)
+        assert sorted(scan.vectors.columns) == [0, 4]
+        assert seen["built"] == [(12, 3), (g.n, 2), (g.n, 1), (g.n, 3), (g.n, 4)]
+        forcing_number(g, Rule.STANDARD, cap=g.n)
+        assert sliced._kept is kept and sorted(kept.columns) == [0, 3]
 
     def test_bounds_rows_for_graph(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
@@ -1056,13 +1137,14 @@ def test_sliced_scan_stays_small_on_26_vertices():
 
 def test_sliced_psd_scan_stays_small_on_20_vertices():
     """Every PSD round of all C(20, 5) = 15,504 candidates of the 4x5 grid
-    peaks near 0.3 MB, with vectors of 2 KB; the bound is about twice that.
-    White connectivity kept as n^2 vectors would take 0.76 MB on its own."""
+    peaks near 0.22 MB, with vectors of 2 KB; the bound is about three
+    times that. White connectivity kept as n^2 vectors would take 0.76 MB
+    on its own."""
     g = grid_graph(4, 5)
-    sliced.size_vectors(0, 0)  # another n: the vectors are built in the traced region
     tracemalloc.start()
     try:
-        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, *sliced.size_vectors(g.n, 5)))
+        blue = sliced.SubsetVectors(g.n, False)(5)
+        rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, *blue))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1071,24 +1153,31 @@ def test_sliced_psd_scan_stays_small_on_20_vertices():
 
 
 def test_kept_vectors_follow_the_last_n():
-    """All-m scans of the 3x6 grid keep every size of n = 18, about 0.6 MB
-    (n 2^n bits and their ints); one scan at n = 10 replaces them, and what
-    stays allocated is the vectors of n = 10 alone."""
-    big, small = grid_graph(3, 6), grid_graph(2, 5)
-    sliced.size_vectors(0, 0)  # another n: the vectors are built in the traced region
+    """All-m scans of the 4x4 grid keep every size of n = 16, about 0.28 MB;
+    one scan at n = 10 replaces them, and what stays allocated is the
+    vectors of n = 10 alone. Scans of the 3x6 grid, above DEFAULT_CAP,
+    leave nothing allocated."""
+    big, small, above = grid_graph(4, 4), grid_graph(2, 5), grid_graph(3, 6)
+    assert big.n == DEFAULT_CAP < above.n
+    sliced.kept_vectors(0)  # another n: the vectors are built in the traced region
     tracemalloc.start()
     try:
-        z = forcing_number(big, Rule.STANDARD, cap=18).value
+        z = forcing_number(big, Rule.STANDARD).value
         for m in range(z, big.n + 1):
-            propagation_time_m(big, m, Rule.STANDARD, cap=18)
+            propagation_time_m(big, m, Rule.STANDARD)
         held_big = tracemalloc.get_traced_memory()[0]
-        forcing_number(small, Rule.STANDARD)
+        z_small = forcing_number(small, Rule.STANDARD).value
         held_small = tracemalloc.get_traced_memory()[0]
+        z = forcing_number(above, Rule.STANDARD, cap=above.n).value
+        for m in range(z, above.n + 1, 5):
+            propagation_time_m(above, m, Rule.STANDARD, cap=above.n)
+        held_above = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert sliced._kept[0] == small.n
-    assert held_big > 1 << 19
+    assert sorted(sliced._kept.columns) == list(range(z_small + 1)) and sliced._kept.n == small.n
+    assert 240 << 10 < held_big < 320 << 10
     assert held_small < 32 << 10
+    assert held_above - held_small < 8 << 10
 
 
 def test_threads_share_the_kept_vectors():
