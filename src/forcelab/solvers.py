@@ -200,8 +200,7 @@ class _Scan:
             yield from known
             return
         if self.table is None:
-            blue = self.vectors(size)
-            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *blue))
+            rounds = enumerate(sliced.finished_by_round(self.rule, self.nbrs, *self.vectors(size)))
         else:
             rounds = sliced.table_finished_by_round(self.table, self.n, size)
         known = []
