@@ -12,16 +12,15 @@ round over the whole subset lattice) and then reads each candidate's rounds
 from it; the scans of one public call share one table per rule (Z then
 pt(G, Z) in ``solve_parameter``; Z, pt(G, m), thr+, Z+ and pt+ in
 ``bounds_rows_for_graph``). From ``SLICED_MIN_N`` vertices on,
-:mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once;
-up to ``DEFAULT_CAP`` vertices, from the subset vectors it keeps for the
-n scanned last, so calls in a row at one n build each size once. Either
-way one result loop, ``_Scan.best``, reads a size's candidates by the
-round they finish in, as ints with bit i for the i-th in combinations
-order, and the scans of one call share those ints for every size that
-one of them ran to the end; only a report unranks them. All of it dies
-when the public call returns: nothing found about a graph is cached
-between calls, and the kept vectors depend on n alone. The
-per-mask engine of :mod:`forcelab.forcing` runs no scan; it replays
+:mod:`forcelab.sliced` steps all C(n, k) candidates of a size at once,
+from the subset vectors it keeps for the process, one record per n, so
+the calls at one n build each size once. Either way one result loop,
+``_Scan.best``, reads a size's candidates by the round they finish in,
+as ints with bit i for the i-th in combinations order, and the scans of
+one call share those ints for every size that one of them ran to the
+end; only a report unranks them. All of it dies when the public call
+returns: nothing found about a graph is cached between calls, and the
+kept vectors depend on n alone. The per-mask engine of :mod:`forcelab.forcing` runs no scan; it replays
 schedules; its step-by-step walk in ``slices._rounds``, the one way the
 slice checks count their sets' rounds, is the tables' oracle in tests.
 """
@@ -107,10 +106,9 @@ class _Scan:
     ``table``; only ``_finished_by_round`` reads it. From ``SLICED_MIN_N``
     on, ``table`` is None and a scan takes one size k at a time through
     :mod:`forcelab.sliced`, which steps all C(n, k) candidate sets of the
-    size at once, from ``vectors``: up to ``DEFAULT_CAP`` vertices those
-    :func:`forcelab.sliced.kept_vectors` keeps for the n scanned last, so
-    the scans of one n, in one call or many, build each size once; above
-    it the scan's own, which hold the size built last. Either way the scans
+    size at once, from ``vectors``, the record of its n that
+    :func:`forcelab.sliced.kept_vectors` keeps for the process, so the
+    scans of one n, in one call or many, build each size once. The scans
     share the rounds of every size that one of them ran to the end
     (``finished``), and all but the kept vectors dies with the object when
     the call returns. Construction refuses a graph above the cap before
@@ -133,8 +131,7 @@ class _Scan:
         self.finished: dict[int, list[tuple[int, int]]] = {}
         if g.n >= SLICED_MIN_N:
             self.rule, self.nbrs, self.table = rule, g.adj, None
-            keep = g.n <= DEFAULT_CAP
-            self.vectors = sliced.kept_vectors(g.n) if keep else sliced.SubsetVectors(g.n, False)
+            self.vectors = sliced.kept_vectors(g.n)
         else:
             self.table = sliced.rounds_table(rule, g.adj, g.n)
 
