@@ -20,9 +20,10 @@ as ints with bit i for the i-th in combinations order, and the scans of
 one call share those ints for every size that one of them ran to the
 end; only a report unranks them. All of it dies when the public call
 returns: nothing found about a graph is cached between calls, and the
-kept vectors depend on n alone. The per-mask engine of :mod:`forcelab.forcing` runs no scan; it replays
-schedules; its step-by-step walk in ``slices._rounds``, the one way the
-slice checks count their sets' rounds, is the tables' oracle in tests.
+kept vectors depend on n alone. The per-mask engine of
+:mod:`forcelab.forcing` runs no scan; it replays schedules; its
+step-by-step walk in ``slices._rounds``, the one way the slice checks
+count their sets' rounds, is the tables' oracle in tests.
 """
 
 from __future__ import annotations

@@ -599,7 +599,7 @@ class TestSlicedPsdRound:
     def test_a_vertex_isolated_in_the_graph_stays_white(self):
         # candidates {0}, {1}, {2}: 0 and 1 force each other, 2 has no forcer
         g = Graph(3, [(0, 1)])
-        blue, count = sliced.SubsetVectors(g.n, False)(1)
+        blue, count = sliced.SubsetVectors(g.n)(1)
         new = sliced._psd_round(g.adj, blue, (1 << count) - 1)
         assert self.sets_of(new, count) == [{0, 1}, {0, 1}, {2}]
 
@@ -631,7 +631,7 @@ def bits_of(x: int, width: int) -> list[int]:
 
 def every_size(n: int) -> list:
     """``(X, count)`` of each size of the subsets of range(n), ascending."""
-    vectors = sliced.SubsetVectors(n, True)
+    vectors = sliced.SubsetVectors(n)
     return [vectors(k) for k in range(n + 1)]
 
 
@@ -666,7 +666,7 @@ class TestSlicedHelpers:
         # the start, and every size read after it, below or above, is its
         # combinations-order marks; every level of every column held is the
         # marks over its vertex suffix, the levels that later sizes read.
-        # With ``every`` each size built is held, else only the last one.
+        # Each size built is held.
         for n in range(13):
             oracle = {}
             for s in range(n + 1):
@@ -674,18 +674,17 @@ class TestSlicedHelpers:
                     combos = list(combinations(range(s, n), j))
                     marks = [sum(1 << i for i, c in enumerate(combos) if v in c) for v in range(s, n)]
                     oracle[j, s] = tuple(marks), len(combos)
-            for every in (True, False):
-                for k in range(n + 1):
-                    vectors = sliced.SubsetVectors(n, every)
-                    assert vectors(k) == oracle[k, 0], (n, k)
-                    assert sorted(vectors.columns) == sorted({0, k}), (n, k)
-                    for j in [*range(n, -1, -1), *range(n + 1)]:
-                        assert vectors(k) == oracle[k, 0] and vectors(j) == oracle[j, 0], (n, k, j)
-                    held = sorted(vectors.columns)
-                    assert held == (list(range(n + 1)) if every else sorted({0, n})), (n, k, every)
-                    for j in held:
-                        column = vectors.columns[j]
-                        assert column == [oracle[j, s] for s in range(n - j + 1)], (n, j)
+            for k in range(n + 1):
+                vectors = sliced.SubsetVectors(n)
+                assert vectors(k) == oracle[k, 0], (n, k)
+                assert sorted(vectors.columns) == sorted({0, k}), (n, k)
+                for j in [*range(n, -1, -1), *range(n + 1)]:
+                    assert vectors(k) == oracle[k, 0] and vectors(j) == oracle[j, 0], (n, k, j)
+                held = sorted(vectors.columns)
+                assert held == list(range(n + 1)), (n, k)
+                for j in held:
+                    column = vectors.columns[j]
+                    assert column == [oracle[j, s] for s in range(n - j + 1)], (n, j)
 
     def test_a_size_is_built_from_the_largest_held_below(self, monkeypatch):
         # Size k is built from the whole column of the largest size held
@@ -695,7 +694,7 @@ class TestSlicedHelpers:
         calls = count_levels(monkeypatch)
         for n in range(3, 15):
             for held in ([], [1], [2, n - 1], list(range(0, n + 1, 3))):
-                vectors = sliced.SubsetVectors(n, True)
+                vectors = sliced.SubsetVectors(n)
                 for j in held:
                     vectors(j)
                 for k in range(n + 1):
@@ -703,7 +702,7 @@ class TestSlicedHelpers:
                         continue
                     h = max(j for j in vectors.columns if j < k)
                     calls.clear()
-                    grown = sliced.SubsetVectors(n, True)
+                    grown = sliced.SubsetVectors(n)
                     grown.columns = dict(vectors.columns)
                     grown(k)
                     assert calls["levels"] == band_levels(n, h, k), (n, held, k)
@@ -880,10 +879,9 @@ class TestOneRoundsMemoPerRulePerCall:
 
     @staticmethod
     def record_vector_builds(monkeypatch) -> dict:
-        """From an empty record on, ``asked`` lists each ``(n, size)`` a
+        """From no record kept on, ``asked`` lists each ``(n, size)`` a
         scan reads from its ``sliced.SubsetVectors``, ``built`` each one
-        built, whether kept or not, and ``levels`` counts the
-        ``sliced._level`` calls."""
+        built, and ``levels`` counts the ``sliced._level`` calls."""
         seen = {"asked": [], "built": [], "levels": 0}
         call, band, level = sliced.SubsetVectors.__call__, sliced.SubsetVectors._band, sliced._level
 
@@ -899,7 +897,7 @@ class TestOneRoundsMemoPerRulePerCall:
             seen["levels"] += 1
             return level(*args)
 
-        monkeypatch.setattr(sliced, "_kept", sliced.SubsetVectors(0, True))
+        sliced.kept_vectors.cache_clear()
         monkeypatch.setattr(sliced.SubsetVectors, "__call__", asked)
         monkeypatch.setattr(sliced.SubsetVectors, "_band", built)
         monkeypatch.setattr(sliced, "_level", counted)
@@ -945,23 +943,29 @@ class TestOneRoundsMemoPerRulePerCall:
                 asked.clear()
         assert seen["built"] == [(n, k) for k in range(1, n + 1)]
         assert seen["levels"] == sum(band_levels(n, k - 1, k) for k in range(1, n + 1))
-        # A call at another n builds again, and so does a scan back at the
-        # first n. A one-off size at a new n is built from size 0 alone, in
-        # no more levels than the replaced generator took; a size below it
-        # then is too, and one above it is built from it.
+        # A call at another n builds that n's sizes, and scans back at the
+        # first n build nothing: its record still holds every size.
         seen["built"].clear()
         seen["levels"] = 0
         z = forcing_number(path_graph(11), Rule.STANDARD).value
         g = grid_graph(3, 4)
-        _Scan(g, Rule.PSD, None).time(5)
-        _Scan(g, Rule.PSD, None).time(4)
-        _Scan(g, Rule.PSD, None).time(7)
-        assert seen["built"] == [(11, k) for k in range(1, z + 1)] + [(n, 5), (n, 4), (n, 7)]
-        levels = [band_levels(11, k - 1, k) for k in range(1, z + 1)]
-        levels += [band_levels(n, 0, 5), band_levels(n, 0, 4), band_levels(n, 5, 7)]
-        assert seen["levels"] == sum(levels) == sum(levels[:z]) + 40 + 36 + 12
-        assert band_levels(n, 0, 5) + band_levels(n, 0, 4) < band_levels(n, -1, 5) + band_levels(n, -1, 4)
-        assert band_levels(n, 5, 7) < 2 * n
+        for m in (5, 4, 7):
+            _Scan(g, Rule.PSD, None).time(m)
+        assert seen["built"] == [(11, k) for k in range(1, z + 1)]
+        assert seen["levels"] == sum(band_levels(11, k - 1, k) for k in range(1, z + 1))
+        # A one-off size at an n not yet scanned is built from size 0
+        # alone, in no more levels than the replaced generator took; a size
+        # below it then is too, and one above it is built from it.
+        seen["built"].clear()
+        seen["levels"] = 0
+        g = path_graph(13)
+        for m in (5, 4, 7):
+            _Scan(g, Rule.PSD, None).time(m)
+        assert seen["built"] == [(13, 5), (13, 4), (13, 7)]
+        levels = [band_levels(13, 0, 5), band_levels(13, 0, 4), band_levels(13, 5, 7)]
+        assert seen["levels"] == sum(levels) == 45 + 40 + 14
+        assert levels[0] + levels[1] < band_levels(13, -1, 5) + band_levels(13, -1, 4)
+        assert levels[2] < 2 * 13
 
     def test_bounds_sweep_builds_each_size_once(self, monkeypatch):
         # The standard scan builds sizes 1..n once each, Z first and then
@@ -979,22 +983,25 @@ class TestOneRoundsMemoPerRulePerCall:
         assert psd == [(g.n, k) for k in range(len(psd))]
         assert len(psd) > forcing_number(g, Rule.PSD).value + 1
 
-    def test_scans_above_the_default_cap_keep_nothing(self, monkeypatch):
-        # Above DEFAULT_CAP vertices each scan builds its own vectors,
-        # holding only the size built last, as the replaced generator did;
-        # the kept record stays at the n before.
+    def test_calls_alternating_n_build_each_size_once(self, monkeypatch):
+        # One record per n: calls at n = 10, 11 and 12 in turn, under two
+        # rules, build each (n, size) once, and a scan at another n
+        # releases none of them.
         seen = self.record_vector_builds(monkeypatch)
-        sliced.kept_vectors(12)(3)
-        kept = sliced._kept
-        g = path_graph(DEFAULT_CAP + 1)
-        scan = _Scan(g, Rule.STANDARD, DEFAULT_CAP + 1)
-        assert scan.vectors is not kept and not scan.vectors.every
-        for m in (2, 1, 3, 4):
-            scan.time(m)
-        assert sorted(scan.vectors.columns) == [0, 4]
-        assert seen["built"] == [(12, 3), (g.n, 2), (g.n, 1), (g.n, 3), (g.n, 4)]
-        forcing_number(g, Rule.STANDARD, cap=g.n)
-        assert sliced._kept is kept and sorted(kept.columns) == [0, 3]
+        rng = Random(271)
+        graphs = [random_graph(rng, n, 0.3, connected=True) for n in (10, 11, 12)]
+        for rule in (Rule.STANDARD, Rule.PSD):
+            for g in graphs:
+                forcing_number(g, rule)
+            for m in range(13):
+                for g in graphs:
+                    if m <= g.n:
+                        run(propagation_time_m, g, m, rule)
+        built = seen["built"]
+        assert len(built) == len(set(built))
+        assert sorted(built) == [(g.n, k) for g in graphs for k in range(1, g.n + 1)]
+        for g in graphs:
+            assert sorted(sliced.kept_vectors(g.n).columns) == list(range(g.n + 1))
 
     def test_bounds_rows_for_graph(self, monkeypatch):
         seen = self.record_scan_steps(monkeypatch)
@@ -1143,7 +1150,7 @@ def test_sliced_psd_scan_stays_small_on_20_vertices():
     g = grid_graph(4, 5)
     tracemalloc.start()
     try:
-        blue = sliced.SubsetVectors(g.n, False)(5)
+        blue = sliced.SubsetVectors(g.n)(5)
         rounds = sum(1 for _ in finished_by_round(Rule.PSD, g.adj, *blue))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1152,39 +1159,38 @@ def test_sliced_psd_scan_stays_small_on_20_vertices():
     assert peak < 640 << 10
 
 
-def test_kept_vectors_follow_the_last_n():
-    """All-m scans of the 4x4 grid keep every size of n = 16, about 0.28 MB;
-    one scan at n = 10 replaces them, and what stays allocated is the
-    vectors of n = 10 alone. Scans of the 3x6 grid, above DEFAULT_CAP,
-    leave nothing allocated."""
-    big, small, above = grid_graph(4, 4), grid_graph(2, 5), grid_graph(3, 6)
+def test_kept_vectors_hold_one_record_per_n():
+    """All-m scans of the 4x4 grid keep every size of n = 16, about 0.29 MB;
+    all-m scans of the 3x6 grid at cap 18 keep every size of n = 18 beside
+    them, about 1.18 MB more. A scan at another n releases neither."""
+    big, above, small = grid_graph(4, 4), grid_graph(3, 6), grid_graph(2, 5)
     assert big.n == DEFAULT_CAP < above.n
-    sliced.kept_vectors(0)  # another n: the vectors are built in the traced region
+    sliced.kept_vectors.cache_clear()  # the records are built in the traced region
     tracemalloc.start()
     try:
-        z = forcing_number(big, Rule.STANDARD).value
-        for m in range(z, big.n + 1):
-            propagation_time_m(big, m, Rule.STANDARD)
-        held_big = tracemalloc.get_traced_memory()[0]
-        z_small = forcing_number(small, Rule.STANDARD).value
-        held_small = tracemalloc.get_traced_memory()[0]
-        z = forcing_number(above, Rule.STANDARD, cap=above.n).value
-        for m in range(z, above.n + 1, 5):
-            propagation_time_m(above, m, Rule.STANDARD, cap=above.n)
-        held_above = tracemalloc.get_traced_memory()[0]
+        held = []
+        for g in (big, above):
+            z = forcing_number(g, Rule.STANDARD, cap=g.n).value
+            for m in range(z, g.n + 1):
+                propagation_time_m(g, m, Rule.STANDARD, cap=g.n)
+            held.append(tracemalloc.get_traced_memory()[0])
+        forcing_number(small, Rule.STANDARD)
+        held.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert sorted(sliced._kept.columns) == list(range(z_small + 1)) and sliced._kept.n == small.n
+    for g in (big, above):
+        assert sorted(sliced.kept_vectors(g.n).columns) == list(range(g.n + 1))
+    held_big, held_above, held_small = held
     assert 240 << 10 < held_big < 320 << 10
-    assert held_small < 32 << 10
-    assert held_above - held_small < 8 << 10
+    assert 1100 << 10 < held_above - held_big < 1200 << 10
+    assert held_small >= held_above
 
 
 def test_threads_share_the_kept_vectors():
     """Four threads run both rules' Z and pt(G, m) at every m on graphs at
-    n = 10 and n = 11 at once, eight times over, so each replaces the
-    other's kept vectors while scans read them; every report equals a
-    serial run's."""
+    n = 10 and n = 11 at once, eight times over, starting from no kept
+    record, so they race on first builds while other scans read the same
+    records; every report equals a serial run's."""
     rng = Random(283)
     calls = []
     for n in (10, 11):
@@ -1194,6 +1200,7 @@ def test_threads_share_the_kept_vectors():
             calls += [(propagation_time_m, g, m, rule) for m in range(n + 1)]
     calls = calls[::2] + calls[1::2]  # n = 10 and n = 11 interleaved
     serial = [run(f, *args) for f, *args in calls]
+    sliced.kept_vectors.cache_clear()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
